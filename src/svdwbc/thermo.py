@@ -10,6 +10,7 @@ a multiple contour integral and as the corresponding finite sum over roots.
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -111,13 +112,12 @@ def ground_state_theta(grid) -> np.ndarray:
     return np.where(grid.shifted, 0.0, 1.0)
 
 
-def _kernel_matrix(grid, n, g):
-    dx = grid.x[:, None] - grid.x[None, :]
-    crossed = grid.shifted[:, None] ^ grid.shifted[None, :]
-    sh2 = np.sinh(dx) ** 2
-    same = np.sin(n * g) / (2 * np.pi * (sh2 + np.sin(n * g / 2) ** 2))
-    cross = -np.sin(n * g) / (2 * np.pi * (sh2 + np.cos(n * g / 2) ** 2))
-    return np.where(crossed, cross, same)
+def _density_matrix(theta, grid, g):
+    """Nystrom matrix I + K_2 diag(theta w) of the density equation."""
+    K2 = _kernel_branch(
+        grid.x[:, None] - grid.x[None, :], grid.shifted[:, None] ^ grid.shifted[None, :], 2, g
+    )
+    return np.eye(grid.n_nodes) + K2 * (theta * grid.w)[None, :]
 
 
 def _driving_k1(grid, g, mu):
@@ -214,8 +214,7 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
         raise ValueError("theta must be sampled on the grid nodes")
     if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
         raise ValueError("theta must lie in [0, 1]")
-    K2 = _kernel_matrix(grid, 2, g)
-    A = np.eye(grid.n_nodes) + K2 * (theta * grid.w)[None, :]
+    A = _density_matrix(theta, grid, g)
     rhs = _driving_k1(grid, g, mu)
     try:
         rho = np.linalg.solve(A, rhs)
@@ -242,12 +241,9 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
 
 def _transfer_theta(theta, grid, fine):
     """Carry a piecewise Fermi weight to a refined grid (nearest node)."""
-    out = np.empty(fine.n_nodes)
-    for i in range(fine.n_nodes):
-        same = grid.shifted == fine.shifted[i]
-        j = np.argmin(np.abs(grid.x - fine.x[i]) + 1e9 * ~same)
-        out[i] = theta[j]
-    return out
+    dist = np.abs(np.subtract.outer(fine.x, grid.x))
+    np.add(dist, 1e9, out=dist, where=np.not_equal.outer(fine.shifted, grid.shifted))
+    return np.asarray(theta, dtype=float)[np.argmin(dist, axis=1)]
 
 
 def local_density(center, theta, grid, gamma) -> LocalDensity:
@@ -261,8 +257,7 @@ def local_densities(centers, theta, grid, gamma):
     gamma = _aniso(gamma)
     g = gamma.gamma
     theta = np.asarray(theta, dtype=float)
-    K2 = _kernel_matrix(grid, 2, g)
-    A = np.eye(grid.n_nodes) + K2 * (theta * grid.w)[None, :]
+    A = _density_matrix(theta, grid, g)
     rhs = np.stack(
         [_kernel_branch(grid.x - complex(c).real, grid.shifted, 1, g) for c in centers],
         axis=1,
@@ -303,29 +298,92 @@ def h_function(lams, mu_window, locals_):
     if len(mu_window) != n or len(locals_) != n:
         raise ValueError("need one window column and one local density per rapidity")
     g = _aniso(locals_[0].gamma).gamma
-    w = np.asarray(mu_window, dtype=complex)
-    S = np.empty((n, n), dtype=complex)
-    for i, loc in enumerate(locals_):
-        S[i] = np.asarray(loc.rho_tot_at(lams), dtype=complex)
-    den = 1.0 + 0j
-    for l in range(n):
-        for m in range(l + 1, n):
-            s = np.sinh(lams[m] - lams[l] - 1j * g)
-            if abs(s) < 1e-14:
-                raise PoleError("coincident rapidities shifted by i*gamma")
-            den *= s
-    num = 1.0 + 0j
-    for l in range(n):
-        for m in range(n):
-            if m < l:
-                num *= np.sinh(lams[l] - w[m] - 0.5j * g)
-            elif m > l:
-                num *= np.sinh(lams[l] - w[m] + 0.5j * g)
-    return complex(np.linalg.det(S) / den * num)
+    rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
+    F, D = _integrand_factors(lams, np.asarray(mu_window, dtype=complex), g)
+    return complex(_h_tuples(np.arange(n)[:, None], rows, F, D, np.ones(n))[0])
+
+
+# H factorizes into a determinant, pair factors and one-slot factors:
+#     H(lam_1..lam_n) = det[R_i(lam_j)] prod_{l<m} 1/D(lam_l, lam_m) prod_l f_l(lam_l),
+#     D(a, b) = sinh(b - a - i gamma),
+#     f_l(lam) = prod_{m<l} sinh(lam - w_m - i gamma/2) prod_{m>l} sinh(lam - w_m + i gamma/2).
+# Every EFP sum below reads H from the node tables of _integrand_factors.
+
+_CHUNK = 8192  # index tuples per batched evaluation of H; bounds the (B, n, n) stacks
+
+
+def _integrand_factors(z, w, g):
+    """Slot table F[l, p] = f_l(z_p) and pair table D[a, b] = sinh(z_b - z_a - i g)
+    over the nodes z for the window w."""
+    slot = np.arange(len(w))
+    shift = np.where(slot[None, :] < slot[:, None], -0.5j * g, 0.5j * g)  # [l, m]
+    s = np.sinh(z[None, None, :] - w[None, :, None] + shift[:, :, None])
+    s[slot, slot] = 1.0
+    return s.prod(axis=1), np.sinh(z[None, :] - z[:, None] - 1j * g)
+
+
+def _h_tuples(idx, R, F, D, weight):
+    """prod_l weight[a_l] * H at each node tuple a = idx[:, b] of an (n, B) index
+    stack, with rows R[i, p] = R_i(z_p) and the tables of _integrand_factors.
+    A tuple with a repeated index is exactly 0 (two equal determinant columns)."""
+    n = len(idx)
+    l, m = np.triu_indices(n, 1)
+    pair = D[idx[l], idx[m]]
+    if np.any(np.abs(pair) < 1e-14):
+        raise PoleError("coincident rapidities shifted by i*gamma")
+    det = np.linalg.det(np.moveaxis(R[:, idx], -1, 0))
+    slots = np.prod(F[np.arange(n)[:, None], idx] * weight[idx], axis=0)
+    vals = det * slots / np.prod(pair, axis=0)
+    return np.where(np.all(idx[l] != idx[m], axis=0), vals, 0.0)
+
+
+def _node_sum(z, weight, R, w, g):
+    """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an).
+
+    For n <= 3 the determinant is expanded by Leibniz; each permutation sigma
+    contracts the vectors G_l = weight * R_sigma(l) * f_l over the complete graph
+    of E = 1/D by BLAS, O(n! P^3) for P nodes.  Repeated-index terms cancel
+    between permutations.  Above n = 3 the batched H runs over all P^n tuples.
+    """
+    n = len(w)
+    F, D = _integrand_factors(z, w, g)
+    if n > 3:
+        count = len(z) ** n
+        return sum(
+            _h_tuples(
+                np.array(np.unravel_index(np.arange(s, min(s + _CHUNK, count)), (len(z),) * n)),
+                R, F, D, weight,
+            ).sum()
+            for s in range(0, count, _CHUNK)
+        )
+    if n == 1:
+        return np.sum(weight * R[0] * F[0])
+    E = 1.0 / D
+    G = weight * R[:, None, :] * F[None, :, :]  # G[k, l] = weight * R_k * f_l
+    # sum_{a,b,c} G0[a] G1[b] G2[c] E[a,b] E[a,c] E[b,c] = G0 (E o (E diag(G2) E^T)) G1,
+    # and the inner matrix depends on sigma(2) alone
+    pair = [E * ((E * G[k, 2]) @ E.T) for k in range(n)] if n == 3 else [E] * n
+    total = 0.0 + 0j
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += sign * (G[perm[0], 0] @ pair[perm[-1]] @ G[perm[1], 1])
+    return total
+
+
+def _window_prefactor(w):
+    """1 / prod_{l<m} sinh(w_l - w_m)."""
+    l, m = np.triu_indices(len(w), 1)
+    s = np.sinh(w[l] - w[m])
+    if np.any(np.abs(s) < 1e-14):
+        raise PoleError("coincident window columns")
+    return 1.0 / np.prod(s)
 
 
 @dataclass(frozen=True)
 class EfpResult:
+    """stderr and samples are set for Monte Carlo values; samples counts the
+    draws of one integral (each eps of a split window uses that many)."""
+
     value: float
     imag_residual: float
     n: int
@@ -359,9 +417,14 @@ def efp_thermo(
 
         1/prod_{l<m} sinh(w_l - w_m) * int ... int H({lam}, {w}) prod_l theta(lam_l) dlam_l
 
-    Tensor quadrature for n <= 3, stratified Monte Carlo above.  A window
-    with coincident columns is split symmetrically by eps and the values are
-    Richardson-extrapolated in eps^2.
+    For n <= 3 the quadrature node sum is a Leibniz expansion of the
+    determinant times BLAS contractions of the pair factors, O(n! P^3) for P
+    nodes with theta != 0.  Above n = 3 (or with force_mc) it is a stratified
+    Monte Carlo estimate whose integrand is evaluated in batches of index
+    tuples.  A window with coincident columns is split symmetrically by eps
+    and the values are Richardson-extrapolated in eps^2; a Monte Carlo
+    stderr is carried through as sum_i |c_i| sigma_i over the extrapolation
+    weights c_i (every eps uses the same seed, so the errors add linearly).
     """
     gamma = _aniso(gamma)
     if n == 0:
@@ -374,37 +437,35 @@ def efp_thermo(
         for i in range(n)
         for j in range(i + 1, n)
     )
+    schedule = None
     if distinct or n == 1:
-        val = _efp_integral(
+        val, stderr, samples = _efp_integral(
             n, np.asarray(mu_window), theta, grid, gamma, mc_samples, seed, force_mc
-        )
-        res = EfpResult(
-            float(np.real(val[0])),
-            float(abs(np.imag(val[0]))),
-            n,
-            tuple(mu_window),
-            grid.cutoff,
-            grid.points_per_branch,
-            stderr=val[1],
-            samples=val[2],
         )
     else:
         schedule = tuple(eps_schedule or determinant._scaled_eps_schedule(gamma))
         centre = mu_window[0]
-        vals = []
+        parts = []
         for eps in schedule:
             w = np.array([centre + (l - (n + 1) / 2) * eps for l in range(1, n + 1)])
-            vals.append(_efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc)[0])
-        val = determinant.neville_extrapolate([e * e for e in schedule], vals)
-        res = EfpResult(
-            float(np.real(val)),
-            float(abs(np.imag(val))),
-            n,
-            tuple(mu_window),
-            grid.cutoff,
-            grid.points_per_branch,
-            eps_schedule=schedule,
-        )
+            parts.append(_efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc))
+        eps2 = [e * e for e in schedule]
+        val = determinant.neville_extrapolate(eps2, [p[0] for p in parts])
+        stderr, samples = parts[0][1], parts[0][2]
+        if stderr is not None:
+            weights = determinant.neville_extrapolate(eps2, list(np.eye(len(eps2))))
+            stderr = float(np.abs(weights) @ [p[1] for p in parts])
+    res = EfpResult(
+        float(np.real(val)),
+        float(abs(np.imag(val))),
+        n,
+        tuple(mu_window),
+        grid.cutoff,
+        grid.points_per_branch,
+        eps_schedule=schedule,
+        stderr=stderr,
+        samples=samples,
+    )
     imag_floor = 1e-6 * (1 + abs(res.value))
     if res.stderr is not None:
         imag_floor = max(imag_floor, 3 * res.stderr)
@@ -426,47 +487,14 @@ def efp_thermo(
 
 def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
     """(value, stderr, samples) of the n-fold directed integral."""
-    g = gamma.gamma
     locals_ = local_densities(w, theta, grid, gamma)
     active = np.abs(theta * grid.w) > 0
     z = grid.values[active]
     c = (theta * grid.w)[active]
     R = np.stack([loc.rho_tot for loc in locals_], axis=0)[:, active]
-    pref = 1.0 + 0j
-    for l in range(n):
-        for m in range(l + 1, n):
-            pref /= np.sinh(w[l] - w[m])
-    if n == 1 and not force_mc:
-        return pref * np.sum(c * R[0]), None, None
-    if n == 2 and not force_mc:
-        D = np.sinh(z[None, :] - z[:, None] - 1j * g)  # D[a,b] = sinh(z_b - z_a - ig)
-        det = R[0][:, None] * R[1][None, :] - R[0][None, :] * R[1][:, None]
-        fac = np.sinh(z - w[1] + 0.5j * g)[:, None] * np.sinh(z - w[0] - 0.5j * g)[None, :]
-        total = np.einsum("a,b,ab->", c, c, det / D * fac)
-        return pref * total, None, None
-    if n == 3 and not force_mc:
-        total = 0.0 + 0j
-        sp = {m: np.sinh(z - w[m] + 0.5j * g) for m in range(3)}
-        sm = {m: np.sinh(z - w[m] - 0.5j * g) for m in range(3)}
-        for a in range(len(z)):
-            za = z[a]
-            Dab = np.sinh(z - za - 1j * g)  # over b
-            Dac = Dab  # same vector, used over c
-            Dbc = np.sinh(z[None, :] - z[:, None] - 1j * g)  # [b, c]
-            det = (
-                R[0][a] * (R[1][:, None] * R[2][None, :] - R[1][None, :] * R[2][:, None])
-                - R[1][a] * (R[0][:, None] * R[2][None, :] - R[0][None, :] * R[2][:, None])
-                + R[2][a] * (R[0][:, None] * R[1][None, :] - R[0][None, :] * R[1][:, None])
-            )
-            num = (
-                (sp[1][a] * sp[2][a])
-                * (sm[0][:, None] * sp[2][:, None])
-                * (sm[0][None, :] * sm[1][None, :])
-            )
-            total += c[a] * np.einsum(
-                "b,c,bc->", c, c, det / (Dab[:, None] * Dac[None, :] * Dbc) * num
-            )
-        return pref * total, None, None
+    pref = _window_prefactor(w)
+    if n <= 3 and not force_mc:
+        return pref * _node_sum(z, c, R, w, gamma.gamma), None, None
     # Monte Carlo with theta-weighted importance sampling over the nodes
     rng = np.random.default_rng(seed)
     q = np.abs(c * R.mean(axis=0))
@@ -479,30 +507,12 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
     idx0 = np.minimum(np.searchsorted(cdf, u.ravel()), len(z) - 1)
     idx_rest = rng.choice(len(z), size=(n - 1, samples), p=q)
     idx = np.vstack([idx0, idx_rest])
-    vals = np.empty(samples, dtype=complex)
-    for s in range(samples):
-        tup = idx[:, s]
-        if len(set(tup.tolist())) < n:
-            vals[s] = 0.0
-            continue
-        zz = z[tup]
-        den = 1.0 + 0j
-        for l in range(n):
-            for m in range(l + 1, n):
-                den *= np.sinh(zz[m] - zz[l] - 1j * g)
-        num = 1.0 + 0j
-        for l in range(n):
-            for m in range(n):
-                if m < l:
-                    num *= np.sinh(zz[l] - w[m] - 0.5j * g)
-                elif m > l:
-                    num *= np.sinh(zz[l] - w[m] + 0.5j * g)
-        det = np.linalg.det(R[:, tup])
-        weight = np.prod(c[tup] / q[tup])
-        vals[s] = det / den * num * weight
-    est = vals.mean()
+    F, D = _integrand_factors(z, w, gamma.gamma)
+    vals = np.concatenate([
+        _h_tuples(idx[:, s:s + _CHUNK], R, F, D, c / q) for s in range(0, samples, _CHUNK)
+    ])
     err = float(np.abs(vals.std(ddof=1)) / np.sqrt(samples))
-    return pref * est, abs(pref) * err, samples
+    return pref * vals.mean(), abs(pref) * err, samples
 
 
 def efp_sum_finite(roots, mu_window, profile=None, locals_=None, use_exact_rows=False):
@@ -515,54 +525,23 @@ def efp_sum_finite(roots, mu_window, profile=None, locals_=None, use_exact_rows=
     use_exact_rows, synthesized from the exact determinant-ratio rows so the
     sum reproduces the finite-size determinant path identically.
     """
-    w = [float(np.real(x)) for x in mu_window]
+    w = np.array([float(np.real(x)) for x in mu_window])
     n = len(w)
     if n == 0:
         return 1.0
     M = len(roots.mu)
-    N = roots.N
     lams = roots.values
-    g = roots.gamma.gamma
     if use_exact_rows:
-        rows = determinant.psi_phi_rows(roots, w)  # n x N
-        S_of = lambda i, j: rows[i, j]  # already rho~/(M rho); rho factors cancel
-        rho_inv = np.ones(N)
-        norm = 1.0
+        rows = determinant.psi_phi_rows(roots, w)  # already rho~/(M rho); rho factors cancel
+        weight = np.ones(roots.N)
     else:
         if profile is None:
             raise ValueError("profile is required for the thermo density source")
         if locals_ is None:
             locals_ = local_densities(w, profile.theta, profile.grid, profile.gamma)
-        Sval = np.empty((n, N), dtype=complex)
-        for i, loc in enumerate(locals_):
-            Sval[i] = np.asarray(loc.rho_tot_at(lams), dtype=complex)
-        S_of = lambda i, j: Sval[i, j]
-        rho_inv = 1.0 / np.real(profile.rho_tot_at(lams))
-        norm = 1.0 / M**n
-    pref = 1.0 + 0j
-    for l in range(n):
-        for m in range(l + 1, n):
-            s = np.sinh(w[l] - w[m])
-            if abs(s) < 1e-14:
-                raise PoleError("coincident window columns in the finite sum")
-            pref /= s
-    total = 0.0 + 0j
-    for tup in determinant._index_tuples(N, n):
-        S = np.array([[S_of(i, tup[m]) for m in range(n)] for i in range(n)])
-        zz = lams[list(tup)]
-        den = 1.0 + 0j
-        for l in range(n):
-            for m in range(l + 1, n):
-                den *= np.sinh(zz[m] - zz[l] - 1j * g)
-        num = 1.0 + 0j
-        for l in range(n):
-            for m in range(n):
-                if m < l:
-                    num *= np.sinh(zz[l] - w[m] - 0.5j * g)
-                elif m > l:
-                    num *= np.sinh(zz[l] - w[m] + 0.5j * g)
-        total += np.linalg.det(S) / den * num * np.prod(rho_inv[list(tup)])
-    val = norm * pref * total
+        rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
+        weight = 1.0 / (M * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
+    val = _window_prefactor(w) * _node_sum(lams, weight, rows, w, roots.gamma.gamma)
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
         warnings.warn(f"finite EFP sum imaginary residue {val.imag:.2e}")
     return float(val.real)

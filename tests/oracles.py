@@ -4,11 +4,13 @@ These deliberately avoid the package's operator-algebra code paths: the
 partition oracle enumerates lattice arrow configurations directly, the
 density oracle is a closed form obtained by Fourier-transforming the
 integral equation, and the matrix-derivative oracle is branch-safe numerical
-differentiation of the defining logarithms.
+differentiation of the defining logarithms.  The EFP node-sum oracle loops
+over rapidity tuples with one determinant and explicit sinh products each,
+where the package contracts a factorized integrand.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -100,3 +102,41 @@ def varphi_prime_fd(roots, step=1e-6):
             # phi = i sum(log ...), entries are -i (d phi) = sum of log-derivatives
             out[i, j] = d
     return out
+
+
+def efp_integrand_h(lams, rows, window, gamma):
+    """Multiple-integral EFP integrand H at one rapidity tuple, by its literal
+    definition: det[rows] / prod_{l<m} sinh(lam_m - lam_l - i gamma) times the
+    staggered sinh products against the window columns.  rows[i, j] is the
+    i-th local density at lams[j]."""
+    g = float(gamma.gamma) if hasattr(gamma, "gamma") else float(gamma)
+    n = len(lams)
+    h = np.linalg.det(np.asarray(rows, dtype=complex))
+    for l in range(n):
+        for m in range(l + 1, n):
+            h /= np.sinh(lams[m] - lams[l] - 1j * g)
+        for m in range(n):
+            if m < l:
+                h *= np.sinh(lams[l] - window[m] - 0.5j * g)
+            elif m > l:
+                h *= np.sinh(lams[l] - window[m] + 0.5j * g)
+    return h
+
+
+def efp_node_sum(nodes, weights, rows, window, gamma):
+    """n-fold quadrature node sum of the multiple-integral EFP, including the
+    window prefactor 1/prod_{l<m} sinh(w_l - w_m), by a loop over the ordered
+    tuples of distinct nodes (a repeated node gives two equal determinant
+    columns and contributes nothing).  rows[i, p] is the i-th local density
+    at nodes[p]."""
+    n = len(window)
+    total = 0.0 + 0j
+    for tup in permutations(range(len(nodes)), n):
+        tup = list(tup)
+        total += np.prod(weights[tup]) * efp_integrand_h(
+            nodes[tup], rows[:, tup], window, gamma
+        )
+    for l in range(n):
+        for m in range(l + 1, n):
+            total /= np.sinh(window[l] - window[m])
+    return total

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import ground_state_density_closed_form
+from oracles import efp_integrand_h, efp_node_sum, ground_state_density_closed_form
 from svdwbc import bethe, determinant, thermo
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.bethe import SHIFTED, SpectralPoint
@@ -360,11 +360,85 @@ class TestEfpThermo:
         assert res.value == 1.0
 
 
+def _oracle_inputs(window, theta, grid, gamma):
+    """Active nodes, directed weights and local-density rows for the oracle."""
+    active = np.abs(theta * grid.w) > 0
+    locs = thermo.local_densities(window, theta, grid, gamma)
+    rows = np.stack([loc.rho_tot for loc in locs])[:, active]
+    return grid.values[active], (theta * grid.w)[active], rows
+
+
+@pytest.fixture(scope="module")
+def coarse_grid():
+    # 16 nodes per branch: the oracle's nested loops stay cheap up to n = 4
+    return thermo.contour_grid(AnisotropyParam(0.6), cutoff=2.0, points_per_branch=8)
+
+
+class TestNodeSumOracle:
+    WINDOW = [-0.9, -0.3, 0.3, 0.9]
+
+    def test_tensor_path_matches_nested_loops(self, gamma, coarse_grid):
+        # Fermi weight on both branches, so complex nodes enter as well
+        theta = np.where(coarse_grid.shifted, 0.3, 1.0 / (1.0 + coarse_grid.x**2))
+        for n in (1, 2, 3):
+            w = self.WINDOW[:n]
+            res = thermo.efp_thermo(n, w, theta, coarse_grid, gamma)
+            ref = efp_node_sum(*_oracle_inputs(w, theta, coarse_grid, gamma), w, gamma)
+            assert abs(res.value - ref.real) <= 1e-12 * abs(ref)
+            assert abs(res.imag_residual - abs(ref.imag)) <= 1e-12 * abs(ref)
+
+    def test_h_function_matches_oracle(self, gamma, grid06, profile06):
+        w = self.WINDOW[:3]
+        locs = thermo.local_densities(w, profile06.theta, grid06, gamma)
+        lams = [SpectralPoint(0.31), SpectralPoint(-0.64, SHIFTED), 0.12 + 0.2j]
+        vals = np.array([p.value if isinstance(p, SpectralPoint) else p for p in lams])
+        rows = np.array([loc.rho_tot_at(vals) for loc in locs])
+        for k in (1, 2, 3):
+            h = thermo.h_function(lams[:k], w[:k], locs[:k])
+            ref = efp_integrand_h(vals[:k], rows[:k, :k], w[:k], gamma)
+            assert abs(h - ref) <= 1e-12 * abs(ref)
+
+    def test_monte_carlo_n4_against_exact_node_sum(self, gamma, coarse_grid):
+        theta = thermo.ground_state_theta(coarse_grid)
+        ref = efp_node_sum(*_oracle_inputs(self.WINDOW, theta, coarse_grid, gamma),
+                           self.WINDOW, gamma)
+        mc = thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma,
+                               mc_samples=100000, seed=5)
+        assert mc.samples == 100000
+        assert mc.stderr < 0.15 * abs(ref)
+        assert abs(mc.value - ref.real) < 5 * mc.stderr
+        again = thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma,
+                                  mc_samples=100000, seed=5)
+        assert (again.value, again.stderr) == (mc.value, mc.stderr)
+
+    def test_monte_carlo_chunking_is_invisible(self, gamma, coarse_grid, monkeypatch):
+        # 20000 samples are not a multiple of the chunk size
+        assert 20000 % thermo._CHUNK
+        theta = thermo.ground_state_theta(coarse_grid)
+        chunked = thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma,
+                                    mc_samples=20000, seed=7)
+        monkeypatch.setattr(thermo, "_CHUNK", 10**6)
+        whole = thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma,
+                                  mc_samples=20000, seed=7)
+        assert chunked.value == pytest.approx(whole.value, rel=1e-14, abs=0)
+        assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-14, abs=0)
+
+    def test_split_window_keeps_monte_carlo_error(self, gamma, coarse_grid):
+        theta = thermo.ground_state_theta(coarse_grid)
+        tensor = thermo.efp_thermo(2, [0.0, 0.0], theta, coarse_grid, gamma)
+        mc = thermo.efp_thermo(2, [0.0, 0.0], theta, coarse_grid, gamma,
+                               force_mc=True, mc_samples=20000, seed=3)
+        assert mc.eps_schedule is not None
+        assert mc.samples == 20000
+        assert mc.stderr > 0
+        assert abs(mc.value - tensor.value) < 5 * mc.stderr
+
+
 class TestEfpSumFinite:
     def test_exact_rows_reproduce_determinant_path(self, gamma, rng):
         mus = tuple(np.linspace(-0.3, 0.3, 8))
         roots = bethe.solve_bae(*bethe.ground_state_numbers(4), LatticeSpec(8, mus), gamma)
-        for k, n in ((2, 1), (2, 2), (1, 3)):
+        for k, n in ((2, 1), (2, 2), (1, 3), (2, 4)):
             w = list(mus[k : k + n])
             v_sum = thermo.efp_sum_finite(roots, w, use_exact_rows=True)
             v_det = determinant.efp_finite(roots, k, n)

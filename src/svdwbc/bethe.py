@@ -8,7 +8,7 @@ with analytic Jacobian, with a per-coordinate fallback sweep.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,50 +72,57 @@ def p_n(lam, n, gamma):
     """
     g = _aniso(gamma).gamma
     p = _as_point(lam)
-    return _p_n_x(p.x, p.branch == SHIFTED, n, g)
+    return float(_p_n_x(p.x, p.branch == SHIFTED, n, g))
 
 
 def _p_n_x(x, crossed, n, g):
-    if crossed:
-        return -2.0 * np.arctan(np.tanh(x) * np.tan(n * g / 2))
-    return 2.0 * np.arctan(np.tanh(x) / np.tan(n * g / 2))
+    """p_n at abscissa differences x; crossed marks an Im = pi/2 offset.
+    Vectorized in x/crossed."""
+    th = np.tanh(x)
+    return np.where(
+        crossed, -2.0 * np.arctan(th * np.tan(n * g / 2)), 2.0 * np.arctan(th / np.tan(n * g / 2))
+    )
 
 
 def _p_n_deriv_x(x, crossed, n, g):
-    sh2 = np.sinh(min(abs(x), 300.0)) ** 2  # underflows to 0 well before 300
-    if crossed:
-        return -np.sin(n * g) / (sh2 + np.cos(n * g / 2) ** 2)
-    return np.sin(n * g) / (sh2 + np.sin(n * g / 2) ** 2)
+    """p_n' = 2 pi K_n at abscissa differences x, the one definition of the
+    branch kernel.  Vectorized in x/crossed."""
+    sh2 = np.sinh(np.minimum(np.abs(x), 300.0)) ** 2  # underflows to 0 well before 300
+    return np.where(
+        crossed,
+        -np.sin(n * g) / (sh2 + np.cos(n * g / 2) ** 2),
+        np.sin(n * g) / (sh2 + np.sin(n * g / 2) ** 2),
+    )
 
 
 def p_n_deriv(lam, n, gamma):
     """d p_n / dx along the branch of lam."""
     g = _aniso(gamma).gamma
     p = _as_point(lam)
-    return _p_n_deriv_x(p.x, p.branch == SHIFTED, n, g)
+    return float(_p_n_deriv_x(p.x, p.branch == SHIFTED, n, g))
 
 
 def _counting_raw(x, shifted, root_x, root_shifted, mu, g):
-    """Counting value at one contour point against explicit root arrays."""
-    val = 0.0
-    for m in mu:
-        val += _p_n_x(x - m, shifted, 1, g)
-    for xr, sr in zip(root_x, root_shifted):
-        val -= _p_n_x(x - xr, shifted != sr, 2, g)
-    return val
+    """Counting values at the contour points x (branch flags `shifted`)
+    against explicit root arrays and real inhomogeneities mu."""
+    x = np.asarray(x, dtype=float)[..., None]
+    shifted = np.asarray(shifted)[..., None]
+    columns = _p_n_x(x - mu, shifted, 1, g).sum(axis=-1)
+    return columns - _p_n_x(x - root_x, shifted != root_shifted, 2, g).sum(axis=-1)
 
 
 def counting_function(lam, roots) -> float:
     """sum_k p_1(lam - mu_k) - sum_j p_2(lam - lam_j) along the contour."""
     p = _as_point(lam)
-    g = roots.gamma.gamma
-    return _counting_raw(
-        p.x,
-        p.branch == SHIFTED,
-        [r.x for r in roots.roots],
-        [r.branch == SHIFTED for r in roots.roots],
-        roots.mu,
-        g,
+    return float(
+        _counting_raw(
+            p.x,
+            p.branch == SHIFTED,
+            np.array([r.x for r in roots.roots]),
+            np.array([r.branch == SHIFTED for r in roots.roots]),
+            np.real(roots.mu),
+            roots.gamma.gamma,
+        )
     )
 
 
@@ -224,19 +231,11 @@ def ground_state_numbers(N):
 
 def _system(x, shifted, n_target, mu, g):
     """Residual vector and Jacobian of counting(lam_i) = 2 pi n_i."""
-    N = len(x)
-    F = np.empty(N)
-    J = np.zeros((N, N))
-    for i in range(N):
-        F[i] = _counting_raw(x[i], shifted[i], x, shifted, mu, g) - 2 * np.pi * n_target[i]
-        diag = sum(_p_n_deriv_x(x[i] - m, shifted[i], 1, g) for m in mu)
-        for j in range(N):
-            if j == i:
-                continue
-            d2 = _p_n_deriv_x(x[i] - x[j], shifted[i] != shifted[j], 2, g)
-            diag -= d2
-            J[i, j] = d2
-        J[i, i] = diag
+    F = _counting_raw(x, shifted, x, shifted, mu, g) - 2 * np.pi * np.asarray(n_target)
+    J = _p_n_deriv_x(x[:, None] - x[None, :], shifted[:, None] != shifted[None, :], 2, g)
+    np.fill_diagonal(J, 0.0)
+    diag = _p_n_deriv_x(x[:, None] - mu[None, :], shifted[:, None], 1, g).sum(axis=1)
+    np.fill_diagonal(J, diag - J.sum(axis=1))
     return F, J
 
 
@@ -262,7 +261,7 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     if N != spec.N:
         raise ValueError(f"expected N = {spec.N} quantum numbers, got {N}")
     g = gamma.gamma
-    shifted = [v == -1 for v in v_i]
+    shifted = np.array([v == -1 for v in v_i], dtype=bool)
     # linearized counting function, recentred on the mean inhomogeneity
     x = np.array([2 * g * n / spec.M for n in n_i]) + float(np.mean(mu)) if N else np.empty(0)
     # roots beyond this box are numerically indistinguishable from infinity;
@@ -333,27 +332,10 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
             f"solution violates prod d(lam_j) = 1 by {dev:.2e}", best_residual=dev
         )
     if spec.M <= algebra.BRUTE_FORCE_MAX_M:
-        roots = _with_r_sign(roots, spec, gamma)
+        sign, res = flip_sign_residual(roots, spec)
+        if res < 1e-8:  # otherwise not a flip eigenstate: leave r_sign unset
+            roots = replace(roots, r_sign=sign)
     return roots
-
-
-def _with_r_sign(roots, spec, gamma):
-    psi = algebra.bethe_state(roots.values, spec, gamma)
-    flipped = algebra.flip_apply(psi)
-    i0 = int(np.argmax(np.abs(psi)))
-    s = flipped[i0] / psi[i0]
-    sign = 1 if s.real > 0 else -1
-    if np.linalg.norm(flipped - s * psi) / np.linalg.norm(psi) > 1e-8 or abs(s - sign) > 1e-8:
-        return roots  # not a flip eigenstate; leave unset
-    return BetheRootSet(
-        roots=roots.roots,
-        quantum_numbers=roots.quantum_numbers,
-        parities=roots.parities,
-        mu=roots.mu,
-        gamma=roots.gamma,
-        residuals=roots.residuals,
-        r_sign=sign,
-    )
 
 
 def solve_ground_state(M, gamma, mu=None, tol=1e-12):

@@ -98,16 +98,13 @@ def _payload(command, config, results):
 
 def _cmd_verify(args):
     gamma = AnisotropyParam(args.gamma)
-    checks = verify.run_battery(
-        gamma, M=args.M, seed=args.seed, draws=args.draws, tol=args.tol, threads=args.threads
-    )
+    checks = verify.run_battery(gamma, M=args.M, seed=args.seed, draws=args.draws, tol=args.tol)
     config = {
         "gamma": args.gamma,
         "M": args.M,
         "seed": args.seed,
         "draws": args.draws,
         "tol": args.tol,
-        "threads": args.threads,
     }
     ok = all(c["passed"] for c in checks)
     payload = _payload("verify", config, {"checks": checks, "all_passed": ok})
@@ -166,8 +163,7 @@ def _cmd_partition(args):
 def _cmd_efp_finite(args):
     roots = _resolve_roots(args)
     value = determinant.efp_finite(roots, args.k, args.n)
-    window = [complex(m).real for m in roots.mu[args.k : args.k + args.n]]
-    degenerate = args.n >= 2 and len(set(window)) < len(window)
+    degenerate = not determinant._distinct(roots.mu[args.k : args.k + args.n])
     config = {
         "gamma": args.gamma, "M": len(roots.mu), "mu": args.mu or "homogeneous",
         "k": args.k, "n": args.n, "tol": args.tol,
@@ -237,7 +233,7 @@ def _cmd_efp_thermo(args):
         "gamma": args.gamma, "n": args.n, "mu_window": window,
         "cutoff": grid.cutoff, "points": args.points,
         "eps_schedule": list(res.eps_schedule) if res.eps_schedule else None,
-        "samples": res.samples, "seed": args.seed, "theta": "ground",
+        "samples": res.samples, "seed": args.seed,
     }
     results = {
         "efp": res.value,
@@ -264,7 +260,6 @@ def build_parser():
                        help="key=value file supplying flag defaults")
         p.add_argument("--out", type=str, default=None, help="output file")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tol", type=float, default=1e-12)
         if with_lattice:
             p.add_argument("--M", type=int, default=0, help="lattice size (even)")
@@ -315,7 +310,6 @@ def build_parser():
     p.add_argument("--eps", type=str, default=None,
                    help="splitting schedule for degenerate windows")
     p.add_argument("--samples", type=int, default=200000, help="Monte Carlo samples (n >= 4)")
-    p.add_argument("--theta", type=str, default="ground", choices=["ground"])
     p.set_defaults(func=_cmd_efp_thermo)
 
     return parser

@@ -266,13 +266,19 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
     excluded = tuple(excluded)
     if len(excluded) != n or len(set(excluded)) != n:
         raise ValueError("excluded must list n distinct root indices")
-    lams = roots.values
-    eta = roots.gamma.eta
     w = np.asarray(mu_window, dtype=complex)
-    kept = [i for i in range(N) if i not in excluded]
-    rep = np.array([lams[i] for i in excluded])  # replaced roots, slot order
-    lam_kept = lams[kept]
+    pref = _replaced_prefactor(roots.values, roots.gamma.eta, w, excluded)
+    rows = psi_phi_rows(roots, w)  # n x N against the natural root order
+    minor = rows[:, list(excluded)]
+    return complex(pref * np.linalg.det(minor))
 
+
+def _replaced_prefactor(lams, eta, w, excluded):
+    """sinh prefactor of the scalar product with the roots lams[excluded]
+    replaced by the shifted window columns w + eta/2, in slot order."""
+    n = len(w)
+    rep = lams[list(excluded)]
+    lam_kept = np.delete(lams, list(excluded))
     pref = 1.0 + 0j
     for i in range(n):
         for j in range(i + 1, n):
@@ -287,10 +293,7 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
         pref *= np.prod(np.sinh(li - rep) / np.sinh(li - w - eta / 2))
     for li in lams:
         pref *= np.prod(np.sinh(li - w + eta / 2) / np.sinh(li - rep + eta))
-
-    rows = psi_phi_rows(roots, w)  # n x N against the natural root order
-    minor = rows[:, list(excluded)]
-    return complex(pref * np.linalg.det(minor))
+    return pref
 
 
 @dataclass(frozen=True)
@@ -328,28 +331,10 @@ def _efp_determinant_complex(roots, window_mu) -> complex:
     for subset in combinations(range(N), n):
         for tup in permutations(subset):
             coeff = g_coefficient(tup, ext, N, roots.mu, gamma)
-            pref = _s_prefactor(roots, w, tup)
+            pref = _replaced_prefactor(lams, eta, w, tup)
             minor = rows[:, list(tup)]
             total += coeff * pref * np.linalg.det(minor)
     return tinv * total
-
-
-def _s_prefactor(roots, w, excluded):
-    """sinh prefactor of the replaced scalar product for one excluded tuple."""
-    lams = roots.values
-    eta = roots.gamma.eta
-    n = len(w)
-    kept = [i for i in range(roots.N) if i not in excluded]
-    rep = np.array([lams[i] for i in excluded])
-    pref = 1.0 + 0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref *= np.sinh(rep[j] - rep[i]) / np.sinh(w[j] - w[i])
-    for i in kept:
-        pref *= np.prod(np.sinh(lams[i] - rep) / np.sinh(lams[i] - w - eta / 2))
-    for li in lams:
-        pref *= np.prod(np.sinh(li - w + eta / 2) / np.sinh(li - rep + eta))
-    return pref
 
 
 DEFAULT_EPS_SCHEDULE = (0.01, 0.02, 0.04)
@@ -360,6 +345,24 @@ def _scaled_eps_schedule(gamma):
     so the eps^2 expansion stays in its asymptotic regime at small gamma."""
     scale = min(1.0, gamma.gamma / 0.6)
     return tuple(s * scale for s in DEFAULT_EPS_SCHEDULE)
+
+
+def _distinct(window):
+    """True when the window columns are pairwise more than 1e-10 apart, so
+    that no eps split is needed."""
+    w = np.asarray(window, dtype=complex)
+    i, j = np.triu_indices(len(w), 1)
+    return bool(np.all(np.abs(w[i] - w[j]) > 1e-10))
+
+
+def _eps_split(centre, n, eps_schedule):
+    """Symmetric splits centre + (l - (n+1)/2) eps, l = 1..n, of a coincident
+    window, one per eps, and the weights c_i of the Neville extrapolation
+    eps^2 -> 0: the limit of a value v(eps) is sum_i c_i v(eps_i)."""
+    offsets = np.arange(1, n + 1) - (n + 1) / 2
+    windows = [centre + offsets * eps for eps in eps_schedule]
+    eps2 = [eps * eps for eps in eps_schedule]
+    return windows, neville_extrapolate(eps2, list(np.eye(len(eps2))))
 
 
 def neville_extrapolate(xs, ys):
@@ -392,10 +395,7 @@ def efp_finite(req_or_roots, k=None, n=None, eps_schedule=None, return_complex=F
     if n < 0 or k < 0 or k + n > M:
         raise ValueError(f"window k+1..k+n must fit in 1..{M}: k={k}, n={n}")
     window = np.array(roots.mu[k : k + n], dtype=complex)
-    distinct = all(
-        abs(window[i] - window[j]) > 1e-10 for i in range(n) for j in range(i + 1, n)
-    )
-    if distinct:
+    if _distinct(window):
         val = _efp_determinant_complex(roots, window)
     else:
         val = _efp_degenerate_window(
@@ -409,17 +409,15 @@ def efp_finite(req_or_roots, k=None, n=None, eps_schedule=None, return_complex=F
 
 
 def _efp_degenerate_window(roots, k, n, eps_schedule):
-    """Homogeneous-window limit: split columns mu_{k+l} by (l - (n+1)/2) eps,
-    re-solve the Bethe equations at each eps and extrapolate in eps^2."""
-    base_mu = list(roots.mu)
-    centre = base_mu[k]
+    """Homogeneous-window limit: split the window columns, re-solve the Bethe
+    equations at each eps and extrapolate in eps^2."""
+    windows, c = _eps_split(roots.mu[k], n, eps_schedule)
     vals = []
-    for eps in eps_schedule:
-        mu = list(base_mu)
-        for l in range(1, n + 1):
-            mu[k + l - 1] = centre + (l - (n + 1) / 2) * eps
+    for w in windows:
+        mu = list(roots.mu)
+        mu[k : k + n] = w
         split = bethe.solve_bae(
             roots.quantum_numbers, roots.parities, LatticeSpec(len(mu), mu), roots.gamma
         )
-        vals.append(_efp_determinant_complex(split, np.array(mu[k : k + n])))
-    return neville_extrapolate([e * e for e in eps_schedule], vals)
+        vals.append(_efp_determinant_complex(split, w))
+    return c @ vals

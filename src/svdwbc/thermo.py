@@ -16,7 +16,7 @@ import numpy as np
 
 from . import determinant
 from .algebra import _aniso
-from .bethe import REAL, SHIFTED, SpectralPoint
+from .bethe import REAL, SHIFTED, SpectralPoint, _p_n_deriv_x
 from .errors import ConvergenceError, PoleError
 
 
@@ -31,12 +31,10 @@ def kernel_K(n, lam, gamma):
 
 
 def _kernel_branch(x, crossed, n, g):
-    """Real-valued K_n at a contour difference with abscissa x; crossed marks
-    an Im = pi/2 offset between the two points.  Vectorized in x/crossed."""
-    sh2 = np.sinh(np.asarray(x)) ** 2
-    same = np.sin(n * g) / (2 * np.pi * (sh2 + np.sin(n * g / 2) ** 2))
-    cross = -np.sin(n * g) / (2 * np.pi * (sh2 + np.cos(n * g / 2) ** 2))
-    return np.where(crossed, cross, same)
+    """Real-valued K_n = p_n' / 2pi at a contour difference with abscissa x;
+    crossed marks an Im = pi/2 offset between the two points.  Vectorized in
+    x/crossed."""
+    return _p_n_deriv_x(x, crossed, n, g) / (2 * np.pi)
 
 
 def k1_tot(lam, mu, gamma):
@@ -124,10 +122,7 @@ def _driving_k1(grid, g, mu):
     if mu is None or len(mu) == 0:
         return _kernel_branch(grid.x, grid.shifted, 1, g)
     mu = np.asarray([complex(m).real for m in mu])
-    vals = _kernel_branch(
-        grid.x[:, None] - mu[None, :], grid.shifted[:, None] & np.ones(len(mu), bool), 1, g
-    )
-    return vals.mean(axis=1)
+    return _kernel_branch(grid.x[:, None] - mu[None, :], grid.shifted[:, None], 1, g).mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -398,9 +393,6 @@ class EfpResult:
         return self.value
 
 
-DEFAULT_EPS_SCHEDULE = (0.01, 0.02, 0.04)
-
-
 def efp_thermo(
     n,
     mu_window,
@@ -432,29 +424,21 @@ def efp_thermo(
     mu_window = [float(np.real(w)) for w in mu_window]
     if len(mu_window) != n:
         raise ValueError(f"need {n} window columns, got {len(mu_window)}")
-    distinct = all(
-        abs(mu_window[i] - mu_window[j]) > 1e-10
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
     schedule = None
-    if distinct or n == 1:
+    if determinant._distinct(mu_window):
         val, stderr, samples = _efp_integral(
             n, np.asarray(mu_window), theta, grid, gamma, mc_samples, seed, force_mc
         )
     else:
         schedule = tuple(eps_schedule or determinant._scaled_eps_schedule(gamma))
-        centre = mu_window[0]
-        parts = []
-        for eps in schedule:
-            w = np.array([centre + (l - (n + 1) / 2) * eps for l in range(1, n + 1)])
-            parts.append(_efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc))
-        eps2 = [e * e for e in schedule]
-        val = determinant.neville_extrapolate(eps2, [p[0] for p in parts])
+        windows, c = determinant._eps_split(mu_window[0], n, schedule)
+        parts = [
+            _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc) for w in windows
+        ]
+        val = c @ [p[0] for p in parts]
         stderr, samples = parts[0][1], parts[0][2]
         if stderr is not None:
-            weights = determinant.neville_extrapolate(eps2, list(np.eye(len(eps2))))
-            stderr = float(np.abs(weights) @ [p[1] for p in parts])
+            stderr = float(np.abs(c) @ [p[1] for p in parts])
     res = EfpResult(
         float(np.real(val)),
         float(abs(np.imag(val))),

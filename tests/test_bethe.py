@@ -148,6 +148,32 @@ class TestSolver:
         assert again == roots
 
 
+class TestSystem:
+    def test_jacobian_matches_central_differences(self, gamma, rng):
+        N = 6
+        mu = np.sort(0.3 * rng.normal(size=2 * N))
+        x = rng.normal(size=N)
+        shifted = np.array([False, True, False, False, True, True])
+        n_target = np.arange(N) - (N - 1) / 2
+        _, J = bethe._system(x, shifted, n_target, mu, gamma.gamma)
+        h = 1e-6
+        fd = np.empty((N, N))
+        for j in range(N):
+            step = np.zeros(N)
+            step[j] = h
+            plus, _ = bethe._system(x + step, shifted, n_target, mu, gamma.gamma)
+            minus, _ = bethe._system(x - step, shifted, n_target, mu, gamma.gamma)
+            fd[:, j] = (plus - minus) / (2 * h)
+        assert np.max(np.abs(J - fd)) < 1e-7 * max(1.0, np.max(np.abs(J)))
+
+    def test_scalar_functions_return_floats(self, gamma):
+        roots = bethe.solve_ground_state(4, gamma)
+        p = SpectralPoint(0.3, SHIFTED)
+        for val in (bethe.p_n(p, 1, gamma), bethe.p_n_deriv(p, 2, gamma),
+                    bethe.counting_function(p, roots)):
+            assert type(val) is float
+
+
 class TestEigenvalue:
     def test_empty_root_set(self, gamma):
         spec = homogeneous_spec(2)

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from svdwbc import cli
+from svdwbc import cli, determinant
+from svdwbc.algebra import AnisotropyParam
 
 
 def run(argv):
@@ -46,11 +47,17 @@ class TestVerifyCommand:
         assert run(["verify", "--M", "3"]) == 2
         assert "input error" in capsys.readouterr().err
 
-    def test_threads_flag(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = run(["verify", "--M", "2", "--draws", "10", "--threads", "2",
-                    "--out", str(out)])
-        assert code == 0
+    def test_m_above_battery_cap_rejected(self, capsys):
+        assert run(["verify", "--M", "8"]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_reproducible_payload(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (a, b):
+            assert run(["verify", "--M", "4", "--seed", "7", "--out", str(path)]) == 0
+        da, db = load(a), load(b)
+        da.pop("created"), db.pop("created")
+        assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
 class TestSolveBae:
@@ -122,6 +129,17 @@ class TestEfpFiniteCommand:
 
     def test_out_of_range_window(self, capsys):
         assert run(["efp-finite", "--M", "4", "--n", "3", "--k", "2"]) == 2
+
+    def test_near_coincident_window_records_schedule(self, tmp_path):
+        # columns 1e-12 apart are split and extrapolated like equal ones, so
+        # the schedule must be recorded for the run to be reproducible
+        out = tmp_path / "efp.json"
+        assert run(["efp-finite", "--M", "4", "--mu=-0.3,0.0,1e-12,0.3", "--n", "2",
+                    "--k", "1", "--out", str(out)]) == 0
+        doc = load(out)
+        assert doc["config"]["eps_schedule"] == pytest.approx(list(
+            determinant._scaled_eps_schedule(AnisotropyParam(0.6))))
+        assert doc["results"]["efp"] == pytest.approx(doc["results"]["bruteforce"], abs=1e-8)
 
 
 class TestDensityCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -61,6 +63,17 @@ class TestKernel:
     def test_pole(self, gamma):
         with pytest.raises(PoleError):
             thermo.kernel_K(1, 1j * gamma.gamma / 2, gamma)
+
+    def test_branch_kernel_finite_at_large_separation(self, gamma):
+        # Nystrom differences reach |x| > 355, where sinh(x)^2 overflows
+        x = np.array([-1000.0, -400.0, 400.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in (1, 2):
+                same = thermo._kernel_branch(x, False, n, gamma.gamma)
+                cross = thermo._kernel_branch(x, True, n, gamma.gamma)
+                assert np.all(np.isfinite(same)) and np.all(same >= 0)
+                assert np.all(np.isfinite(cross)) and np.all(cross <= 0)
 
 
 class TestK1Tot:

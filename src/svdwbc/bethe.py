@@ -245,6 +245,8 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     eigenvalue is determined brute-force when M <= 12.
     """
     gamma = _aniso(gamma)
+    if gamma.gamma == 0:
+        raise ValueError("the logarithmic Bethe equations degenerate at gamma = 0")
     if isinstance(spec, LatticeSpec):
         mu_c = spec.mu
     else:
@@ -302,7 +304,7 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
             x = x_new
     else:
         F, _ = _system(x, shifted, n_i, mu, g)
-        if np.max(np.abs(F)) >= tol:
+        if not np.max(np.abs(F)) < tol:  # also catches a NaN residual
             raise ConvergenceError(
                 f"Bethe solver did not reach tol={tol} in {max_iter} iterations",
                 best_residual=float(best),
@@ -327,7 +329,7 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
         residuals=tuple(float(abs(f)) for f in F),
     )
     dev = roots.d_product_deviation()
-    if dev > 1e-8:
+    if not dev <= 1e-8:
         raise ConvergenceError(
             f"solution violates prod d(lam_j) = 1 by {dev:.2e}", best_residual=dev
         )

@@ -4,9 +4,11 @@ Contains the Cauchy-type determinant identity, the scalar-product determinant
 between a Bethe state and a generic dual state, the Gaudin norm, the
 expansion of a product of D-operators over Bethe states, the determinant
 ratio for scalar products with partially replaced rapidities, and the
-finite-size emptiness formation probability assembled from those pieces.
-Every formula here has a brute-force counterpart in `algebra` used by the
-test suite.
+emptiness formation probability (EFP).  Summing those pieces over ordered
+root tuples gives the node sum of a separable integrand H, which is written
+here once and serves the finite-size EFP and the thermodynamic multiple
+integral in `thermo` alike.  Every formula here has a brute-force
+counterpart in `algebra` used by the test suite.
 """
 
 import warnings
@@ -24,7 +26,7 @@ _BETHE_TOL = 1e-10
 
 def _coth(z):
     s = np.sinh(z)
-    if np.min(np.abs(s)) < 1e-14:
+    if np.size(s) and np.min(np.abs(s)) < 1e-14:
         raise PoleError("coth evaluated at a zero of sinh")
     return np.cosh(z) / s
 
@@ -78,19 +80,13 @@ def t_prime_matrix(xi, roots) -> np.ndarray:
     respect to the Bethe roots, the eigenvalue factors a and d held fixed.
     """
     xi = np.asarray(xi, dtype=complex)
-    lams = roots.values
     eta = roots.gamma.eta
-    N = len(lams)
-    out = np.empty((len(xi), N), dtype=complex)
-    for i, x in enumerate(xi):
-        P = np.prod(np.sinh(lams - x + eta) / np.sinh(lams - x))
-        Q = np.prod(np.sinh(x - lams + eta) / np.sinh(x - lams))
-        d = algebra.d_eigenvalue(x, roots.mu, roots.gamma)
-        for j, lj in enumerate(lams):
-            out[i, j] = P * (_coth(lj - x + eta) - _coth(lj - x)) + d * Q * (
-                _coth(x - lj) - _coth(x - lj + eta)
-            )
-    return out
+    d = roots.values[None, :] - xi[:, None]  # lam_j - xi_i
+    coth_d = _coth(d)  # raises before the products divide by a zero sinh
+    P = np.prod(np.sinh(d + eta) / np.sinh(d), axis=1)
+    Q = np.prod(np.sinh(eta - d) / np.sinh(-d), axis=1)
+    dQ = Q * np.array([algebra.d_eigenvalue(x, roots.mu, roots.gamma) for x in xi])
+    return P[:, None] * (_coth(d + eta) - coth_d) + dQ[:, None] * (-coth_d - _coth(eta - d))
 
 
 def slavnov_scalar_product(inp, roots=None) -> complex:
@@ -120,17 +116,13 @@ def varphi_prime_matrix(roots) -> np.ndarray:
     lams = roots.values
     eta = roots.gamma.eta
     mu = np.asarray(roots.mu, dtype=complex)
-    N = len(lams)
-    out = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        diag = np.sum(_coth(lams[i] - mu - eta / 2) - _coth(lams[i] - mu + eta / 2))
-        for j in range(N):
-            if j == i:
-                continue
-            pair = _coth(eta + lams[i] - lams[j]) + _coth(eta + lams[j] - lams[i])
-            out[i, j] = -pair
-            diag += pair
-        out[i, i] = diag
+    dl = lams[:, None] - lams[None, :]
+    pair = _coth(eta + dl) + _coth(eta - dl)
+    np.fill_diagonal(pair, 0.0)
+    dm = lams[:, None] - mu[None, :]
+    diag = np.sum(_coth(dm - eta / 2) - _coth(dm + eta / 2), axis=1) + pair.sum(axis=1)
+    out = -pair
+    np.fill_diagonal(out, diag)
     return out
 
 
@@ -267,18 +259,9 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
     if len(excluded) != n or len(set(excluded)) != n:
         raise ValueError("excluded must list n distinct root indices")
     w = np.asarray(mu_window, dtype=complex)
-    pref = _replaced_prefactor(roots.values, roots.gamma.eta, w, excluded)
-    rows = psi_phi_rows(roots, w)  # n x N against the natural root order
-    minor = rows[:, list(excluded)]
-    return complex(pref * np.linalg.det(minor))
-
-
-def _replaced_prefactor(lams, eta, w, excluded):
-    """sinh prefactor of the scalar product with the roots lams[excluded]
-    replaced by the shifted window columns w + eta/2, in slot order."""
-    n = len(w)
+    eta = roots.gamma.eta
+    lams = roots.values
     rep = lams[list(excluded)]
-    lam_kept = np.delete(lams, list(excluded))
     pref = 1.0 + 0j
     for i in range(n):
         for j in range(i + 1, n):
@@ -289,11 +272,90 @@ def _replaced_prefactor(lams, eta, w, excluded):
                     "extrapolation path"
                 )
             pref *= np.sinh(rep[j] - rep[i]) / s
-    for li in lam_kept:
+    for li in np.delete(lams, list(excluded)):
         pref *= np.prod(np.sinh(li - rep) / np.sinh(li - w - eta / 2))
     for li in lams:
         pref *= np.prod(np.sinh(li - w + eta / 2) / np.sinh(li - rep + eta))
-    return pref
+    rows = psi_phi_rows(roots, w)  # n x N against the natural root order
+    minor = rows[:, list(excluded)]
+    return complex(pref * np.linalg.det(minor))
+
+
+# H factorizes into a determinant, pair factors and one-slot factors:
+#     H(lam_1..lam_n) = det[R_i(lam_j)] prod_{l<m} 1/D(lam_l, lam_m) prod_l f_l(lam_l),
+#     D(a, b) = sinh(b - a - i gamma),
+#     f_l(lam) = prod_{m<l} sinh(lam - w_m - i gamma/2) prod_{m>l} sinh(lam - w_m + i gamma/2).
+# Every EFP sum, finite size and thermodynamic, reads H from the node tables
+# of _integrand_factors.
+
+_CHUNK = 8192  # index tuples per batched evaluation of H; bounds the (B, n, n) stacks
+
+
+def _integrand_factors(z, w, g):
+    """Slot table F[l, p] = f_l(z_p) and pair table D[a, b] = sinh(z_b - z_a - i g)
+    over the nodes z for the window w."""
+    slot = np.arange(len(w))
+    shift = np.where(slot[None, :] < slot[:, None], -0.5j * g, 0.5j * g)  # [l, m]
+    s = np.sinh(z[None, None, :] - w[None, :, None] + shift[:, :, None])
+    s[slot, slot] = 1.0
+    return s.prod(axis=1), np.sinh(z[None, :] - z[:, None] - 1j * g)
+
+
+def _h_tuples(idx, R, F, D, weight):
+    """prod_l weight[a_l] * H at each node tuple a = idx[:, b] of an (n, B) index
+    stack, with rows R[i, p] = R_i(z_p) and the tables of _integrand_factors.
+    A tuple with a repeated index is exactly 0 (two equal determinant columns)."""
+    n = len(idx)
+    l, m = np.triu_indices(n, 1)
+    pair = D[idx[l], idx[m]]
+    if np.any(np.abs(pair) < 1e-14):
+        raise PoleError("coincident rapidities shifted by i*gamma")
+    det = np.linalg.det(np.moveaxis(R[:, idx], -1, 0))
+    slots = np.prod(F[np.arange(n)[:, None], idx] * weight[idx], axis=0)
+    vals = det * slots / np.prod(pair, axis=0)
+    return np.where(np.all(idx[l] != idx[m], axis=0), vals, 0.0)
+
+
+def _node_sum(z, weight, R, w, g):
+    """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an).
+
+    For n <= 3 the determinant is expanded by Leibniz; each permutation sigma
+    contracts the vectors G_l = weight * R_sigma(l) * f_l over the complete graph
+    of E = 1/D by BLAS, O(n! P^3) for P nodes.  Repeated-index terms cancel
+    between permutations.  Above n = 3 the batched H runs over all P^n tuples.
+    """
+    n = len(w)
+    F, D = _integrand_factors(z, w, g)
+    if n > 3:
+        count = len(z) ** n
+        return sum(
+            _h_tuples(
+                np.array(np.unravel_index(np.arange(s, min(s + _CHUNK, count)), (len(z),) * n)),
+                R, F, D, weight,
+            ).sum()
+            for s in range(0, count, _CHUNK)
+        )
+    if n == 1:
+        return np.sum(weight * R[0] * F[0])
+    E = 1.0 / D
+    G = weight * R[:, None, :] * F[None, :, :]  # G[k, l] = weight * R_k * f_l
+    # sum_{a,b,c} G0[a] G1[b] G2[c] E[a,b] E[a,c] E[b,c] = G0 (E o (E diag(G2) E^T)) G1,
+    # and the inner matrix depends on sigma(2) alone
+    pair = [E * ((E * G[k, 2]) @ E.T) for k in range(n)] if n == 3 else [E] * n
+    total = 0.0 + 0j
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += sign * (G[perm[0], 0] @ pair[perm[-1]] @ G[perm[1], 1])
+    return total
+
+
+def _window_prefactor(w):
+    """1 / prod_{l<m} sinh(w_l - w_m)."""
+    l, m = np.triu_indices(len(w), 1)
+    s = np.sinh(w[l] - w[m])
+    if np.any(np.abs(s) < 1e-14):
+        raise PoleError("coincident window columns")
+    return 1.0 / np.prod(s)
 
 
 @dataclass(frozen=True)
@@ -311,30 +373,21 @@ class EfpRequest:
 
 
 def _efp_determinant_complex(roots, window_mu) -> complex:
-    """Determinant-path EFP for pairwise distinct window columns."""
+    """Determinant-path EFP for pairwise distinct window columns: the node
+    sum of H over the Bethe roots with unit weights and the exact rows
+    psi' phi'^{-1} (psi_phi_rows), times the window prefactor.  Expanding
+    the D-product over B-states and the replaced-rapidity determinant ratios
+    gives the same sum over ordered root tuples; the node sum costs
+    O(n! N^3) for n <= 3 and N^n batched tuples above."""
     n = len(window_mu)
     N = roots.N
     if n == 0:
         return 1.0 + 0j
     if n > N:
         return 0.0 + 0j
-    gamma = roots.gamma
-    eta = gamma.eta
-    lams = roots.values
     w = np.asarray(window_mu, dtype=complex)
-    ext = np.concatenate([lams, w + eta / 2])
-    tinv = 1.0 + 0j
-    for wi in w:
-        tinv *= np.prod(np.sinh(lams - wi - eta / 2) / np.sinh(lams - wi + eta / 2))
-    total = 0.0 + 0j
-    rows = psi_phi_rows(roots, w)
-    for subset in combinations(range(N), n):
-        for tup in permutations(subset):
-            coeff = g_coefficient(tup, ext, N, roots.mu, gamma)
-            pref = _replaced_prefactor(lams, eta, w, tup)
-            minor = rows[:, list(tup)]
-            total += coeff * pref * np.linalg.det(minor)
-    return tinv * total
+    total = _node_sum(roots.values, np.ones(N), psi_phi_rows(roots, w), w, roots.gamma.gamma)
+    return complex(_window_prefactor(w) * total)
 
 
 DEFAULT_EPS_SCHEDULE = (0.01, 0.02, 0.04)
@@ -381,10 +434,11 @@ def neville_extrapolate(xs, ys):
 def efp_finite(req_or_roots, k=None, n=None, eps_schedule=None, return_complex=False):
     """Finite-size EFP of columns k+1..k+n via the determinant path.
 
-    Pairwise-distinct window columns evaluate directly.  A degenerate
-    (e.g. homogeneous) window is handled by symmetrically splitting the
-    window inhomogeneities by +-eps, re-solving the Bethe equations, and
-    Richardson-extrapolating eps^2 -> 0.
+    Pairwise-distinct window columns evaluate directly, as the node sum of
+    the separable integrand H over the Bethe roots: O(n! N^3) for n <= 3,
+    N^n batched tuples above.  A degenerate (e.g. homogeneous) window is
+    handled by symmetrically splitting the window inhomogeneities by +-eps,
+    re-solving the Bethe equations, and Richardson-extrapolating eps^2 -> 0.
     """
     if isinstance(req_or_roots, EfpRequest):
         roots, k, n = req_or_roots.roots, req_or_roots.k, req_or_roots.n

@@ -10,7 +10,6 @@ a multiple contour integral and as the corresponding finite sum over roots.
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -294,84 +293,8 @@ def h_function(lams, mu_window, locals_):
         raise ValueError("need one window column and one local density per rapidity")
     g = _aniso(locals_[0].gamma).gamma
     rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
-    F, D = _integrand_factors(lams, np.asarray(mu_window, dtype=complex), g)
-    return complex(_h_tuples(np.arange(n)[:, None], rows, F, D, np.ones(n))[0])
-
-
-# H factorizes into a determinant, pair factors and one-slot factors:
-#     H(lam_1..lam_n) = det[R_i(lam_j)] prod_{l<m} 1/D(lam_l, lam_m) prod_l f_l(lam_l),
-#     D(a, b) = sinh(b - a - i gamma),
-#     f_l(lam) = prod_{m<l} sinh(lam - w_m - i gamma/2) prod_{m>l} sinh(lam - w_m + i gamma/2).
-# Every EFP sum below reads H from the node tables of _integrand_factors.
-
-_CHUNK = 8192  # index tuples per batched evaluation of H; bounds the (B, n, n) stacks
-
-
-def _integrand_factors(z, w, g):
-    """Slot table F[l, p] = f_l(z_p) and pair table D[a, b] = sinh(z_b - z_a - i g)
-    over the nodes z for the window w."""
-    slot = np.arange(len(w))
-    shift = np.where(slot[None, :] < slot[:, None], -0.5j * g, 0.5j * g)  # [l, m]
-    s = np.sinh(z[None, None, :] - w[None, :, None] + shift[:, :, None])
-    s[slot, slot] = 1.0
-    return s.prod(axis=1), np.sinh(z[None, :] - z[:, None] - 1j * g)
-
-
-def _h_tuples(idx, R, F, D, weight):
-    """prod_l weight[a_l] * H at each node tuple a = idx[:, b] of an (n, B) index
-    stack, with rows R[i, p] = R_i(z_p) and the tables of _integrand_factors.
-    A tuple with a repeated index is exactly 0 (two equal determinant columns)."""
-    n = len(idx)
-    l, m = np.triu_indices(n, 1)
-    pair = D[idx[l], idx[m]]
-    if np.any(np.abs(pair) < 1e-14):
-        raise PoleError("coincident rapidities shifted by i*gamma")
-    det = np.linalg.det(np.moveaxis(R[:, idx], -1, 0))
-    slots = np.prod(F[np.arange(n)[:, None], idx] * weight[idx], axis=0)
-    vals = det * slots / np.prod(pair, axis=0)
-    return np.where(np.all(idx[l] != idx[m], axis=0), vals, 0.0)
-
-
-def _node_sum(z, weight, R, w, g):
-    """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an).
-
-    For n <= 3 the determinant is expanded by Leibniz; each permutation sigma
-    contracts the vectors G_l = weight * R_sigma(l) * f_l over the complete graph
-    of E = 1/D by BLAS, O(n! P^3) for P nodes.  Repeated-index terms cancel
-    between permutations.  Above n = 3 the batched H runs over all P^n tuples.
-    """
-    n = len(w)
-    F, D = _integrand_factors(z, w, g)
-    if n > 3:
-        count = len(z) ** n
-        return sum(
-            _h_tuples(
-                np.array(np.unravel_index(np.arange(s, min(s + _CHUNK, count)), (len(z),) * n)),
-                R, F, D, weight,
-            ).sum()
-            for s in range(0, count, _CHUNK)
-        )
-    if n == 1:
-        return np.sum(weight * R[0] * F[0])
-    E = 1.0 / D
-    G = weight * R[:, None, :] * F[None, :, :]  # G[k, l] = weight * R_k * f_l
-    # sum_{a,b,c} G0[a] G1[b] G2[c] E[a,b] E[a,c] E[b,c] = G0 (E o (E diag(G2) E^T)) G1,
-    # and the inner matrix depends on sigma(2) alone
-    pair = [E * ((E * G[k, 2]) @ E.T) for k in range(n)] if n == 3 else [E] * n
-    total = 0.0 + 0j
-    for perm in permutations(range(n)):
-        sign = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
-        total += sign * (G[perm[0], 0] @ pair[perm[-1]] @ G[perm[1], 1])
-    return total
-
-
-def _window_prefactor(w):
-    """1 / prod_{l<m} sinh(w_l - w_m)."""
-    l, m = np.triu_indices(len(w), 1)
-    s = np.sinh(w[l] - w[m])
-    if np.any(np.abs(s) < 1e-14):
-        raise PoleError("coincident window columns")
-    return 1.0 / np.prod(s)
+    F, D = determinant._integrand_factors(lams, np.asarray(mu_window, dtype=complex), g)
+    return complex(determinant._h_tuples(np.arange(n)[:, None], rows, F, D, np.ones(n))[0])
 
 
 @dataclass(frozen=True)
@@ -476,9 +399,9 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
     z = grid.values[active]
     c = (theta * grid.w)[active]
     R = np.stack([loc.rho_tot for loc in locals_], axis=0)[:, active]
-    pref = _window_prefactor(w)
+    pref = determinant._window_prefactor(w)
     if n <= 3 and not force_mc:
-        return pref * _node_sum(z, c, R, w, gamma.gamma), None, None
+        return pref * determinant._node_sum(z, c, R, w, gamma.gamma), None, None
     # Monte Carlo with theta-weighted importance sampling over the nodes
     rng = np.random.default_rng(seed)
     q = np.abs(c * R.mean(axis=0))
@@ -491,9 +414,10 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
     idx0 = np.minimum(np.searchsorted(cdf, u.ravel()), len(z) - 1)
     idx_rest = rng.choice(len(z), size=(n - 1, samples), p=q)
     idx = np.vstack([idx0, idx_rest])
-    F, D = _integrand_factors(z, w, gamma.gamma)
+    F, D = determinant._integrand_factors(z, w, gamma.gamma)
+    chunk = determinant._CHUNK
     vals = np.concatenate([
-        _h_tuples(idx[:, s:s + _CHUNK], R, F, D, c / q) for s in range(0, samples, _CHUNK)
+        determinant._h_tuples(idx[:, s:s + chunk], R, F, D, c / q) for s in range(0, samples, chunk)
     ])
     err = float(np.abs(vals.std(ddof=1)) / np.sqrt(samples))
     return pref * vals.mean(), abs(pref) * err, samples
@@ -506,26 +430,26 @@ def efp_sum_finite(roots, mu_window, profile=None, locals_=None, use_exact_rows=
         H({lam_i}, {w}) prod_l 1/rho_tot(lam_i_l)
 
     Densities are taken from the integral equation (thermo source) or, with
-    use_exact_rows, synthesized from the exact determinant-ratio rows so the
-    sum reproduces the finite-size determinant path identically.
+    use_exact_rows, from the exact determinant-ratio rows with unit weights,
+    which is the finite-size determinant path itself.
     """
     w = np.array([float(np.real(x)) for x in mu_window])
     n = len(w)
     if n == 0:
         return 1.0
-    M = len(roots.mu)
-    lams = roots.values
     if use_exact_rows:
-        rows = determinant.psi_phi_rows(roots, w)  # already rho~/(M rho); rho factors cancel
-        weight = np.ones(roots.N)
+        val = determinant._efp_determinant_complex(roots, w)
     else:
         if profile is None:
             raise ValueError("profile is required for the thermo density source")
         if locals_ is None:
             locals_ = local_densities(w, profile.theta, profile.grid, profile.gamma)
+        lams = roots.values
         rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
-        weight = 1.0 / (M * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
-    val = _window_prefactor(w) * _node_sum(lams, weight, rows, w, roots.gamma.gamma)
+        weight = 1.0 / (len(roots.mu) * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
+        val = determinant._window_prefactor(w) * determinant._node_sum(
+            lams, weight, rows, w, roots.gamma.gamma
+        )
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
         warnings.warn(f"finite EFP sum imaginary residue {val.imag:.2e}")
     return float(val.real)

@@ -6,7 +6,10 @@ density oracle is a closed form obtained by Fourier-transforming the
 integral equation, and the matrix-derivative oracle is branch-safe numerical
 differentiation of the defining logarithms.  The EFP node-sum oracle loops
 over rapidity tuples with one determinant and explicit sinh products each,
-where the package contracts a factorized integrand.
+where the package contracts a factorized integrand.  The finite-size EFP
+tuple oracle expands the D-product over B-states instead: one expansion
+coefficient and one replaced-rapidity scalar product per ordered tuple of
+Bethe roots.
 """
 
 from functools import lru_cache
@@ -14,6 +17,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from svdwbc import determinant
 from svdwbc.algebra import l_matrix
 
 
@@ -139,4 +143,25 @@ def efp_node_sum(nodes, weights, rows, window, gamma):
     for l in range(n):
         for m in range(l + 1, n):
             total /= np.sinh(window[l] - window[m])
+    return total
+
+
+def efp_tuple_sum(roots, window):
+    """Finite-size EFP of pairwise distinct window columns by the D-product
+    expansion: over the N!/(N-n)! ordered tuples of root indices, the expansion
+    coefficient g times the normalized scalar product with those roots
+    replaced by the shifted window columns (sinh prefactor times the n x n
+    minor of the exact rows), all times
+    prod_i prod_j sinh(l_j - w_i - eta/2)/sinh(l_j - w_i + eta/2)."""
+    n, N = len(window), roots.N
+    eta = roots.gamma.eta
+    lams = roots.values
+    w = np.asarray(window, dtype=complex)
+    ext = np.concatenate([lams, w + eta / 2])
+    total = 0.0 + 0j
+    for tup in permutations(range(N), n):
+        coeff = determinant.g_coefficient(tup, ext, N, roots.mu, roots.gamma)
+        total += coeff * determinant.scalar_product_ratio(roots, w, excluded=tup)
+    for wi in w:
+        total *= np.prod(np.sinh(lams - wi - eta / 2) / np.sinh(lams - wi + eta / 2))
     return total

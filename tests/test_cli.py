@@ -90,6 +90,11 @@ class TestSolveBae:
         assert code == 0
         assert load(out)["results"]["mu"] == [0.1, -0.1, 0.2, -0.2]
 
+    def test_gamma_zero_rejected(self, capsys):
+        # the log-form equations divide by tan(gamma / 2), which vanishes at gamma = 0
+        assert run(["solve-bae", "--M", "4", "--gamma", "0"]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_mu_length_mismatch(self, capsys):
         assert run(["solve-bae", "--M", "4", "--mu", "0.1,0.2"]) == 2
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import varphi_prime_fd
+from oracles import efp_tuple_sum, varphi_prime_fd
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import LatticeSpec, homogeneous_spec
 from svdwbc.errors import PoleError
@@ -278,3 +278,44 @@ class TestEfpFinite:
         roots = bethe.solve_ground_state(4, gamma)
         req = determinant.EfpRequest(1, 1, roots)
         assert determinant.efp_finite(req) == pytest.approx(0.5, abs=1e-10)
+
+
+def _seeded_roots(rng, M, gamma, imag_scale=0.0):
+    mus = np.sort(0.3 * rng.normal(size=M)) + 1j * imag_scale * rng.normal(size=M)
+    return bethe.solve_bae(*bethe.ground_state_numbers(M // 2), LatticeSpec(M, tuple(mus)), gamma)
+
+
+class TestEfpTupleOracle:
+    """The root-node sum of the separable integrand against the D-product
+    expansion over ordered root tuples."""
+
+    @pytest.mark.parametrize("M", [8, 10])
+    def test_distinct_windows(self, gamma, rng, M):
+        roots = _seeded_roots(rng, M, gamma)
+        for n in range(1, 5):
+            k = int(rng.integers(0, M - n + 1))
+            val = determinant.efp_finite(roots, k, n, return_complex=True)
+            ref = efp_tuple_sum(roots, roots.mu[k : k + n])
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    def test_complex_inhomogeneities(self, gamma, rng):
+        # imaginary parts at the solver's admission limit keep the window complex
+        roots = _seeded_roots(rng, 10, gamma, imag_scale=3e-13)
+        assert any(np.imag(m) != 0 for m in roots.mu)
+        for n in range(1, 5):
+            val = determinant.efp_finite(roots, 3, n, return_complex=True)
+            ref = efp_tuple_sum(roots, roots.mu[3 : 3 + n])
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+class TestEfpProperties:
+    def test_bounds_and_monotonicity_beyond_tuple_loop(self, gamma, rng):
+        # n = 4 at N = 16 is 43,680 ordered tuples for the expansion
+        M = 32
+        roots = _seeded_roots(rng, M, gamma)
+        prev = 1.0
+        for n in range(1, 5):
+            val = determinant.efp_finite(roots, (M - n) // 2, n, return_complex=True)
+            assert abs(val.imag) < 1e-8
+            assert 0.0 <= val.real <= prev
+            prev = val.real

@@ -426,11 +426,11 @@ class TestNodeSumOracle:
 
     def test_monte_carlo_chunking_is_invisible(self, gamma, coarse_grid, monkeypatch):
         # 20000 samples are not a multiple of the chunk size
-        assert 20000 % thermo._CHUNK
+        assert 20000 % determinant._CHUNK
         theta = thermo.ground_state_theta(coarse_grid)
         chunked = thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma,
                                     mc_samples=20000, seed=7)
-        monkeypatch.setattr(thermo, "_CHUNK", 10**6)
+        monkeypatch.setattr(determinant, "_CHUNK", 10**6)
         whole = thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma,
                                   mc_samples=20000, seed=7)
         assert chunked.value == pytest.approx(whole.value, rel=1e-14, abs=0)

@@ -11,6 +11,17 @@ basis states are ordered lexicographically by the bit string (s_1 ... s_M)
 with column/site 1 the most significant bit, and the local vertex matrix for
 column 1 is the rightmost factor of the ordered monodromy product, i.e. it
 acts first on the auxiliary space.
+
+The monodromy matrix acts matrix-free through one in-place sweep of the local
+vertex matrix over a stack w[aux, input, spin]: column k mixes only the
+(aux up, site k down) and (aux down, site k up) components through the 2x2
+block [[b, c], [c, b]].  Because a = 1, the up-up and down-down components
+are left alone, so each column costs two b/c updates on quarter-size slices.
+Seeding the identity in both auxiliary slots gives all four blocks A, B, C, D
+from one sweep (monodromy, transfer, transfer_apply); a single block seeds
+one slot.  Every local matrix equals its full transpose, so the transposed
+monodromy matrix L_1 ... L_M is the same sweep run over the columns in
+reverse order, with the block's row and column swapped.
 """
 
 from dataclasses import dataclass
@@ -90,11 +101,14 @@ def homogeneous_spec(M: int) -> LatticeSpec:
 def boltzmann_weights(lam, gamma):
     """Vertex weights (a, b, c) at rapidity lam: a = 1,
     b = sinh(lam - eta/2)/sinh(lam + eta/2), c = sinh(eta)/sinh(lam + eta/2).
+
+    lam may be an array; b and c then take its shape and a stays the scalar 1.
     """
     eta = _aniso(gamma).eta
     s = np.sinh(lam + eta / 2)
-    if abs(s) < _POLE_TOL:
-        raise PoleError(f"weights singular at lam = {lam} (lam = -eta/2 mod i*pi)")
+    if np.any(np.abs(s) < _POLE_TOL):
+        at = np.ravel(lam)[np.argmin(np.abs(s))]
+        raise PoleError(f"weights singular at lam = {at} (lam = -eta/2 mod i*pi)")
     a = 1.0 + 0.0j
     b = np.sinh(lam - eta / 2) / s
     c = np.sinh(eta) / s
@@ -117,28 +131,36 @@ def l_matrix(lam, gamma):
 
 def d_eigenvalue(lam, mu, gamma):
     """d(lam) = prod_k b(lam - mu_k), the D-eigenvalue on the all-up state."""
-    return np.prod([boltzmann_weights(lam - m, gamma)[1] for m in mu]) if len(mu) else 1.0 + 0j
+    return np.prod(boltzmann_weights(lam - np.asarray(mu), gamma)[1]) if len(mu) else 1.0 + 0j
 
 
-def _local_blocks(lam_k, gamma):
-    """2x2 auxiliary-block decomposition of the local vertex matrix.
+def _column_weights(lam, spec, gamma):
+    """(b, c) of every column at rapidity lam; a PoleError names the column."""
+    try:
+        return boltzmann_weights(lam - np.asarray(spec.mu), gamma)[1:]
+    except PoleError:
+        for k, m in enumerate(spec.mu, 1):
+            try:
+                boltzmann_weights(lam - m, gamma)
+            except PoleError as exc:
+                raise PoleError(f"column {k}: {exc}") from None
+        raise
 
-    Returns blocks[aux_out][aux_in] as 2x2 site matrices (row = site out).
-    """
-    a, b, c = boltzmann_weights(lam_k, gamma)
-    A = np.array([[a, 0], [0, b]], dtype=complex)
-    B = np.array([[0, 0], [c, 0]], dtype=complex)
-    C = np.array([[0, c], [0, 0]], dtype=complex)
-    D = np.array([[b, 0], [0, a]], dtype=complex)
-    return ((A, B), (C, D))
 
-
-def _site_apply(op2, k, M, arr):
-    """Apply a 2x2 operator on site k (1-based, most significant = site 1)."""
-    left = 1 << (k - 1)
-    a = arr.reshape(left, 2, -1)
-    out = np.einsum("ab,lbx->lax", op2, a)
-    return out.reshape(arr.shape)
+def _sweep(lam, spec, gamma, w, reverse=False):
+    """Run the monodromy matrix in place over the stack w of shape
+    (2 aux, batch, 2^M, ...), where w[a, j] is the aux-a component of input j.
+    reverse=True runs the columns M..1, which applies the full transpose."""
+    b, c = _column_weights(lam, spec, gamma)
+    for k in range(spec.M - 1, -1, -1) if reverse else range(spec.M):
+        v = w.reshape(2, w.shape[1], 1 << k, 2, -1)
+        x, y = v[0, :, :, 1], v[1, :, :, 0]
+        t = c[k] * x
+        x *= b[k]
+        x += c[k] * y
+        y *= b[k]
+        y += t
+    return w
 
 
 _BLOCK_INDEX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
@@ -152,38 +174,19 @@ def monodromy_apply(lam, spec, gamma, arr, block="B", transpose=False):
     (dual) vector contraction needs.
     """
     row, col = _BLOCK_INDEX[block]
-    gamma = _aniso(gamma)
+    if transpose:
+        row, col = col, row
     arr = np.asarray(arr, dtype=complex)
-    M = spec.M
-    if M == 0:
-        # empty lattice: T is the 2x2 identity in auxiliary space
-        return arr.copy() if row == col else np.zeros_like(arr)
-    zero = np.zeros_like(arr)
+    w = np.zeros((2, 1) + arr.shape, dtype=complex)
+    w[col, 0] = arr
+    return _sweep(lam, spec, gamma, w, reverse=transpose)[row, 0]
 
-    def blocks_at(k):
-        try:
-            return _local_blocks(lam - spec.mu[k - 1], gamma)
-        except PoleError as exc:
-            raise PoleError(f"column {k}: {exc}") from None
 
-    if not transpose:
-        w = [arr, zero] if col == 0 else [zero, arr]
-        for k in range(1, M + 1):
-            blocks = blocks_at(k)
-            w = [
-                _site_apply(blocks[0][0], k, M, w[0]) + _site_apply(blocks[0][1], k, M, w[1]),
-                _site_apply(blocks[1][0], k, M, w[0]) + _site_apply(blocks[1][1], k, M, w[1]),
-            ]
-        return w[row]
-    # transposed block: reversed site sweep with site-transposed, aux-swapped blocks
-    w = [arr, zero] if row == 0 else [zero, arr]
-    for k in range(M, 0, -1):
-        blocks = blocks_at(k)
-        w = [
-            _site_apply(blocks[0][0].T, k, M, w[0]) + _site_apply(blocks[1][0].T, k, M, w[1]),
-            _site_apply(blocks[0][1].T, k, M, w[0]) + _site_apply(blocks[1][1].T, k, M, w[1]),
-        ]
-    return w[col]
+def _all_blocks(lam, spec, gamma, arr):
+    """w[r, c] = T_rc(lam) arr for all four blocks, from one sweep."""
+    w = np.zeros((2, 2) + arr.shape, dtype=complex)
+    w[0, 0] = w[1, 1] = arr
+    return _sweep(lam, spec, gamma, w)
 
 
 def _require_dense(spec):
@@ -199,8 +202,8 @@ def _require_vector(spec):
 def monodromy(lam, spec, gamma):
     """Dense (A, B, C, D) blocks of the monodromy matrix at rapidity lam."""
     _require_dense(spec)
-    eye = np.eye(spec.dim, dtype=complex)
-    return tuple(monodromy_apply(lam, spec, gamma, eye, block=b) for b in "ABCD")
+    w = _all_blocks(lam, spec, gamma, np.eye(spec.dim))
+    return w[0, 0], w[0, 1], w[1, 0], w[1, 1]
 
 
 def transfer(lam, spec, gamma):
@@ -210,7 +213,8 @@ def transfer(lam, spec, gamma):
 
 
 def transfer_apply(lam, spec, gamma, vec):
-    return monodromy_apply(lam, spec, gamma, vec, "A") + monodromy_apply(lam, spec, gamma, vec, "D")
+    w = _all_blocks(lam, spec, gamma, np.asarray(vec))
+    return w[0, 0] + w[1, 1]
 
 
 def up_state(spec):
@@ -315,7 +319,9 @@ def _pi_mask(k, spec):
 
 
 def pi_apply(k, spec, vec):
-    return _pi_mask(k, spec) * np.asarray(vec)
+    """pi_k applied to a state vector or along axis 0 of a (2^M, ...) stack."""
+    vec = np.asarray(vec)
+    return _pi_mask(k, spec).reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
 
 
 def qism_pi(k, spec, gamma):

@@ -9,7 +9,8 @@ over rapidity tuples with one determinant and explicit sinh products each,
 where the package contracts a factorized integrand.  The finite-size EFP
 tuple oracle expands the D-product over B-states instead: one expansion
 coefficient and one replaced-rapidity scalar product per ordered tuple of
-Bethe roots.
+Bethe roots.  The monodromy oracle multiplies explicit Kronecker-product
+embeddings of the 4x4 vertex matrix on the auxiliary-times-spin space.
 """
 
 from functools import lru_cache
@@ -65,6 +66,28 @@ def dwbc_partition_enum(row_params, col_params, gamma):
                 break
         z += w
     return z
+
+
+def monodromy_kron(lam, mu, gamma):
+    """Dense (A, B, C, D) blocks of T(lam) = L_M ... L_1 on aux x spin space,
+    with the auxiliary bit most significant and column 1 the most significant
+    spin bit.  Each L_k is the sum over auxiliary entries (a, a') of
+    |a><a'| x 1 x L[a, :, a', :] x 1 with the site block at column k."""
+    M = len(mu)
+    dim = 1 << M
+    T = np.eye(2 * dim, dtype=complex)
+    for k in range(1, M + 1):
+        L = l_matrix(lam - mu[k - 1], gamma).reshape(2, 2, 2, 2)
+        Lk = np.zeros_like(T)
+        for a in range(2):
+            for a2 in range(2):
+                unit = np.zeros((2, 2))
+                unit[a, a2] = 1.0
+                site = np.kron(np.kron(np.eye(1 << (k - 1)), L[a, :, a2, :]), np.eye(dim >> k))
+                Lk += np.kron(unit, site)
+        T = Lk @ T
+    T = T.reshape(2, dim, 2, dim)
+    return T[0, :, 0], T[0, :, 1], T[1, :, 0], T[1, :, 1]
 
 
 def ground_state_density_closed_form(x, gamma):

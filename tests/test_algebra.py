@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dwbc_partition_enum
+from oracles import dwbc_partition_enum, monodromy_kron
 from svdwbc import algebra
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.errors import PoleError
@@ -27,6 +27,23 @@ class TestWeights:
     def test_pole_raises(self, gamma):
         with pytest.raises(PoleError):
             algebra.boltzmann_weights(-gamma.eta / 2, gamma)
+
+    def test_array_argument_matches_scalar_calls(self, gamma, rng):
+        lams = rng.normal(size=5) + 0.3j * rng.normal(size=5)
+        _, b, c = algebra.boltzmann_weights(lams, gamma)
+        for lam, bk, ck in zip(lams, b, c):
+            _, b1, c1 = algebra.boltzmann_weights(lam, gamma)
+            assert abs(bk - b1) <= 1e-15 * abs(b1) and abs(ck - c1) <= 1e-15 * abs(c1)
+        with pytest.raises(PoleError):
+            algebra.boltzmann_weights(np.append(lams, -gamma.eta / 2), gamma)
+
+    def test_d_eigenvalue(self, gamma, rng):
+        mu = tuple(0.3 * rng.normal(size=4))
+        lam = 0.2 + 0.1j
+        expect = np.prod([algebra.boltzmann_weights(lam - m, gamma)[1] for m in mu])
+        assert abs(algebra.d_eigenvalue(lam, mu, gamma) - expect) < 1e-15 * abs(expect)
+        empty = algebra.d_eigenvalue(lam, (), gamma)
+        assert empty == 1.0 and isinstance(empty, complex)
 
     def test_gamma_window_validated(self):
         with pytest.raises(ValueError):
@@ -87,11 +104,40 @@ class TestMonodromy:
             )
 
     def test_pole_names_offending_column(self, gamma):
-        spec = LatticeSpec(2, (0.7, 0.0))
-        with pytest.raises(PoleError):
-            algebra.monodromy_apply(
-                0.7 - gamma.eta / 2, spec, gamma, algebra.up_state(spec), "B"
-            )
+        lam = 0.7 - gamma.eta / 2
+        for mu, column in (((0.7, 0.0), 1), ((0.0, 0.7), 2)):
+            spec = LatticeSpec(2, mu)
+            for transpose in (False, True):
+                with pytest.raises(PoleError, match=f"column {column}"):
+                    algebra.monodromy_apply(
+                        lam, spec, gamma, algebra.up_state(spec), "B", transpose=transpose
+                    )
+
+
+class TestMonodromyOracle:
+    """Blocks and their matrix-free action against explicit Kronecker products."""
+
+    @pytest.mark.parametrize("M", [0, 2, 4, 6])
+    def test_blocks_match_kron_products(self, gamma, M):
+        rng = np.random.default_rng(7100 + M)
+        mu = tuple(0.3 * rng.normal(size=M) + 0.1j * rng.normal(size=M))
+        lam = rng.normal() + 0.2j * rng.normal()
+        spec = LatticeSpec(M, mu)
+        ref = monodromy_kron(lam, mu, gamma)
+        scale = max(np.max(np.abs(r)) for r in ref)
+        for got, want in zip(algebra.monodromy(lam, spec, gamma), ref):
+            assert np.max(np.abs(got - want)) / scale < 1e-13
+        v = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        V = rng.normal(size=(spec.dim, 3)) + 1j * rng.normal(size=(spec.dim, 3))
+        for x in (v, V):
+            for want, name in zip(ref, "ABCD"):
+                for transpose in (False, True):
+                    op = want.T if transpose else want
+                    got = algebra.monodromy_apply(lam, spec, gamma, x, name, transpose=transpose)
+                    assert got.shape == x.shape
+                    assert np.max(np.abs(got - op @ x)) / (scale * np.max(np.abs(x))) < 1e-13
+            t_x = algebra.transfer_apply(lam, spec, gamma, x)
+            assert np.max(np.abs(t_x - (ref[0] + ref[3]) @ x)) / (scale * np.max(np.abs(x))) < 1e-13
 
 
 class TestTransfer:
@@ -224,6 +270,14 @@ class TestProjectors:
         for k in range(1, 7):
             acc += algebra.pi_apply(k, spec, v)
         assert np.allclose(acc, 3 * v)
+
+    def test_pi_apply_acts_on_spin_axis(self, rng):
+        spec = homogeneous_spec(4)
+        for shape in ((spec.dim, spec.dim), (spec.dim, 3)):
+            X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for k in range(1, spec.M + 1):
+                expect = algebra.projector_pi(k, spec) @ X
+                assert np.max(np.abs(algebra.pi_apply(k, spec, X) - expect)) < 1e-14
 
     def test_index_out_of_range(self, gamma):
         spec = homogeneous_spec(4)

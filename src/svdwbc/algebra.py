@@ -223,12 +223,6 @@ def up_state(spec):
     return v
 
 
-def down_state(spec):
-    v = np.zeros(spec.dim, dtype=complex)
-    v[-1] = 1.0
-    return v
-
-
 def bethe_state(lams, spec, gamma):
     """|N> = B(lam_1)...B(lam_N)|up>, independent of root order."""
     _require_vector(spec)
@@ -253,11 +247,6 @@ def dual_state(lams, spec, gamma):
 def flip_apply(vec):
     """Apply the arrow-flip operator prod_k sigma_k^x (reverses bit strings)."""
     return np.asarray(vec)[::-1].copy()
-
-
-def flip_operator(spec):
-    _require_dense(spec)
-    return np.eye(spec.dim, dtype=complex)[::-1].copy()
 
 
 def rtt_residual(lam, mu, spec, gamma):

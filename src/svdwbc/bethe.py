@@ -56,12 +56,6 @@ def _as_point(lam) -> SpectralPoint:
     return lam if isinstance(lam, SpectralPoint) else SpectralPoint.from_complex(lam)
 
 
-def _diff(lam, other):
-    """Abscissa difference and branch-crossing flag of lam - other."""
-    p, q = _as_point(lam), _as_point(other)
-    return p.x - q.x, p.branch != q.branch
-
-
 def p_n(lam, n, gamma):
     """Branch-dependent momentum-like function, continuous and odd in x.
 
@@ -87,11 +81,10 @@ def _p_n_x(x, crossed, n, g):
 def _p_n_deriv_x(x, crossed, n, g):
     """p_n' = 2 pi K_n at abscissa differences x, the one definition of the
     branch kernel.  Vectorized in x/crossed."""
+    s = np.sin(n * g)
     sh2 = np.sinh(np.minimum(np.abs(x), 300.0)) ** 2  # underflows to 0 well before 300
-    return np.where(
-        crossed,
-        -np.sin(n * g) / (sh2 + np.cos(n * g / 2) ** 2),
-        np.sin(n * g) / (sh2 + np.sin(n * g / 2) ** 2),
+    return np.where(crossed, -s, s) / (
+        sh2 + np.where(crossed, np.cos(n * g / 2) ** 2, np.sin(n * g / 2) ** 2)
     )
 
 

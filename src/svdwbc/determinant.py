@@ -11,7 +11,7 @@ integral in `thermo` alike.  Every formula here has a brute-force
 counterpart in `algebra` used by the test suite.
 """
 
-import warnings
+import logging
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -20,6 +20,8 @@ import numpy as np
 from . import algebra, bethe
 from .algebra import LatticeSpec
 from .errors import PoleError
+
+logger = logging.getLogger(__name__)
 
 _BETHE_TOL = 1e-10
 
@@ -458,7 +460,7 @@ def efp_finite(req_or_roots, k=None, n=None, eps_schedule=None, return_complex=F
     if return_complex:
         return val
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
-        warnings.warn(f"EFP imaginary residue {val.imag:.2e} exceeds 1e-6 of scale")
+        logger.warning("EFP imaginary residue %.2e exceeds 1e-6 of scale", val.imag)
     return float(val.real)
 
 

@@ -8,7 +8,7 @@ local densities, and evaluates the emptiness formation probability both as
 a multiple contour integral and as the corresponding finite sum over roots.
 """
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +17,8 @@ from . import determinant
 from .algebra import _aniso
 from .bethe import REAL, SHIFTED, SpectralPoint, _p_n_deriv_x
 from .errors import ConvergenceError, PoleError
+
+logger = logging.getLogger(__name__)
 
 
 def kernel_K(n, lam, gamma):
@@ -109,12 +111,26 @@ def ground_state_theta(grid) -> np.ndarray:
     return np.where(grid.shifted, 0.0, 1.0)
 
 
-def _density_matrix(theta, grid, g):
-    """Nystrom matrix I + K_2 diag(theta w) of the density equation."""
-    K2 = _kernel_branch(
-        grid.x[:, None] - grid.x[None, :], grid.shifted[:, None] ^ grid.shifted[None, :], 2, g
-    )
-    return np.eye(grid.n_nodes) + K2 * (theta * grid.w)[None, :]
+def _nystrom_solve(theta, grid, g, rhs):
+    """Solve (I + K_2 diag(theta w)) rho = rhs for one or more right-hand
+    sides (columns of rhs).  A node with theta w = 0 has an identity column,
+    so only the block of occupied nodes is factorized; rho at the other
+    nodes is rhs minus the occupied columns applied to that block's
+    solution.  Only the occupied kernel columns are built."""
+    c = theta * grid.w
+    act = c != 0
+    x, sh = grid.x, grid.shifted
+    K = _kernel_branch(x[:, None] - x[act][None, :], sh[:, None] ^ sh[act][None, :], 2, g)
+    K *= c[act]
+    A = K[act]
+    A[np.diag_indices_from(A)] += 1.0
+    rho = np.empty_like(rhs)
+    try:
+        rho[act] = np.linalg.solve(A, rhs[act])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular density system: {exc}") from exc
+    rho[~act] = rhs[~act] - K[~act] @ rho[act]
+    return rho
 
 
 def _driving_k1(grid, g, mu):
@@ -200,7 +216,9 @@ def _nystrom_eval(z, grid, theta, rho_p_nodes, gamma, mu, center):
 def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
     """Nystrom solution of
     rho_tot(lam) = K_1^tot(lam) - int_C K_2(lam - lam') theta(lam') rho_tot(lam') dlam'
-    on the directed contour.  theta is the Fermi weight per grid node."""
+    on the directed contour.  theta is the Fermi weight per grid node; only
+    the block of nodes with theta != 0 is factorized, and the other nodes
+    are filled in with one matrix-vector product."""
     gamma = _aniso(gamma)
     g = gamma.gamma
     theta = np.asarray(theta, dtype=float)
@@ -208,12 +226,7 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
         raise ValueError("theta must be sampled on the grid nodes")
     if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
         raise ValueError("theta must lie in [0, 1]")
-    A = _density_matrix(theta, grid, g)
-    rhs = _driving_k1(grid, g, mu)
-    try:
-        rho = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular density system: {exc}") from exc
+    rho = _nystrom_solve(theta, grid, g, _driving_k1(grid, g, mu))
     prof = DensityProfile(
         grid=grid,
         theta=theta,
@@ -229,15 +242,27 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
         ref = solve_density(theta_fine, fine, gamma, mu)
         d0 = abs(prof.rho_tot_at(0.0) - ref.rho_tot_at(0.0))
         if d0 > 1e-6:
-            warnings.warn(f"grid under-resolved: rho_tot(0) moves by {d0:.2e} on doubling")
+            logger.warning("grid under-resolved: rho_tot(0) moves by %.2e on doubling", d0)
     return prof
 
 
 def _transfer_theta(theta, grid, fine):
-    """Carry a piecewise Fermi weight to a refined grid (nearest node)."""
-    dist = np.abs(np.subtract.outer(fine.x, grid.x))
-    np.add(dist, 1e9, out=dist, where=np.not_equal.outer(fine.shifted, grid.shifted))
-    return np.asarray(theta, dtype=float)[np.argmin(dist, axis=1)]
+    """Carry a piecewise Fermi weight to a refined grid: each fine node takes
+    theta of the nearest coarse node on its branch (the lower index on a
+    tie)."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(fine.n_nodes)
+    for branch in (False, True):
+        src = np.flatnonzero(grid.shifted == branch)
+        src = src[np.argsort(grid.x[src], kind="stable")]
+        xs = grid.x[src]
+        dst = fine.shifted == branch
+        xf = fine.x[dst]
+        j = np.clip(np.searchsorted(xs, xf), 1, len(xs) - 1)
+        lo, hi = src[j - 1], src[j]
+        d_lo, d_hi = np.abs(xf - xs[j - 1]), np.abs(xf - xs[j])
+        out[dst] = theta[np.where((d_hi < d_lo) | ((d_hi == d_lo) & (hi < lo)), hi, lo)]
+    return out
 
 
 def local_density(center, theta, grid, gamma) -> LocalDensity:
@@ -247,16 +272,16 @@ def local_density(center, theta, grid, gamma) -> LocalDensity:
 
 def local_densities(centers, theta, grid, gamma):
     """Solve the integral equation for several column centres with one
-    factorization (the kernel matrix does not depend on the driving)."""
+    factorization of the occupied block (the kernel matrix does not depend
+    on the driving)."""
     gamma = _aniso(gamma)
     g = gamma.gamma
     theta = np.asarray(theta, dtype=float)
-    A = _density_matrix(theta, grid, g)
     rhs = np.stack(
         [_kernel_branch(grid.x - complex(c).real, grid.shifted, 1, g) for c in centers],
         axis=1,
     )
-    sol = np.linalg.solve(A, rhs)
+    sol = _nystrom_solve(theta, grid, g, rhs)
     return [
         LocalDensity(float(np.real(c)), grid, theta, sol[:, i], gamma)
         for i, c in enumerate(centers)
@@ -377,7 +402,7 @@ def efp_thermo(
     if res.stderr is not None:
         imag_floor = max(imag_floor, 3 * res.stderr)
     if res.imag_residual > imag_floor:
-        warnings.warn(f"EFP imaginary residue {res.imag_residual:.2e} exceeds 1e-6")
+        logger.warning("EFP imaginary residue %.2e exceeds 1e-6", res.imag_residual)
     if check_convergence:
         fine = contour_grid(gamma, grid.cutoff, 2 * grid.points_per_branch)
         ref = efp_thermo(
@@ -423,33 +448,26 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
     return pref * vals.mean(), abs(pref) * err, samples
 
 
-def efp_sum_finite(roots, mu_window, profile=None, locals_=None, use_exact_rows=False):
+def efp_sum_finite(roots, mu_window, profile, locals_=None):
     """Finite-root version of the multiple-integral EFP:
 
         1/(M^n prod_{l<m} sinh(w_l - w_m)) * sum over distinct root tuples of
         H({lam_i}, {w}) prod_l 1/rho_tot(lam_i_l)
 
-    Densities are taken from the integral equation (thermo source) or, with
-    use_exact_rows, from the exact determinant-ratio rows with unit weights,
-    which is the finite-size determinant path itself.
+    with the densities taken from the integral equation of `profile`.
     """
     w = np.array([float(np.real(x)) for x in mu_window])
     n = len(w)
     if n == 0:
         return 1.0
-    if use_exact_rows:
-        val = determinant._efp_determinant_complex(roots, w)
-    else:
-        if profile is None:
-            raise ValueError("profile is required for the thermo density source")
-        if locals_ is None:
-            locals_ = local_densities(w, profile.theta, profile.grid, profile.gamma)
-        lams = roots.values
-        rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
-        weight = 1.0 / (len(roots.mu) * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
-        val = determinant._window_prefactor(w) * determinant._node_sum(
-            lams, weight, rows, w, roots.gamma.gamma
-        )
+    if locals_ is None:
+        locals_ = local_densities(w, profile.theta, profile.grid, profile.gamma)
+    lams = roots.values
+    rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
+    weight = 1.0 / (len(roots.mu) * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
+    val = determinant._window_prefactor(w) * determinant._node_sum(
+        lams, weight, rows, w, roots.gamma.gamma
+    )
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
-        warnings.warn(f"finite EFP sum imaginary residue {val.imag:.2e}")
+        logger.warning("finite EFP sum imaginary residue %.2e", val.imag)
     return float(val.real)

@@ -11,6 +11,9 @@ tuple oracle expands the D-product over B-states instead: one expansion
 coefficient and one replaced-rapidity scalar product per ordered tuple of
 Bethe roots.  The monodromy oracle multiplies explicit Kronecker-product
 embeddings of the 4x4 vertex matrix on the auxiliary-times-spin space.
+The Nystrom oracle assembles the full density matrix entry by entry from the
+complex kernel K_2 and solves it densely, where the package factorizes only
+the occupied block of a real-valued branch kernel.
 """
 
 from functools import lru_cache
@@ -18,7 +21,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from svdwbc import determinant
+from svdwbc import determinant, thermo
 from svdwbc.algebra import l_matrix
 
 
@@ -95,6 +98,27 @@ def ground_state_density_closed_form(x, gamma):
     of the integral equation: rho(x) = 1 / (2 gamma cosh(pi x / gamma))."""
     g = float(gamma.gamma) if hasattr(gamma, "gamma") else float(gamma)
     return 1.0 / (2 * g * np.cosh(np.pi * np.asarray(x) / g))
+
+
+def nystrom_dense(theta, grid, gamma, rhs):
+    """Solution of the full Nystrom system (I + K_2 diag(theta w)) rho = rhs,
+    each entry from the complex kernel K_2 at the difference of two contour
+    points."""
+    z = grid.values
+    n = len(z)
+    A = np.eye(n, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            A[i, j] += thermo.kernel_K(2, z[i] - z[j], gamma) * theta[j] * grid.w[j]
+    return np.linalg.solve(A, np.asarray(rhs, dtype=complex))
+
+
+def transfer_theta_argmin(theta, grid, fine):
+    """Nearest-node transfer of a Fermi weight to a refined grid through the
+    dense distance matrix, with nodes on the other branch pushed away."""
+    dist = np.abs(np.subtract.outer(fine.x, grid.x))
+    np.add(dist, 1e9, out=dist, where=np.not_equal.outer(fine.shifted, grid.shifted))
+    return np.asarray(theta, dtype=float)[np.argmin(dist, axis=1)]
 
 
 def varphi_prime_fd(roots, step=1e-6):

@@ -1,10 +1,18 @@
+import logging
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import efp_integrand_h, efp_node_sum, ground_state_density_closed_form
+from oracles import (
+    efp_integrand_h,
+    efp_node_sum,
+    efp_tuple_sum,
+    ground_state_density_closed_form,
+    nystrom_dense,
+    transfer_theta_argmin,
+)
 from svdwbc import bethe, determinant, thermo
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.bethe import SHIFTED, SpectralPoint
@@ -122,7 +130,7 @@ class TestDensity:
         assert np.allclose(profile06.rho_tot, profile06.rho_p + profile06.rho_h)
         mask = profile06.rho_tot > 1e-12
         assert np.allclose(
-            profile06.theta[mask], (profile06.rho_p / profile06.rho_tot)[mask]
+            profile06.theta[mask], profile06.rho_p[mask] / profile06.rho_tot[mask]
         )
 
     def test_grid_doubling_cauchy(self, gamma, grid06, profile06):
@@ -142,6 +150,80 @@ class TestDensity:
     def test_shifted_branch_empty_for_ground_state(self, profile06):
         sh = profile06.rho_tot[profile06.grid.shifted]
         assert np.max(np.abs(sh)) < 1e-12
+
+    def test_coarse_grid_logs_under_resolution(self, gamma, caplog):
+        # two nodes per panel; the doubled grid has four
+        grid = thermo.contour_grid(gamma, points_per_branch=32)
+        with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
+            thermo.solve_density(
+                thermo.ground_state_theta(grid), grid, gamma, check_resolution=True
+            )
+        assert any("grid under-resolved" in r.getMessage() for r in caplog.records)
+
+
+def _thetas(grid):
+    """Ground-state, seeded with zeros on both branches, and nowhere zero."""
+    rng = np.random.default_rng(2024)
+    mixed = rng.random(grid.n_nodes)
+    mixed[rng.random(grid.n_nodes) < 0.3] = 0.0
+    assert np.any(mixed[grid.shifted] == 0) and np.any(mixed[~grid.shifted] == 0)
+    return {
+        "ground": thermo.ground_state_theta(grid),
+        "mixed": mixed,
+        "nonzero": 0.2 + 0.7 * rng.random(grid.n_nodes),
+    }
+
+
+class TestNystromOracle:
+    @pytest.fixture(scope="class")
+    def grid32(self):
+        return thermo.contour_grid(AnisotropyParam(0.6), points_per_branch=32)
+
+    @staticmethod
+    def _drive(grid, gamma, center):
+        return np.real([thermo.kernel_K(1, z - center, gamma) for z in grid.values])
+
+    @staticmethod
+    def _close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["ground", "mixed", "nonzero"])
+    def test_solve_density_matches_dense_solve(self, gamma, grid32, kind):
+        theta = _thetas(grid32)[kind]
+        prof = thermo.solve_density(theta, grid32, gamma)
+        ref = nystrom_dense(theta, grid32, gamma, self._drive(grid32, gamma, 0.0))
+        assert self._close(prof.rho_tot, ref)
+
+    @pytest.mark.parametrize("kind", ["ground", "mixed", "nonzero"])
+    def test_local_densities_match_dense_solve(self, gamma, grid32, kind):
+        theta = _thetas(grid32)[kind]
+        centers = [-0.4, 0.1, 0.75]
+        for loc, c in zip(thermo.local_densities(centers, theta, grid32, gamma), centers):
+            ref = nystrom_dense(theta, grid32, gamma, self._drive(grid32, gamma, c))
+            assert self._close(loc.rho_tot, ref)
+
+
+class TestTransferTheta:
+    @pytest.mark.parametrize("points", [64, 128, 256, 512])
+    def test_matches_dense_argmin(self, gamma, points):
+        grid = thermo.contour_grid(gamma, points_per_branch=points)
+        fine = thermo.contour_grid(gamma, points_per_branch=2 * points)
+        theta = np.random.default_rng(points).random(grid.n_nodes)
+        got = thermo._transfer_theta(theta, grid, fine)
+        assert np.array_equal(got, transfer_theta_argmin(theta, grid, fine))
+
+    def test_tie_goes_to_lower_index(self):
+        # the fine node 0.5 is equidistant from the coarse nodes 0.0 and 1.0,
+        # listed in descending order on the real branch and ascending on the
+        # shifted one, so the lower index is the right neighbour on one
+        # branch and the left neighbour on the other
+        flags = np.array([False, False, True, True])
+        grid = thermo.ContourGrid(1.0, 2, np.array([1.0, 0.0, 0.0, 1.0]), np.ones(4), flags)
+        fine = thermo.ContourGrid(1.0, 1, np.array([0.5, 0.5]), np.ones(2), flags[1:3])
+        theta = np.array([0.1, 0.2, 0.3, 0.4])
+        got = thermo._transfer_theta(theta, grid, fine)
+        assert np.array_equal(got, transfer_theta_argmin(theta, grid, fine))
+        assert np.array_equal(got, [0.1, 0.3])
 
 
 class TestLocalDensity:
@@ -453,7 +535,7 @@ class TestEfpSumFinite:
         roots = bethe.solve_bae(*bethe.ground_state_numbers(4), LatticeSpec(8, mus), gamma)
         for k, n in ((2, 1), (2, 2), (1, 3), (2, 4)):
             w = list(mus[k : k + n])
-            v_sum = thermo.efp_sum_finite(roots, w, use_exact_rows=True)
+            v_sum = efp_tuple_sum(roots, w).real
             v_det = determinant.efp_finite(roots, k, n)
             assert abs(v_sum - v_det) < 1e-6
 

@@ -163,12 +163,9 @@ def _cmd_partition(args):
 def _cmd_efp_finite(args):
     roots = _resolve_roots(args)
     value = determinant.efp_finite(roots, args.k, args.n)
-    degenerate = not determinant._distinct(roots.mu[args.k : args.k + args.n])
     config = {
         "gamma": args.gamma, "M": len(roots.mu), "mu": args.mu or "homogeneous",
         "k": args.k, "n": args.n, "tol": args.tol,
-        "eps_schedule": list(determinant._scaled_eps_schedule(roots.gamma))
-        if degenerate else None,
     }
     brute = None
     if len(roots.mu) <= algebra.BRUTE_FORCE_MAX_M:
@@ -224,15 +221,12 @@ def _cmd_efp_thermo(args):
             raise ValueError(f"--mu-window must list {args.n} values")
     else:
         window = [0.0] * args.n
-    eps = tuple(float(t) for t in args.eps.replace(",", " ").split()) if args.eps else None
     res = thermo.efp_thermo(
-        args.n, window, theta, grid, gamma,
-        eps_schedule=eps, mc_samples=args.samples, seed=args.seed,
+        args.n, window, theta, grid, gamma, mc_samples=args.samples, seed=args.seed,
     )
     config = {
         "gamma": args.gamma, "n": args.n, "mu_window": window,
         "cutoff": grid.cutoff, "points": args.points,
-        "eps_schedule": list(res.eps_schedule) if res.eps_schedule else None,
         "samples": res.samples, "seed": args.seed,
     }
     results = {
@@ -307,8 +301,6 @@ def build_parser():
                    help="window column values (default: homogeneous zeros)")
     p.add_argument("--cutoff", type=float, default=None)
     p.add_argument("--points", type=int, default=256)
-    p.add_argument("--eps", type=str, default=None,
-                   help="splitting schedule for degenerate windows")
     p.add_argument("--samples", type=int, default=200000, help="Monte Carlo samples (n >= 4)")
     p.set_defaults(func=_cmd_efp_thermo)
 

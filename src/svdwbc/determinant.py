@@ -18,7 +18,6 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import algebra, bethe
-from .algebra import LatticeSpec
 from .errors import PoleError
 
 logger = logging.getLogger(__name__)
@@ -246,10 +245,52 @@ def psi_phi_rows(roots, mu_window) -> np.ndarray:
     return np.linalg.solve(phi.T, rows.T).T
 
 
+def window_dd_rows(lams, mu_window, eta):
+    """Newton divided differences of the window rows over u = e^{2(w - wbar)}
+    (wbar the window mean), and the window prefactor in that basis.
+
+    A window row R(lam; w) = coth(lam - w - eta/2) - coth(lam - w + eta/2)
+    is -1 + 2a/(a - u) per coth with a = e^{2(lam - wbar -+ eta/2)}, so row i
+    of the result, R[u_1..u_{i+1}](lam), is
+        2a_-/prod_{m<=i+1}(a_- - u_m) - 2a_+/prod_{m<=i+1}(a_+ - u_m).
+    The actual rows are R(w_i) = sum_{k<=i} R[u_1..u_k] prod_{m<k}(u_i - u_m),
+    so det[R(w_i)] = det[R[u_1..u_i]] prod_{l<m}(u_m - u_l), and the EFP
+    prefactor 1/prod_{l<m} sinh(w_l - w_m) becomes
+    prod_{l<m} -2 e^{(w_l - wbar) + (w_m - wbar)}, finite at coincident
+    columns.  Where Re(lam - wbar) > 0 a term is evaluated as
+    2 b^i / prod(1 - u_m b) with b = 1/a, so that no power of a overflows;
+    in row 0 that is 2 + 2 u_1 b / (1 - u_1 b), and the 2, common to a_- and
+    a_+, is dropped before it can cancel.
+    Returns (rows, prefactor) with rows of shape (n, len(lams)).
+    """
+    lams = np.asarray(lams, dtype=complex)
+    w = np.asarray(mu_window, dtype=complex)
+    wbar = w.mean()
+    v = w - wbar
+    u = np.exp(2 * v)[:, None]
+    power = np.arange(len(v))[:, None]
+    rows = np.zeros((len(v), len(lams)), dtype=complex)
+    for sign in (-1, 1):  # a_- enters with +, a_+ with -
+        s = lams - wbar + sign * eta / 2
+        flip = s.real > 0
+        t = np.exp(np.where(flip, -2 * s, 2 * s))  # b where flipped, else a
+        fac = np.where(flip, 1 - u * t, t - u)
+        if np.min(np.abs(fac)) < 1e-14:
+            raise PoleError("window column coincides with a shifted root")
+        num = np.where(flip, t**power, t)
+        num[0] = np.where(flip, u[0] * t, t)  # drop the 2 that both coths share
+        rows -= sign * 2 * num / np.cumprod(fac, axis=0)
+    l, m = np.triu_indices(len(v), 1)
+    return rows, np.prod(-2 * np.exp(v[l] + v[m]))
+
+
 def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
     """Normalized scalar product with the roots of `excluded` (0-based,
     default: the last n) replaced by the shifted window columns w_j + eta/2,
-    evaluated as sinh prefactors times an n x n determinant ratio."""
+    evaluated as sinh prefactors times an n x n determinant ratio.  The
+    prefactor divides by sinh(w_j - w_i), so the window columns must be
+    pairwise distinct; `efp_finite` covers coincident columns through
+    `window_dd_rows`."""
     _check_bethe(roots)
     n = len(mu_window)
     N = roots.N
@@ -269,10 +310,7 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
         for j in range(i + 1, n):
             s = np.sinh(w[j] - w[i])
             if abs(s) < 1e-14:
-                raise PoleError(
-                    "coincident window columns: use the homogeneous-window "
-                    "extrapolation path"
-                )
+                raise PoleError("coincident window columns")
             pref *= np.sinh(rep[j] - rep[i]) / s
     for li in np.delete(lams, list(excluded)):
         pref *= np.prod(np.sinh(li - rep) / np.sinh(li - w - eta / 2))
@@ -351,15 +389,6 @@ def _node_sum(z, weight, R, w, g):
     return total
 
 
-def _window_prefactor(w):
-    """1 / prod_{l<m} sinh(w_l - w_m)."""
-    l, m = np.triu_indices(len(w), 1)
-    s = np.sinh(w[l] - w[m])
-    if np.any(np.abs(s) < 1e-14):
-        raise PoleError("coincident window columns")
-    return 1.0 / np.prod(s)
-
-
 @dataclass(frozen=True)
 class EfpRequest:
     """Probability that columns k+1 .. k+n all point down on the central line."""
@@ -374,50 +403,9 @@ class EfpRequest:
             raise ValueError(f"window k+1..k+n must fit in 1..{M}: k={self.k}, n={self.n}")
 
 
-def _efp_determinant_complex(roots, window_mu) -> complex:
-    """Determinant-path EFP for pairwise distinct window columns: the node
-    sum of H over the Bethe roots with unit weights and the exact rows
-    psi' phi'^{-1} (psi_phi_rows), times the window prefactor.  Expanding
-    the D-product over B-states and the replaced-rapidity determinant ratios
-    gives the same sum over ordered root tuples; the node sum costs
-    O(n! N^3) for n <= 3 and N^n batched tuples above."""
-    n = len(window_mu)
-    N = roots.N
-    if n == 0:
-        return 1.0 + 0j
-    if n > N:
-        return 0.0 + 0j
-    w = np.asarray(window_mu, dtype=complex)
-    total = _node_sum(roots.values, np.ones(N), psi_phi_rows(roots, w), w, roots.gamma.gamma)
-    return complex(_window_prefactor(w) * total)
-
-
+# Unused by the library since coincident windows take the divided-difference
+# path; kept because perfbench/tracing.py reads it to count evaluations.
 DEFAULT_EPS_SCHEDULE = (0.01, 0.02, 0.04)
-
-
-def _scaled_eps_schedule(gamma):
-    """Default window-splitting schedule, shrunk with the root-packing scale
-    so the eps^2 expansion stays in its asymptotic regime at small gamma."""
-    scale = min(1.0, gamma.gamma / 0.6)
-    return tuple(s * scale for s in DEFAULT_EPS_SCHEDULE)
-
-
-def _distinct(window):
-    """True when the window columns are pairwise more than 1e-10 apart, so
-    that no eps split is needed."""
-    w = np.asarray(window, dtype=complex)
-    i, j = np.triu_indices(len(w), 1)
-    return bool(np.all(np.abs(w[i] - w[j]) > 1e-10))
-
-
-def _eps_split(centre, n, eps_schedule):
-    """Symmetric splits centre + (l - (n+1)/2) eps, l = 1..n, of a coincident
-    window, one per eps, and the weights c_i of the Neville extrapolation
-    eps^2 -> 0: the limit of a value v(eps) is sum_i c_i v(eps_i)."""
-    offsets = np.arange(1, n + 1) - (n + 1) / 2
-    windows = [centre + offsets * eps for eps in eps_schedule]
-    eps2 = [eps * eps for eps in eps_schedule]
-    return windows, neville_extrapolate(eps2, list(np.eye(len(eps2))))
 
 
 def neville_extrapolate(xs, ys):
@@ -433,14 +421,13 @@ def neville_extrapolate(xs, ys):
     return ys[0]
 
 
-def efp_finite(req_or_roots, k=None, n=None, eps_schedule=None, return_complex=False):
-    """Finite-size EFP of columns k+1..k+n via the determinant path.
-
-    Pairwise-distinct window columns evaluate directly, as the node sum of
-    the separable integrand H over the Bethe roots: O(n! N^3) for n <= 3,
-    N^n batched tuples above.  A degenerate (e.g. homogeneous) window is
-    handled by symmetrically splitting the window inhomogeneities by +-eps,
-    re-solving the Bethe equations, and Richardson-extrapolating eps^2 -> 0.
+def efp_finite(req_or_roots, k=None, n=None, return_complex=False):
+    """Finite-size EFP of columns k+1..k+n via the determinant path: the node
+    sum of the separable integrand H over the Bethe roots, with unit weights
+    and the divided-difference window rows (window_dd_rows) solved against
+    phi'^T, times the window prefactor in that basis.  Coincident columns
+    (a homogeneous window) take the same path as distinct ones.  The node
+    sum costs O(n! N^3) for n <= 3 and N^n batched tuples above.
     """
     if isinstance(req_or_roots, EfpRequest):
         roots, k, n = req_or_roots.roots, req_or_roots.k, req_or_roots.n
@@ -451,29 +438,17 @@ def efp_finite(req_or_roots, k=None, n=None, eps_schedule=None, return_complex=F
     if n < 0 or k < 0 or k + n > M:
         raise ValueError(f"window k+1..k+n must fit in 1..{M}: k={k}, n={n}")
     window = np.array(roots.mu[k : k + n], dtype=complex)
-    if _distinct(window):
-        val = _efp_determinant_complex(roots, window)
+    if n == 0:
+        val = 1.0 + 0j
+    elif n > roots.N:
+        val = 0.0 + 0j
     else:
-        val = _efp_degenerate_window(
-            roots, k, n, eps_schedule or _scaled_eps_schedule(roots.gamma)
-        )
+        rows, pref = window_dd_rows(roots.values, window, roots.gamma.eta)
+        rows = np.linalg.solve(varphi_prime_matrix(roots).T, rows.T).T
+        val = complex(pref * _node_sum(roots.values, np.ones(roots.N), rows, window,
+                                       roots.gamma.gamma))
     if return_complex:
         return val
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
         logger.warning("EFP imaginary residue %.2e exceeds 1e-6 of scale", val.imag)
     return float(val.real)
-
-
-def _efp_degenerate_window(roots, k, n, eps_schedule):
-    """Homogeneous-window limit: split the window columns, re-solve the Bethe
-    equations at each eps and extrapolate in eps^2."""
-    windows, c = _eps_split(roots.mu[k], n, eps_schedule)
-    vals = []
-    for w in windows:
-        mu = list(roots.mu)
-        mu[k : k + n] = w
-        split = bethe.solve_bae(
-            roots.quantum_numbers, roots.parities, LatticeSpec(len(mu), mu), roots.gamma
-        )
-        vals.append(_efp_determinant_complex(split, w))
-    return c @ vals

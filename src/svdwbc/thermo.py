@@ -22,11 +22,12 @@ logger = logging.getLogger(__name__)
 
 
 def kernel_K(n, lam, gamma):
-    """K_n(lam) = (1/2pi) sin(n gamma) / [sinh(lam - i n gamma/2) sinh(lam + i n gamma/2)]."""
+    """K_n(lam) = (1/2pi) sin(n gamma) / [sinh(lam - i n gamma/2) sinh(lam + i n gamma/2)];
+    elementwise for an array lam."""
     g = _aniso(gamma).gamma
-    lam = complex(lam) if not isinstance(lam, SpectralPoint) else lam.value
+    lam = lam.value if isinstance(lam, SpectralPoint) else np.asarray(lam, dtype=complex)
     s = np.sinh(lam - 0.5j * n * g) * np.sinh(lam + 0.5j * n * g)
-    if abs(s) < 1e-14:
+    if np.size(s) and np.min(np.abs(s)) < 1e-14:
         raise PoleError(f"kernel pole at lam = {lam}")
     return np.sin(n * g) / (2 * np.pi * s)
 
@@ -36,6 +37,22 @@ def _kernel_branch(x, crossed, n, g):
     crossed marks an Im = pi/2 offset between the two points.  Vectorized in
     x/crossed."""
     return _p_n_deriv_x(x, crossed, n, g) / (2 * np.pi)
+
+
+def _kernel_at(n, z, nodes, g):
+    """K_n(z_i - v_q) between points z and contour points v (on the real line
+    or on Im = pi/2): the real-valued branch form where z lies on a contour
+    line, the complex kernel elsewhere."""
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(nodes, dtype=complex)
+    im = np.mod(z.imag, np.pi)
+    on_shift = np.abs(im - np.pi / 2) < 1e-9
+    line = on_shift | (np.minimum(im, np.pi - im) < 1e-9)
+    v_shift = np.abs(np.mod(v.imag, np.pi) - np.pi / 2) < 1e-9
+    out = np.empty((len(z), len(v)), dtype=complex)
+    out[line] = _kernel_branch(z.real[line, None] - v.real, on_shift[line, None] ^ v_shift, n, g)
+    out[~line] = kernel_K(n, z[~line, None] - v, g)
+    return out
 
 
 def k1_tot(lam, mu, gamma):
@@ -133,11 +150,10 @@ def _nystrom_solve(theta, grid, g, rhs):
     return rho
 
 
-def _driving_k1(grid, g, mu):
-    if mu is None or len(mu) == 0:
-        return _kernel_branch(grid.x, grid.shifted, 1, g)
-    mu = np.asarray([complex(m).real for m in mu])
-    return _kernel_branch(grid.x[:, None] - mu[None, :], grid.shifted[:, None], 1, g).mean(axis=1)
+def _centres(mu):
+    """Driving centres of the total density: the inhomogeneities, or the
+    origin for a homogeneous lattice."""
+    return (0.0,) if mu is None or len(mu) == 0 else mu
 
 
 @dataclass(frozen=True)
@@ -159,7 +175,7 @@ class DensityProfile:
     def rho_tot_at(self, z):
         """Nystrom interpolation of rho_tot at arbitrary points (complex or
         SpectralPoint); exact at the grid nodes."""
-        return _nystrom_eval(z, self.grid, self.theta, self.rho_p, self.gamma, self.mu, None)
+        return _nystrom_eval(z, self.grid, self.rho_p, self.gamma, _centres(self.mu))
 
 
 @dataclass(frozen=True)
@@ -174,40 +190,18 @@ class LocalDensity:
     gamma: object
 
     def rho_tot_at(self, z):
-        return _nystrom_eval(
-            z, self.grid, self.theta, self.theta * self.rho_tot, self.gamma, None, self.center
-        )
+        return _nystrom_eval(z, self.grid, self.theta * self.rho_tot, self.gamma, (self.center,))
 
 
-def _nystrom_eval(z, grid, theta, rho_p_nodes, gamma, mu, center):
-    """Evaluate rho(z) = driving(z) - sum_q K_2(z - x_q) rho_p(x_q) w_q."""
+def _nystrom_eval(z, grid, rho_p_nodes, gamma, centres):
+    """Evaluate rho(z) = mean_c K_1(z - c) - sum_q K_2(z - z_q) rho_p(z_q) w_q
+    at points z (complex or SpectralPoint)."""
     g = _aniso(gamma).gamma
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    vals = np.array([p.value if isinstance(p, SpectralPoint) else p for p in z])
-    out = np.empty(len(vals), dtype=complex)
-    coeff = grid.w * rho_p_nodes
-    for i, zz in enumerate(vals):
-        im = np.mod(zz.imag, np.pi)
-        on_real = min(im, np.pi - im) < 1e-9
-        on_shift = abs(im - np.pi / 2) < 1e-9
-        if on_real or on_shift:
-            xr = zz.real
-            crossed = grid.shifted ^ on_shift
-            if center is not None:
-                drive = _kernel_branch(xr - center, on_shift, 1, g)
-            elif mu is None or len(mu) == 0:
-                drive = _kernel_branch(xr, on_shift, 1, g)
-            else:
-                drive = np.mean(
-                    [_kernel_branch(xr - complex(m).real, on_shift, 1, g) for m in mu]
-                )
-            out[i] = drive - np.sum(_kernel_branch(xr - grid.x, crossed, 2, g) * coeff)
-        else:
-            zz0 = zz - (center or 0.0)
-            drive = kernel_K(1, zz0, gamma) if center is not None or mu is None or len(mu) == 0 \
-                else np.mean([kernel_K(1, zz - m, gamma) for m in mu])
-            ks = np.array([kernel_K(2, zz - v, gamma) for v in grid.values])
-            out[i] = drive - np.sum(ks * coeff)
+    vals = np.array(
+        [p.value if isinstance(p, SpectralPoint) else p for p in np.atleast_1d(z)], dtype=complex
+    )
+    drive = _kernel_at(1, vals, centres, g).mean(axis=1)
+    out = drive - _kernel_at(2, vals, grid.values, g) @ (grid.w * rho_p_nodes)
     if np.max(np.abs(out.imag)) < 1e-10 * (1 + np.max(np.abs(out.real))):
         out = out.real
     return out if out.shape != (1,) else out[0]
@@ -226,7 +220,8 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
         raise ValueError("theta must be sampled on the grid nodes")
     if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
         raise ValueError("theta must lie in [0, 1]")
-    rho = _nystrom_solve(theta, grid, g, _driving_k1(grid, g, mu))
+    drive = _kernel_at(1, grid.values, _centres(mu), g).mean(axis=1)
+    rho = _nystrom_solve(theta, grid, g, np.real(drive))
     prof = DensityProfile(
         grid=grid,
         theta=theta,
@@ -237,7 +232,7 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
         mu=tuple(mu) if mu is not None else None,
     )
     if check_resolution:
-        fine = contour_grid(gamma, grid.cutoff, 2 * grid.points_per_branch)
+        fine = contour_grid(gamma, grid.cutoff, grid.n_nodes)  # twice the actual per branch
         theta_fine = _transfer_theta(theta, grid, fine)
         ref = solve_density(theta_fine, fine, gamma, mu)
         d0 = abs(prof.rho_tot_at(0.0) - ref.rho_tot_at(0.0))
@@ -277,13 +272,10 @@ def local_densities(centers, theta, grid, gamma):
     gamma = _aniso(gamma)
     g = gamma.gamma
     theta = np.asarray(theta, dtype=float)
-    rhs = np.stack(
-        [_kernel_branch(grid.x - complex(c).real, grid.shifted, 1, g) for c in centers],
-        axis=1,
-    )
-    sol = _nystrom_solve(theta, grid, g, rhs)
+    centers = np.real(np.asarray(centers, dtype=complex))
+    sol = _nystrom_solve(theta, grid, g, np.real(_kernel_at(1, grid.values, centers, g)))
     return [
-        LocalDensity(float(np.real(c)), grid, theta, sol[:, i], gamma)
+        LocalDensity(float(c), grid, theta, sol[:, i], gamma)
         for i, c in enumerate(centers)
     ]
 
@@ -324,8 +316,8 @@ def h_function(lams, mu_window, locals_):
 
 @dataclass(frozen=True)
 class EfpResult:
-    """stderr and samples are set for Monte Carlo values; samples counts the
-    draws of one integral (each eps of a split window uses that many)."""
+    """Multiple-integral EFP on one grid; stderr and samples are set for a
+    Monte Carlo value."""
 
     value: float
     imag_residual: float
@@ -333,12 +325,14 @@ class EfpResult:
     mu_window: tuple
     cutoff: float
     points_per_branch: int
-    eps_schedule: tuple | None = None
     stderr: float | None = None
     samples: int | None = None
 
     def __float__(self):
         return self.value
+
+
+_SINH_REACH = 700.0  # largest sinh argument of the pair and slot tables
 
 
 def efp_thermo(
@@ -347,7 +341,6 @@ def efp_thermo(
     theta,
     grid,
     gamma,
-    eps_schedule=None,
     mc_samples=200_000,
     seed=0,
     check_convergence=False,
@@ -357,14 +350,17 @@ def efp_thermo(
 
         1/prod_{l<m} sinh(w_l - w_m) * int ... int H({lam}, {w}) prod_l theta(lam_l) dlam_l
 
-    For n <= 3 the quadrature node sum is a Leibniz expansion of the
+    The local densities enter H only through det[rho_i(lam_j)], and rho_i is
+    linear in its driving K_1(lam - w_i) = R(lam; w_i) / 2 pi i.  So one
+    Nystrom solve is driven by the divided-difference window rows of
+    `determinant.window_dd_rows`, and the prefactor is taken in that basis:
+    coincident columns (a homogeneous window) take the same path as distinct
+    ones.  For n <= 3 the quadrature node sum is a Leibniz expansion of the
     determinant times BLAS contractions of the pair factors, O(n! P^3) for P
     nodes with theta != 0.  Above n = 3 (or with force_mc) it is a stratified
     Monte Carlo estimate whose integrand is evaluated in batches of index
-    tuples.  A window with coincident columns is split symmetrically by eps
-    and the values are Richardson-extrapolated in eps^2; a Monte Carlo
-    stderr is carried through as sum_i |c_i| sigma_i over the extrapolation
-    weights c_i (every eps uses the same seed, so the errors add linearly).
+    tuples.  A grid whose sinh tables would overflow,
+    max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700, is a ValueError.
     """
     gamma = _aniso(gamma)
     if n == 0:
@@ -372,21 +368,15 @@ def efp_thermo(
     mu_window = [float(np.real(w)) for w in mu_window]
     if len(mu_window) != n:
         raise ValueError(f"need {n} window columns, got {len(mu_window)}")
-    schedule = None
-    if determinant._distinct(mu_window):
-        val, stderr, samples = _efp_integral(
-            n, np.asarray(mu_window), theta, grid, gamma, mc_samples, seed, force_mc
+    reach = max(2 * grid.cutoff, (n - 1) * (grid.cutoff + max(map(abs, mu_window))))
+    if reach > _SINH_REACH:
+        raise ValueError(
+            f"cutoff {grid.cutoff:g} is too large for n = {n}: the sinh tables reach "
+            f"{reach:.0f} > {_SINH_REACH:.0f} and overflow"
         )
-    else:
-        schedule = tuple(eps_schedule or determinant._scaled_eps_schedule(gamma))
-        windows, c = determinant._eps_split(mu_window[0], n, schedule)
-        parts = [
-            _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc) for w in windows
-        ]
-        val = c @ [p[0] for p in parts]
-        stderr, samples = parts[0][1], parts[0][2]
-        if stderr is not None:
-            stderr = float(np.abs(c) @ [p[1] for p in parts])
+    val, stderr, samples = _efp_integral(
+        n, np.asarray(mu_window), theta, grid, gamma, mc_samples, seed, force_mc
+    )
     res = EfpResult(
         float(np.real(val)),
         float(abs(np.imag(val))),
@@ -394,7 +384,6 @@ def efp_thermo(
         tuple(mu_window),
         grid.cutoff,
         grid.points_per_branch,
-        eps_schedule=schedule,
         stderr=stderr,
         samples=samples,
     )
@@ -404,10 +393,10 @@ def efp_thermo(
     if res.imag_residual > imag_floor:
         logger.warning("EFP imaginary residue %.2e exceeds 1e-6", res.imag_residual)
     if check_convergence:
-        fine = contour_grid(gamma, grid.cutoff, 2 * grid.points_per_branch)
+        fine = contour_grid(gamma, grid.cutoff, grid.n_nodes)  # twice the actual per branch
         ref = efp_thermo(
             n, mu_window, _transfer_theta(theta, grid, fine), fine, gamma,
-            eps_schedule=eps_schedule, mc_samples=mc_samples, seed=seed,
+            mc_samples=mc_samples, seed=seed,
         )
         if abs(ref.value - res.value) > 1e-4 * (1 + abs(res.value)):
             raise ConvergenceError(
@@ -417,19 +406,36 @@ def efp_thermo(
     return res
 
 
+def _dd_densities(w, theta, grid, gamma, points=()):
+    """Nystrom solution driven by the divided-difference window rows divided
+    by 2 pi i, as an (n, nodes) array, the same solution interpolated at the
+    extra `points` as an (n, points) array, and the window prefactor."""
+    g = gamma.gamma
+    points = np.asarray(points, dtype=complex)
+    dd, pref = determinant.window_dd_rows(np.concatenate([grid.values, points]), w, gamma.eta)
+    drive = dd / (2j * np.pi)
+    rho = _nystrom_solve(theta, grid, g, np.real(drive[:, : grid.n_nodes]).T)
+    coeff = (theta * grid.w)[:, None] * rho
+    at = drive[:, grid.n_nodes :] - (_kernel_at(2, points, grid.values, g) @ coeff).T
+    return rho.T, at, pref
+
+
 def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
     """(value, stderr, samples) of the n-fold directed integral."""
-    locals_ = local_densities(w, theta, grid, gamma)
+    rho, _, pref = _dd_densities(w, theta, grid, gamma)
     active = np.abs(theta * grid.w) > 0
     z = grid.values[active]
     c = (theta * grid.w)[active]
-    R = np.stack([loc.rho_tot for loc in locals_], axis=0)[:, active]
-    pref = determinant._window_prefactor(w)
+    R = rho[:, active]
     if n <= 3 and not force_mc:
         return pref * determinant._node_sum(z, c, R, w, gamma.gamma), None, None
-    # Monte Carlo with theta-weighted importance sampling over the nodes
+    # Monte Carlo with theta-weighted importance sampling over the nodes, by
+    # |c * mean_i rho_i| over the actual rows: row i is sum_k L[i, k] R[k] with
+    # L[i, k] = prod_{m<k}(u_i - u_m), u = e^{2(w - wbar)}
+    uw = np.exp(2 * (w - w.mean()))
+    L = np.cumprod(np.hstack([np.ones((n, 1)), uw[:, None] - uw[None, :-1]]), axis=1)
     rng = np.random.default_rng(seed)
-    q = np.abs(c * R.mean(axis=0))
+    q = np.abs(c * (L.mean(axis=0) @ R))
     q = q / q.sum()
     cdf = np.cumsum(q)
     n_strata = 32
@@ -448,26 +454,24 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
     return pref * vals.mean(), abs(pref) * err, samples
 
 
-def efp_sum_finite(roots, mu_window, profile, locals_=None):
+def efp_sum_finite(roots, mu_window, profile):
     """Finite-root version of the multiple-integral EFP:
 
         1/(M^n prod_{l<m} sinh(w_l - w_m)) * sum over distinct root tuples of
         H({lam_i}, {w}) prod_l 1/rho_tot(lam_i_l)
 
-    with the densities taken from the integral equation of `profile`.
+    with the densities taken from the integral equation of `profile`: the
+    divided-difference solution of `efp_thermo`, Nystrom-interpolated at the
+    roots, and the prefactor in that basis.
     """
     w = np.array([float(np.real(x)) for x in mu_window])
     n = len(w)
     if n == 0:
         return 1.0
-    if locals_ is None:
-        locals_ = local_densities(w, profile.theta, profile.grid, profile.gamma)
     lams = roots.values
-    rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
+    _, rows, pref = _dd_densities(w, profile.theta, profile.grid, profile.gamma, lams)
     weight = 1.0 / (len(roots.mu) * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
-    val = determinant._window_prefactor(w) * determinant._node_sum(
-        lams, weight, rows, w, roots.gamma.gamma
-    )
+    val = pref * determinant._node_sum(lams, weight, rows, w, roots.gamma.gamma)
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
         logger.warning("finite EFP sum imaginary residue %.2e", val.imag)
     return float(val.real)

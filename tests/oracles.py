@@ -13,12 +13,18 @@ Bethe roots.  The monodromy oracle multiplies explicit Kronecker-product
 embeddings of the 4x4 vertex matrix on the auxiliary-times-spin space.
 The Nystrom oracle assembles the full density matrix entry by entry from the
 complex kernel K_2 and solves it densely, where the package factorizes only
-the occupied block of a real-valued branch kernel.
+the occupied block of a real-valued branch kernel.  The divided-difference
+oracle runs the recursive definition on the sinh form of the window rows
+in 60-digit arithmetic, where the package uses a closed form in
+u = e^{2w}.  The alternating-sign-matrix oracle is the closed-form XXZ EFP
+at Delta = 1/2 in exact integers.
 """
 
+import math
 from functools import lru_cache
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 
 from svdwbc import determinant, thermo
@@ -212,3 +218,40 @@ def efp_tuple_sum(roots, window):
     for wi in w:
         total *= np.prod(np.sinh(lams - wi - eta / 2) / np.sinh(lams - wi + eta / 2))
     return total
+
+
+def asm_efp(n):
+    """XXZ emptiness formation probability at gamma = pi/3 (Delta = 1/2):
+    P(n) = A_n / 2^{n^2} with A_n = prod_{k<n} (3k+1)!/(n+k)! the number of
+    n x n alternating-sign matrices (Razumov-Stroganov, J. Phys. A 34 (2001)
+    3185; Kitanine-Maillet-Slavnov-Terras, J. Phys. A 35 (2002) L385)."""
+    num = math.prod(math.factorial(3 * k + 1) for k in range(n))
+    den = math.prod(math.factorial(n + k) for k in range(n))
+    assert num % den == 0
+    return (num // den) / 2 ** (n * n)
+
+
+def window_dd_rows_mp(lam, window, eta, dps=60):
+    """Newton divided differences R[u_1..u_i](lam), i = 1..n, of the window row
+    R(lam; w) = sinh(eta) / [sinh(lam - w - eta/2) sinh(lam - w + eta/2)] over
+    u = e^{2(w - wbar)}, by the recursive definition on pairwise distinct
+    columns, and prod_{l<m}(u_m - u_l) / sinh(w_l - w_m)."""
+    with mpmath.workdps(dps):
+        lam, eta = mpmath.mpc(lam), mpmath.mpc(eta)
+        w = [mpmath.mpc(x) for x in window]
+        wbar = sum(w) / len(w)
+        u = [mpmath.exp(2 * (x - wbar)) for x in w]
+        table = [
+            mpmath.sinh(eta) / (mpmath.sinh(lam - x - eta / 2) * mpmath.sinh(lam - x + eta / 2))
+            for x in w
+        ]
+        rows = [table[0]]
+        for level in range(1, len(w)):
+            table = [(table[i + 1] - table[i]) / (u[i + level] - u[i])
+                     for i in range(len(table) - 1)]
+            rows.append(table[0])
+        pref = mpmath.mpc(1)
+        for l in range(len(w)):
+            for m in range(l + 1, len(w)):
+                pref *= (u[m] - u[l]) / mpmath.sinh(w[l] - w[m])
+        return np.array([complex(r) for r in rows]), complex(pref)

@@ -114,7 +114,7 @@ def test_criterion_06_finite_size_efp():
     for M in (4, 6):
         lattices = [
             tuple(np.sort(0.3 * rng.normal(size=M))),  # generic distinct columns
-            (0.0,) * M,  # homogeneous columns, extrapolated windows
+            (0.0,) * M,  # homogeneous columns, coincident windows
         ]
         for mus in lattices:
             roots = bethe.solve_bae(

@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from svdwbc import cli, determinant
-from svdwbc.algebra import AnisotropyParam
+from svdwbc import cli
 
 
 def run(argv):
@@ -135,15 +137,14 @@ class TestEfpFiniteCommand:
     def test_out_of_range_window(self, capsys):
         assert run(["efp-finite", "--M", "4", "--n", "3", "--k", "2"]) == 2
 
-    def test_near_coincident_window_records_schedule(self, tmp_path):
-        # columns 1e-12 apart are split and extrapolated like equal ones, so
-        # the schedule must be recorded for the run to be reproducible
+    def test_near_coincident_window_matches_bruteforce(self, tmp_path):
+        # columns 1e-12 apart take the one divided-difference path, which
+        # has no parameter to record
         out = tmp_path / "efp.json"
         assert run(["efp-finite", "--M", "4", "--mu=-0.3,0.0,1e-12,0.3", "--n", "2",
                     "--k", "1", "--out", str(out)]) == 0
         doc = load(out)
-        assert doc["config"]["eps_schedule"] == pytest.approx(list(
-            determinant._scaled_eps_schedule(AnisotropyParam(0.6))))
+        assert "eps_schedule" not in doc["config"]
         assert doc["results"]["efp"] == pytest.approx(doc["results"]["bruteforce"], abs=1e-8)
 
 
@@ -174,16 +175,30 @@ class TestEfpThermoCommand:
         assert doc["results"]["efp"] == pytest.approx(0.5, abs=1e-6)
         assert doc["config"]["points"] == 256
 
-    def test_degenerate_window_records_schedule(self, tmp_path):
+    def test_degenerate_window_value(self, tmp_path):
         out = tmp_path / "efp2.json"
         assert run(["efp-thermo", "--n", "2", "--gamma", "0.6", "--points", "128",
                     "--out", str(out)]) == 0
         doc = load(out)
-        assert doc["config"]["eps_schedule"] is not None
+        assert "eps_schedule" not in doc["config"]
         assert 0 < doc["results"]["efp"] < 0.5
 
     def test_invalid_gamma(self, capsys):
         assert run(["efp-thermo", "--n", "1", "--gamma", "2.0"]) == 2
+
+    def test_large_cutoff_matches_default(self, tmp_path):
+        # at cutoff 300 the window rows reach e^{+-600}; each stays finite
+        values = []
+        for extra in ([], ["--cutoff", "300"]):
+            out = tmp_path / f"efp{len(extra)}.json"
+            assert run(["efp-thermo", "--n", "2", *extra, "--out", str(out)]) == 0
+            values.append(load(out)["results"]["efp"])
+        assert abs(values[1] - values[0]) < 1e-10
+
+    def test_overflowing_cutoff_is_bad_input(self, capsys):
+        # the pair table sinh(z_b - z_a - i gamma) would reach sinh(800)
+        assert run(["efp-thermo", "--n", "2", "--cutoff", "400"]) == 2
+        assert "cutoff" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -202,3 +217,15 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert run(["solve-bae", "--N", "1", "--config", str(cfg)]) == 2
+
+
+class TestReadme:
+    def test_flags_line_lists_every_option(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        line = re.search(r"Flags: `([^`]*)`", text).group(1)
+        listed = set(re.findall(r"--[A-Za-z][A-Za-z-]*", line))
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for p in sub.choices.values() for a in p._actions
+                 for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+        assert listed == flags

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import efp_tuple_sum, varphi_prime_fd
+from oracles import efp_tuple_sum, varphi_prime_fd, window_dd_rows_mp
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import LatticeSpec, homogeneous_spec
 from svdwbc.errors import PoleError
@@ -280,6 +280,84 @@ class TestEfpFinite:
         assert determinant.efp_finite(req) == pytest.approx(0.5, abs=1e-10)
 
 
+class TestCoincidentWindows:
+    """Coincident columns take the divided-difference path of distinct ones."""
+
+    @pytest.mark.parametrize("M", [8, 12])
+    def test_homogeneous_windows_without_bethe_resolves(self, gamma, monkeypatch, M):
+        roots = bethe.solve_ground_state(M, gamma)
+        calls = []
+        solve = bethe.solve_bae
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bethe, "solve_bae", counting_solve)
+        for n in range(1, 5):
+            for k in sorted({0, (M - n) // 2, M - n}):
+                val = determinant.efp_finite(roots, k, n, return_complex=True)
+                brute = algebra.correlator_bruteforce(
+                    roots.values, roots.spec, gamma, range(k + 1, k + n + 1), return_complex=True
+                )
+                assert abs(val - brute) < 1e-13
+        assert calls == []
+
+    def test_near_coincident_window(self, gamma):
+        roots = bethe.solve_bae(*bethe.ground_state_numbers(2),
+                                LatticeSpec(4, (-0.3, 0.0, 1e-12, 0.3)), gamma)
+        val = determinant.efp_finite(roots, 1, 2, return_complex=True)
+        brute = algebra.correlator_bruteforce(roots.values, roots.spec, gamma, [2, 3],
+                                              return_complex=True)
+        assert abs(val - brute) < 1e-13
+
+
+class TestWindowDDRows:
+    WINDOW = (-0.21, 0.05, 0.33, 0.4)
+
+    @staticmethod
+    def _rows(lam, w, eta):
+        return np.sinh(eta) / (np.sinh(lam - w - eta / 2) * np.sinh(lam - w + eta / 2))
+
+    @pytest.mark.parametrize("offset", [-300.0, -1.3, 0.0, 0.7, 300.0])
+    def test_matches_recursive_divided_differences(self, gamma, offset):
+        # at Re(lam - wbar) = +-300 the plain products of a overflow
+        lams = np.mean(self.WINDOW) + offset + np.array([0.0, 0.4j, 0.5j * np.pi])
+        for n in range(1, 5):
+            w = self.WINDOW[:n]
+            lams_n = lams - np.mean(self.WINDOW) + np.mean(w)
+            rows, pref = determinant.window_dd_rows(lams_n, w, gamma.eta)
+            for j, lam in enumerate(lams_n):
+                ref, ref_pref = window_dd_rows_mp(lam, w, gamma.eta)
+                scale = 1e-12 * np.abs(ref) + 1e-15 * np.max(np.abs(ref))
+                assert np.all(np.abs(rows[:, j] - ref) <= scale)
+            assert abs(pref - ref_pref) <= 1e-13 * abs(ref_pref)
+
+    @pytest.mark.parametrize("offset", [-300.0, 300.0])
+    def test_low_orders_against_actual_rows(self, gamma, offset):
+        w = np.array(self.WINDOW[:2])
+        lams = np.mean(w) + offset + np.array([0.0, 0.3j])
+        eta = gamma.eta
+        one = determinant.window_dd_rows(lams, w[:1], eta)[0][0]
+        assert np.all(np.abs(one - self._rows(lams, w[0], eta)) <= 1e-13 * np.abs(one))
+        two = determinant.window_dd_rows(lams, w, eta)[0][1]
+        u = np.exp(2 * (w - w.mean()))
+        quotient = (self._rows(lams, w[1], eta) - self._rows(lams, w[0], eta)) / (u[1] - u[0])
+        assert np.all(np.abs(two - quotient) <= 1e-12 * np.abs(quotient))
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_column_on_shifted_root_raises(self, gamma, side):
+        # lam - w_2 = +-eta/2, on both sides of the window mean
+        w = (-2.0, 0.1) if side > 0 else (0.1, 2.0)
+        with pytest.raises(PoleError):
+            determinant.window_dd_rows([0.3, 0.1 + side * gamma.eta / 2], w, gamma.eta)
+
+    def test_homogeneous_prefactor(self, gamma):
+        rows, pref = determinant.window_dd_rows([0.2], [0.4] * 3, gamma.eta)
+        assert pref == pytest.approx(-8.0, abs=1e-15)
+        assert np.all(np.isfinite(rows))
+
+
 def _seeded_roots(rng, M, gamma, imag_scale=0.0):
     mus = np.sort(0.3 * rng.normal(size=M)) + 1j * imag_scale * rng.normal(size=M)
     return bethe.solve_bae(*bethe.ground_state_numbers(M // 2), LatticeSpec(M, tuple(mus)), gamma)
@@ -306,6 +384,16 @@ class TestEfpTupleOracle:
             val = determinant.efp_finite(roots, 3, n, return_complex=True)
             ref = efp_tuple_sum(roots, roots.mu[3 : 3 + n])
             assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+    def test_close_columns_at_m20(self, gamma):
+        # window columns 0.005 apart: the window prefactor no longer amplifies
+        # the cancelling terms of the n = 3 Leibniz contraction
+        roots = _seeded_roots(np.random.default_rng(131), 20, gamma)
+        val = determinant.efp_finite(roots, 8, 3, return_complex=True)
+        ref = efp_tuple_sum(roots, roots.mu[8:11])
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+        assert abs(val.imag) < 1e-14
 
 
 class TestEfpProperties:

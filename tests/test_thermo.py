@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (
+    asm_efp,
     efp_integrand_h,
     efp_node_sum,
     efp_tuple_sum,
@@ -154,6 +155,16 @@ class TestDensity:
     def test_coarse_grid_logs_under_resolution(self, gamma, caplog):
         # two nodes per panel; the doubled grid has four
         grid = thermo.contour_grid(gamma, points_per_branch=32)
+        with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
+            thermo.solve_density(
+                thermo.ground_state_theta(grid), grid, gamma, check_resolution=True
+            )
+        assert any("grid under-resolved" in r.getMessage() for r in caplog.records)
+
+    def test_doubling_below_two_points_per_panel(self, gamma, caplog):
+        # 16 points on 16 panels clamp to order 2 (32 nodes per branch); the
+        # check must double what was built, or it compares a grid with itself
+        grid = thermo.contour_grid(gamma, cutoff=20.0, points_per_branch=16)
         with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
             thermo.solve_density(
                 thermo.ground_state_theta(grid), grid, gamma, check_resolution=True
@@ -455,6 +466,30 @@ class TestEfpThermo:
         assert res.value == 1.0
 
 
+class TestAsmOracle:
+    """Homogeneous windows at gamma = pi/3 against P(n) = A_n / 2^{n^2}."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        g = AnisotropyParam(np.pi / 3)
+        grid = thermo.contour_grid(g)
+        return g, grid, thermo.ground_state_theta(grid)
+
+    def test_oracle_counts_alternating_sign_matrices(self):
+        assert [asm_efp(n) * 2 ** (n * n) for n in range(1, 6)] == [1, 2, 7, 42, 429]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_node_sum(self, setup, n):
+        g, grid, theta = setup
+        res = thermo.efp_thermo(n, [0.0] * n, theta, grid, g)
+        assert abs(res.value - asm_efp(n)) <= 1e-12 * asm_efp(n)
+
+    def test_monte_carlo_n4(self, setup):
+        g, grid, theta = setup
+        res = thermo.efp_thermo(4, [0.0] * 4, theta, grid, g, seed=4)
+        assert abs(res.value - asm_efp(4)) < 5 * res.stderr
+
+
 def _oracle_inputs(window, theta, grid, gamma):
     """Active nodes, directed weights and local-density rows for the oracle."""
     active = np.abs(theta * grid.w) > 0
@@ -523,7 +558,6 @@ class TestNodeSumOracle:
         tensor = thermo.efp_thermo(2, [0.0, 0.0], theta, coarse_grid, gamma)
         mc = thermo.efp_thermo(2, [0.0, 0.0], theta, coarse_grid, gamma,
                                force_mc=True, mc_samples=20000, seed=3)
-        assert mc.eps_schedule is not None
         assert mc.samples == 20000
         assert mc.stderr > 0
         assert abs(mc.value - tensor.value) < 5 * mc.stderr

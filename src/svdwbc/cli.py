@@ -253,17 +253,20 @@ def build_parser():
         p.add_argument("--config", type=str, default=None,
                        help="key=value file supplying flag defaults")
         p.add_argument("--out", type=str, default=None, help="output file")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=1e-12)
         if with_lattice:
+            p.add_argument("--tol", type=float, default=1e-12)
             p.add_argument("--M", type=int, default=0, help="lattice size (even)")
             p.add_argument("--N", type=int, default=0, help="number of roots (M = 2N)")
             p.add_argument("--mu", type=str, default=None,
                            help="'homogeneous', comma list, or @file")
+        else:
+            p.add_argument("--cutoff", type=float, default=None)
+            p.add_argument("--points", type=int, default=256, help="points per branch")
 
     p = sub.add_parser("verify", help="run the brute-force cross-check battery")
     common(p)
     p.set_defaults(M=4, tol=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--draws", type=int, default=100)
     p.set_defaults(func=_cmd_verify)
 
@@ -290,8 +293,6 @@ def build_parser():
     common(p, with_lattice=False)
     p.add_argument("--mu", type=str, default=None,
                    help="'homogeneous' or comma list for the averaged driving term")
-    p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--points", type=int, default=256, help="points per branch")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("efp-thermo", help="multiple-integral emptiness formation probability")
@@ -299,9 +300,8 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--mu-window", dest="mu_window", type=str, default=None,
                    help="window column values (default: homogeneous zeros)")
-    p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--points", type=int, default=256)
     p.add_argument("--samples", type=int, default=200000, help="Monte Carlo samples (n >= 4)")
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_efp_thermo)
 
     return parser

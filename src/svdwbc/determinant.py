@@ -6,14 +6,13 @@ expansion of a product of D-operators over Bethe states, the determinant
 ratio for scalar products with partially replaced rapidities, and the
 emptiness formation probability (EFP).  Summing those pieces over ordered
 root tuples gives the node sum of a separable integrand H, which is written
-here once and serves the finite-size EFP and the thermodynamic multiple
-integral in `thermo` alike.  Every formula here has a brute-force
-counterpart in `algebra` used by the test suite.
+here once and summed by one exact contraction at every window length, for
+the finite-size EFP and the thermodynamic multiple integral in `thermo`.
+Every formula here has a brute-force counterpart in `algebra` used by tests.
 """
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -328,7 +327,7 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
 # Every EFP sum, finite size and thermodynamic, reads H from the node tables
 # of _integrand_factors.
 
-_CHUNK = 8192  # index tuples per batched evaluation of H; bounds the (B, n, n) stacks
+_CHUNK = 8192  # sampled tuples per batched evaluation of H; bounds the (B, n, n) stacks
 
 
 def _integrand_factors(z, w, g):
@@ -359,34 +358,37 @@ def _h_tuples(idx, R, F, D, weight):
 def _node_sum(z, weight, R, w, g):
     """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an).
 
-    For n <= 3 the determinant is expanded by Leibniz; each permutation sigma
-    contracts the vectors G_l = weight * R_sigma(l) * f_l over the complete graph
-    of E = 1/D by BLAS, O(n! P^3) for P nodes.  Repeated-index terms cancel
-    between permutations.  Above n = 3 the batched H runs over all P^n tuples.
+    Leibniz expansion of the determinant: each permutation sigma contracts
+    G_l = weight * R_sigma(l) * f_l over the complete graph of E = 1/D, last
+    slot first, with one BLAS product for the first elimination and each
+    intermediate computed once per suffix of sigma.  O(n P^n) work, P^(n-1)
+    memory for P nodes; diag(E) = 0 drops repeated-index tuples exactly.
     """
-    n = len(w)
+    n, P = len(w), len(z)
+    if P ** (n - 1) > 2**24:  # 256 MiB per complex intermediate
+        raise ValueError(f"exact node sum: {P}^{n - 1} entries per intermediate exceed 2^24")
     F, D = _integrand_factors(z, w, g)
-    if n > 3:
-        count = len(z) ** n
-        return sum(
-            _h_tuples(
-                np.array(np.unravel_index(np.arange(s, min(s + _CHUNK, count)), (len(z),) * n)),
-                R, F, D, weight,
-            ).sum()
-            for s in range(0, count, _CHUNK)
-        )
-    if n == 1:
-        return np.sum(weight * R[0] * F[0])
     E = 1.0 / D
+    np.fill_diagonal(E, 0.0)
     G = weight * R[:, None, :] * F[None, :, :]  # G[k, l] = weight * R_k * f_l
-    # sum_{a,b,c} G0[a] G1[b] G2[c] E[a,b] E[a,c] E[b,c] = G0 (E o (E diag(G2) E^T)) G1,
-    # and the inner matrix depends on sigma(2) alone
-    pair = [E * ((E * G[k, 2]) @ E.T) for k in range(n)] if n == 3 else [E] * n
-    total = 0.0 + 0j
-    for perm in permutations(range(n)):
-        sign = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
-        total += sign * (G[perm[0], 0] @ pair[perm[-1]] @ G[perm[1], 1])
-    return total
+    # couple[l + 1] ties slot l to the slots after it (slot -1 is a phantom
+    # with one value); kr[j] is the row-wise Khatri-Rao product of couple[:j]
+    couple = [np.ones((1, P))] + [E] * (n - 1)
+    kr = [np.ones((1, P))]
+    for c in couple[:-1]:
+        kr.append((kr[-1][:, None, :] * c).reshape(-1, P))
+
+    def eliminate(m, V, left):  # V = V_{m+1}; the rows `left` go to slots 0..m
+        if not left:
+            return V.item()
+        return sum((-1) ** (len(left) - 1 - j) * eliminate(
+            m - 1,
+            (kr[m] * G[k, m]) @ couple[m].T if m == n - 1  # the first elimination
+            else (kr[m + 1] * V.reshape(-1, P)) @ G[k, m],
+            left[:j] + left[j + 1:],
+        ) for j, k in enumerate(left))
+
+    return eliminate(n - 1, np.ones(1), list(range(n)))
 
 
 @dataclass(frozen=True)
@@ -427,16 +429,11 @@ def efp_finite(req_or_roots, k=None, n=None, return_complex=False):
     and the divided-difference window rows (window_dd_rows) solved against
     phi'^T, times the window prefactor in that basis.  Coincident columns
     (a homogeneous window) take the same path as distinct ones.  The node
-    sum costs O(n! N^3) for n <= 3 and N^n batched tuples above.
+    sum costs O(n N^n) for N roots at every window length n.
     """
-    if isinstance(req_or_roots, EfpRequest):
-        roots, k, n = req_or_roots.roots, req_or_roots.k, req_or_roots.n
-    else:
-        roots = req_or_roots
+    req = req_or_roots if isinstance(req_or_roots, EfpRequest) else EfpRequest(k, n, req_or_roots)
+    roots, k, n = req.roots, req.k, req.n
     _check_bethe(roots)
-    M = len(roots.mu)
-    if n < 0 or k < 0 or k + n > M:
-        raise ValueError(f"window k+1..k+n must fit in 1..{M}: k={k}, n={n}")
     window = np.array(roots.mu[k : k + n], dtype=complex)
     if n == 0:
         val = 1.0 + 0j

@@ -134,6 +134,8 @@ def _nystrom_solve(theta, grid, g, rhs):
     so only the block of occupied nodes is factorized; rho at the other
     nodes is rhs minus the occupied columns applied to that block's
     solution.  Only the occupied kernel columns are built."""
+    if g == 0:
+        raise ValueError("the density equation degenerates at gamma = 0")
     c = theta * grid.w
     act = c != 0
     x, sh = grid.x, grid.shifted
@@ -344,7 +346,6 @@ def efp_thermo(
     mc_samples=200_000,
     seed=0,
     check_convergence=False,
-    force_mc=False,
 ):
     """Multiple-integral EFP over the directed contour:
 
@@ -355,11 +356,10 @@ def efp_thermo(
     Nystrom solve is driven by the divided-difference window rows of
     `determinant.window_dd_rows`, and the prefactor is taken in that basis:
     coincident columns (a homogeneous window) take the same path as distinct
-    ones.  For n <= 3 the quadrature node sum is a Leibniz expansion of the
-    determinant times BLAS contractions of the pair factors, O(n! P^3) for P
-    nodes with theta != 0.  Above n = 3 (or with force_mc) it is a stratified
-    Monte Carlo estimate whose integrand is evaluated in batches of index
-    tuples.  A grid whose sinh tables would overflow,
+    ones.  For n <= 3 the quadrature node sum is exact, O(n P^n) for P nodes
+    with theta != 0.  Above n = 3 it is a stratified Monte Carlo estimate of
+    mc_samples >= 32 draws, at least one per stratum, evaluated in batches of
+    index tuples.  A grid whose sinh tables would overflow,
     max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700, is a ValueError.
     """
     gamma = _aniso(gamma)
@@ -375,7 +375,7 @@ def efp_thermo(
             f"{reach:.0f} > {_SINH_REACH:.0f} and overflow"
         )
     val, stderr, samples = _efp_integral(
-        n, np.asarray(mu_window), theta, grid, gamma, mc_samples, seed, force_mc
+        n, np.asarray(mu_window), theta, grid, gamma, mc_samples, seed
     )
     res = EfpResult(
         float(np.real(val)),
@@ -420,26 +420,28 @@ def _dd_densities(w, theta, grid, gamma, points=()):
     return rho.T, at, pref
 
 
-def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed, force_mc=False):
+def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     """(value, stderr, samples) of the n-fold directed integral."""
     rho, _, pref = _dd_densities(w, theta, grid, gamma)
     active = np.abs(theta * grid.w) > 0
     z = grid.values[active]
     c = (theta * grid.w)[active]
     R = rho[:, active]
-    if n <= 3 and not force_mc:
+    if n <= 3:
         return pref * determinant._node_sum(z, c, R, w, gamma.gamma), None, None
     # Monte Carlo with theta-weighted importance sampling over the nodes, by
     # |c * mean_i rho_i| over the actual rows: row i is sum_k L[i, k] R[k] with
     # L[i, k] = prod_{m<k}(u_i - u_m), u = e^{2(w - wbar)}
     uw = np.exp(2 * (w - w.mean()))
     L = np.cumprod(np.hstack([np.ones((n, 1)), uw[:, None] - uw[None, :-1]]), axis=1)
+    n_strata = 32
+    if mc_samples < n_strata:
+        raise ValueError(f"need at least {n_strata} Monte Carlo samples, one per stratum")
     rng = np.random.default_rng(seed)
     q = np.abs(c * (L.mean(axis=0) @ R))
     q = q / q.sum()
     cdf = np.cumsum(q)
-    n_strata = 32
-    per = max(1, mc_samples // n_strata)
+    per = mc_samples // n_strata
     samples = n_strata * per
     u = (np.arange(n_strata)[:, None] + rng.random((n_strata, per))) / n_strata
     idx0 = np.minimum(np.searchsorted(cdf, u.ravel()), len(z) - 1)

@@ -109,6 +109,12 @@ class TestSolveBae:
         assert res["v"] == [-1, -1]
         assert all(r["branch"] == "shifted" for r in res["roots"])
 
+    def test_unread_seed_flag_is_bad_input(self):
+        # only verify and efp-thermo draw random numbers
+        with pytest.raises(SystemExit) as exc:
+            run(["solve-bae", "--N", "2", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_inadmissible_numbers_exit_code(self, capsys):
         code = run(["solve-bae", "--M", "8", "--numbers=-1.5,-0.5,0.5,2.5"])
         assert code == 3
@@ -165,6 +171,11 @@ class TestDensityCommand:
         sidecar = load(tmp_path / "dens.csv.meta.json")
         assert sidecar["config"]["points"] == 256
 
+    def test_gamma_zero_rejected(self, tmp_path, capsys):
+        # the branch kernels are 0/0 at coincident abscissae when gamma = 0
+        assert run(["density", "--gamma", "0", "--out", str(tmp_path / "d.csv")]) == 2
+        assert "gamma = 0" in capsys.readouterr().err
+
 
 class TestEfpThermoCommand:
     def test_n1_ground_state(self, tmp_path):
@@ -185,6 +196,14 @@ class TestEfpThermoCommand:
 
     def test_invalid_gamma(self, capsys):
         assert run(["efp-thermo", "--n", "1", "--gamma", "2.0"]) == 2
+
+    def test_gamma_zero_rejected(self, capsys):
+        assert run(["efp-thermo", "--n", "2", "--gamma", "0"]) == 2
+        assert "gamma = 0" in capsys.readouterr().err
+
+    def test_fewer_samples_than_strata_rejected(self, capsys):
+        assert run(["efp-thermo", "--n", "4", "--points", "16", "--samples", "0"]) == 2
+        assert "samples" in capsys.readouterr().err
 
     def test_large_cutoff_matches_default(self, tmp_path):
         # at cutoff 300 the window rows reach e^{+-600}; each stays finite

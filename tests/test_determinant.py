@@ -376,6 +376,21 @@ class TestEfpTupleOracle:
             ref = efp_tuple_sum(roots, roots.mu[k : k + n])
             assert abs(val - ref) <= 1e-10 * abs(ref)
 
+    def test_n5_every_window_at_m10(self, gamma, rng):
+        # n = N = 5: the sum runs over the 120 orderings of all roots.  At the
+        # edge windows P ~ 1e-10 and the Leibniz terms cancel by ~1e8, so the
+        # bound there is an absolute 1e-18.  Brute force is the reference at
+        # every window (the tuple expansion is itself up to 2e-18 off)
+        roots = _seeded_roots(rng, 10, gamma)
+        for k in range(6):
+            val = determinant.efp_finite(roots, k, 5, return_complex=True)
+            brute = algebra.correlator_bruteforce(
+                roots.values, roots.spec, gamma, range(k + 1, k + 6), return_complex=True
+            )
+            assert abs(val - brute) <= 1e-10 * abs(brute) + 1e-18
+        ref = efp_tuple_sum(roots, roots.mu[2:7])
+        assert abs(determinant.efp_finite(roots, 2, 5) - ref) <= 1e-10 * abs(ref)
+
     def test_complex_inhomogeneities(self, gamma, rng):
         # imaginary parts at the solver's admission limit keep the window complex
         roots = _seeded_roots(rng, 10, gamma, imag_scale=3e-13)
@@ -397,6 +412,12 @@ class TestEfpTupleOracle:
 
 
 class TestEfpProperties:
+    def test_oversized_node_sum_rejected(self):
+        # 6 slots over 64 nodes would hold 64^5 entries per intermediate
+        z = np.linspace(-1.0, 1.0, 64).astype(complex)
+        with pytest.raises(ValueError, match="exceed"):
+            determinant._node_sum(z, np.ones(64), np.ones((6, 64)), np.zeros(6), 0.6)
+
     def test_bounds_and_monotonicity_beyond_tuple_loop(self, gamma, rng):
         # n = 4 at N = 16 is 43,680 ordered tuples for the expansion
         M = 32

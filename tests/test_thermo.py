@@ -451,16 +451,6 @@ class TestEfpThermo:
         )
         assert res.value > 0
 
-    def test_monte_carlo_agrees_with_tensor(self, gamma, grid06):
-        theta = thermo.ground_state_theta(grid06)
-        ref = thermo.efp_thermo(2, [-0.2, 0.2], theta, grid06, gamma)
-        mc = thermo.efp_thermo(
-            2, [-0.2, 0.2], theta, grid06, gamma, force_mc=True,
-            mc_samples=60000, seed=11,
-        )
-        assert mc.stderr is not None
-        assert abs(mc.value - ref.value) < 5 * mc.stderr
-
     def test_n0_is_one(self, gamma, grid06):
         res = thermo.efp_thermo(0, [], thermo.ground_state_theta(grid06), grid06, gamma)
         assert res.value == 1.0
@@ -489,6 +479,22 @@ class TestAsmOracle:
         res = thermo.efp_thermo(4, [0.0] * 4, theta, grid, g, seed=4)
         assert abs(res.value - asm_efp(4)) < 5 * res.stderr
 
+    def test_exact_node_sum_n4(self):
+        g = AnisotropyParam(np.pi / 3)
+        grid = thermo.contour_grid(g, cutoff=10.0, points_per_branch=96)
+        val = _exact_efp([0.0] * 4, thermo.ground_state_theta(grid), grid, g)
+        assert abs(val - asm_efp(4)) < 1e-7
+
+
+def _exact_efp(window, theta, grid, gamma):
+    """The exact node sum that efp_thermo takes for n <= 3, at any n."""
+    w = np.asarray(window, dtype=float)
+    rho, _, pref = thermo._dd_densities(w, theta, grid, gamma)
+    active = np.abs(theta * grid.w) > 0
+    return pref * determinant._node_sum(
+        grid.values[active], (theta * grid.w)[active], rho[:, active], w, gamma.gamma
+    )
+
 
 def _oracle_inputs(window, theta, grid, gamma):
     """Active nodes, directed weights and local-density rows for the oracle."""
@@ -516,6 +522,19 @@ class TestNodeSumOracle:
             ref = efp_node_sum(*_oracle_inputs(w, theta, coarse_grid, gamma), w, gamma)
             assert abs(res.value - ref.real) <= 1e-12 * abs(ref)
             assert abs(res.imag_residual - abs(ref.imag)) <= 1e-12 * abs(ref)
+
+    def test_node_sum_n4_matches_nested_loops(self, gamma, coarse_grid):
+        # theta on the whole real branch and on the four central nodes of
+        # the shifted one: 20 nodes keep the oracle's 116,280 tuples cheap
+        x = coarse_grid.x
+        theta = np.where(coarse_grid.shifted, 0.3 * (np.abs(x) < 0.3), 1.0 / (1.0 + x**2))
+        z, c, rows = _oracle_inputs(self.WINDOW, theta, coarse_grid, gamma)
+        assert len(z) == 20
+        w = np.array(self.WINDOW)
+        l, m = np.triu_indices(4, 1)
+        val = determinant._node_sum(z, c, rows, w, gamma.gamma) / np.prod(np.sinh(w[l] - w[m]))
+        ref = efp_node_sum(z, c, rows, self.WINDOW, gamma)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
 
     def test_h_function_matches_oracle(self, gamma, grid06, profile06):
         w = self.WINDOW[:3]
@@ -554,13 +573,21 @@ class TestNodeSumOracle:
         assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-14, abs=0)
 
     def test_split_window_keeps_monte_carlo_error(self, gamma, coarse_grid):
+        # a coincident window: Monte Carlo against the exact node sum of the
+        # same divided-difference rows
         theta = thermo.ground_state_theta(coarse_grid)
-        tensor = thermo.efp_thermo(2, [0.0, 0.0], theta, coarse_grid, gamma)
-        mc = thermo.efp_thermo(2, [0.0, 0.0], theta, coarse_grid, gamma,
-                               force_mc=True, mc_samples=20000, seed=3)
+        exact = _exact_efp([0.0] * 4, theta, coarse_grid, gamma)
+        mc = thermo.efp_thermo(4, [0.0] * 4, theta, coarse_grid, gamma,
+                               mc_samples=20000, seed=3)
         assert mc.samples == 20000
         assert mc.stderr > 0
-        assert abs(mc.value - tensor.value) < 5 * mc.stderr
+        assert abs(mc.value - exact.real) < 5 * mc.stderr
+
+    @pytest.mark.parametrize("samples", [-5, 0, 1, 31])
+    def test_fewer_samples_than_strata_rejected(self, gamma, coarse_grid, samples):
+        theta = thermo.ground_state_theta(coarse_grid)
+        with pytest.raises(ValueError, match="samples"):
+            thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma, mc_samples=samples)
 
 
 class TestEfpSumFinite:

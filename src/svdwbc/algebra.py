@@ -21,7 +21,9 @@ Seeding the identity in both auxiliary slots gives all four blocks A, B, C, D
 from one sweep (monodromy, transfer, transfer_apply); a single block seeds
 one slot.  Every local matrix equals its full transpose, so the transposed
 monodromy matrix L_1 ... L_M is the same sweep run over the columns in
-reverse order, with the block's row and column swapped.
+reverse order, with the block's row and column swapped.  Each stacked input
+may carry its own rapidity: the sweep then reads an (M, S) weight table, so
+S states, or S pairs of monodromy matrices, cost one sweep per factor.
 """
 
 from dataclasses import dataclass
@@ -116,30 +118,33 @@ def boltzmann_weights(lam, gamma):
 
 
 def l_matrix(lam, gamma):
-    """4x4 vertex matrix, row/column index 2*aux + site with up = 0."""
+    """4x4 vertex matrix, row/column index 2*aux + site with up = 0.  An array
+    lam gives a stack of shape lam.shape + (4, 4)."""
     a, b, c = boltzmann_weights(lam, gamma)
-    return np.array(
-        [
-            [a, 0, 0, 0],
-            [0, b, c, 0],
-            [0, c, b, 0],
-            [0, 0, 0, a],
-        ],
-        dtype=complex,
-    )
+    out = np.zeros(np.shape(b) + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = a
+    out[..., 1, 1] = out[..., 2, 2] = b
+    out[..., 1, 2] = out[..., 2, 1] = c
+    return out
 
 
 def d_eigenvalue(lam, mu, gamma):
-    """d(lam) = prod_k b(lam - mu_k), the D-eigenvalue on the all-up state."""
-    return np.prod(boltzmann_weights(lam - np.asarray(mu), gamma)[1]) if len(mu) else 1.0 + 0j
+    """d(lam) = prod_k b(lam - mu_k), the D-eigenvalue on the all-up state.
+    An array lam gives one value per entry, from one weight evaluation."""
+    b = boltzmann_weights(np.asarray(lam)[..., None] - np.asarray(mu, dtype=complex), gamma)[1]
+    return np.prod(b, axis=-1)
 
 
 def _column_weights(lam, spec, gamma):
-    """(b, c) of every column at rapidity lam; a PoleError names the column."""
+    """(b, c) tables of shape (M, S): the weights of every column at each of
+    the S rapidities of a 1-d lam (S = 1 for a scalar lam).  A pole at any
+    of them is a PoleError that names the column."""
+    lam = np.atleast_1d(lam)
+    mu = np.asarray(spec.mu, dtype=complex)
     try:
-        return boltzmann_weights(lam - np.asarray(spec.mu), gamma)[1:]
+        return boltzmann_weights(lam[None, :] - mu[:, None], gamma)[1:]
     except PoleError:
-        for k, m in enumerate(spec.mu, 1):
+        for k, m in enumerate(mu, 1):
             try:
                 boltzmann_weights(lam - m, gamma)
             except PoleError as exc:
@@ -149,9 +154,12 @@ def _column_weights(lam, spec, gamma):
 
 def _sweep(lam, spec, gamma, w, reverse=False):
     """Run the monodromy matrix in place over the stack w of shape
-    (2 aux, batch, 2^M, ...), where w[a, j] is the aux-a component of input j.
-    reverse=True runs the columns M..1, which applies the full transpose."""
+    (2 aux, S, 2^M, ...), where w[a, j] is the aux-a component of input j.
+    lam is one rapidity for every input, or a 1-d array with one rapidity
+    per input.  reverse=True runs the columns M..1, which applies the full
+    transpose."""
     b, c = _column_weights(lam, spec, gamma)
+    b, c = b[:, :, None, None], c[:, :, None, None]
     for k in range(spec.M - 1, -1, -1) if reverse else range(spec.M):
         v = w.reshape(2, w.shape[1], 1 << k, 2, -1)
         x, y = v[0, :, :, 1], v[1, :, :, 0]
@@ -183,10 +191,13 @@ def monodromy_apply(lam, spec, gamma, arr, block="B", transpose=False):
 
 
 def _all_blocks(lam, spec, gamma, arr):
-    """w[r, c] = T_rc(lam) arr for all four blocks, from one sweep."""
-    w = np.zeros((2, 2) + arr.shape, dtype=complex)
+    """w[r, c, s] = T_rc(lam_s) arr for all four blocks and every rapidity of
+    lam (a scalar or a 1-d array), from one sweep."""
+    lam = np.atleast_1d(lam)
+    w = np.zeros((2, 2, len(lam)) + np.shape(arr), dtype=complex)
     w[0, 0] = w[1, 1] = arr
-    return _sweep(lam, spec, gamma, w)
+    _sweep(np.tile(lam, 2), spec, gamma, w.reshape((2, -1) + np.shape(arr)))
+    return w
 
 
 def _require_dense(spec):
@@ -202,7 +213,7 @@ def _require_vector(spec):
 def monodromy(lam, spec, gamma):
     """Dense (A, B, C, D) blocks of the monodromy matrix at rapidity lam."""
     _require_dense(spec)
-    w = _all_blocks(lam, spec, gamma, np.eye(spec.dim))
+    w = _all_blocks(lam, spec, gamma, np.eye(spec.dim))[:, :, 0]
     return w[0, 0], w[0, 1], w[1, 0], w[1, 1]
 
 
@@ -213,7 +224,7 @@ def transfer(lam, spec, gamma):
 
 
 def transfer_apply(lam, spec, gamma, vec):
-    w = _all_blocks(lam, spec, gamma, np.asarray(vec))
+    w = _all_blocks(lam, spec, gamma, np.asarray(vec))[:, :, 0]
     return w[0, 0] + w[1, 1]
 
 
@@ -223,25 +234,36 @@ def up_state(spec):
     return v
 
 
-def bethe_state(lams, spec, gamma):
-    """|N> = B(lam_1)...B(lam_N)|up>, independent of root order."""
+def _product_state(lams, spec, gamma, transpose):
+    """One block product over the rapidities on the last axis of lams, applied
+    to |up>: B(lams[..., -1]) first, or with transpose=True C^T(lams[..., 0])
+    first.  Both blocks take the input in aux slot 1 and return it in slot 0.
+    A 2-d lams (S, N) gives the S states as the rows of an (S, 2^M) array."""
     _require_vector(spec)
-    v = up_state(spec)
-    for lam in reversed(list(lams)):
-        v = monodromy_apply(lam, spec, gamma, v, "B")
-    return v
+    lams = np.asarray(lams)
+    stack = np.atleast_2d(lams)
+    w = np.zeros((2, len(stack), spec.dim), dtype=complex)
+    w[1, :, 0] = 1.0
+    for lam in (stack.T if transpose else stack.T[::-1]):
+        _sweep(lam, spec, gamma, w, reverse=transpose)
+        w[1] = w[0]
+        w[0] = 0.0
+    return w[1] if lams.ndim > 1 else w[1, 0]
+
+
+def bethe_state(lams, spec, gamma):
+    """|N> = B(lam_1)...B(lam_N)|up>, independent of root order.  A 2-d lams
+    of shape (S, N) gives S states, one per row."""
+    return _product_state(lams, spec, gamma, transpose=False)
 
 
 def dual_state(lams, spec, gamma):
     """Left state <N| = <up|C(lam_1)...C(lam_N) as a plain row vector.
+    A 2-d lams of shape (S, N) gives S states, one per row.
 
     Pair it with a ket through an unconjugated dot product.
     """
-    _require_vector(spec)
-    w = up_state(spec)
-    for lam in lams:
-        w = monodromy_apply(lam, spec, gamma, w, "C", transpose=True)
-    return w
+    return _product_state(lams, spec, gamma, transpose=True)
 
 
 def flip_apply(vec):
@@ -257,25 +279,29 @@ def rtt_residual(lam, mu, spec, gamma):
     with Rcheck(z) = P L(z + eta/2) and P the auxiliary permutation.  Tensor
     entries are operator products with the first auxiliary slot acting on the
     left; the exchange of arguments on the right side is forced by requiring
-    the residual to vanish.
+    the residual to vanish.  lam and mu broadcast against each other: arrays
+    give one residual per pair from one sweep, scalars give a float.
     """
     gamma = _aniso(gamma)
     _require_dense(spec)
-    dim = spec.dim
-    Ta = np.array(monodromy(lam, spec, gamma)).reshape(2, 2, dim, dim)
-    Tb = np.array(monodromy(mu, spec, gamma)).reshape(2, 2, dim, dim)
-    # X_lm[(i,j),(k,l)] = T(lam)[i,k] T(mu)[j,l]
-    X_lm = np.einsum("ikab,jlbc->ijklac", Ta, Tb).reshape(4, 4, dim, dim)
-    X_ml = np.einsum("ikab,jlbc->ijklac", Tb, Ta).reshape(4, 4, dim, dim)
+    lam, mu = np.broadcast_arrays(lam, mu)
+    shape, lam, mu = lam.shape, lam.ravel(), mu.ravel()
+    S, dim = len(lam), spec.dim
+    T = _all_blocks(np.concatenate([lam, mu]), spec, gamma, np.eye(dim))
+    Ta, Tb = T[:, :, :S], T[:, :, S:]
+    # X_lm[s, (i,j), (k,l)] = T(lam_s)[i,k] T(mu_s)[j,l]
+    X_lm = np.einsum("iksab,jlsbc->sijklac", Ta, Tb).reshape(S, 4, 4, dim, dim)
+    X_ml = np.einsum("iksab,jlsbc->sijklac", Tb, Ta).reshape(S, 4, 4, dim, dim)
     P = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
             P[2 * j + i, 2 * i + j] = 1.0
     R = P @ l_matrix(lam - mu + gamma.eta / 2, gamma)
-    lhs = np.einsum("pq,qrab->prab", R, X_lm)
-    rhs = np.einsum("pqab,qr->prab", X_ml, R)
-    scale = np.max(np.abs(X_lm))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    lhs = np.einsum("spq,sqrab->sprab", R, X_lm)
+    lhs -= np.einsum("spqab,sqr->sprab", X_ml, R)
+    axes = (1, 2, 3, 4)
+    res = (np.max(np.abs(lhs), axis=axes) / np.max(np.abs(X_lm), axis=axes)).reshape(shape)
+    return float(res) if res.ndim == 0 else res
 
 
 def partition_bruteforce(lams, spec, gamma):
@@ -332,6 +358,20 @@ def qism_pi(k, spec, gamma):
     return out
 
 
+def correlator_pair(lams, spec, gamma):
+    """(ket, bra, den): the Bethe state |N>, the dual state <N| and
+    den = <N| R |N>, so that the correlator of any column set is
+    bra @ flip_apply(pi_{k_1} ... pi_{k_n} ket) / den.  A vanishing den
+    (non-generic parameters) is a ZeroDivisionError."""
+    ket = bethe_state(lams, spec, gamma)
+    bra = dual_state(lams, spec, gamma)
+    den = complex(bra @ flip_apply(ket))
+    scale = float(np.max(np.abs(ket)) * np.max(np.abs(bra))) * spec.dim
+    if abs(den) < 1e-14 * max(scale, 1.0):
+        raise ZeroDivisionError("partition function vanished (non-generic parameters)")
+    return ket, bra, den
+
+
 def correlator_bruteforce(lams, spec, gamma, columns, return_complex=False):
     """<N| R pi_{k_1} ... pi_{k_n} |N> / <N| R |N> for distinct columns.
 
@@ -341,17 +381,10 @@ def correlator_bruteforce(lams, spec, gamma, columns, return_complex=False):
     columns = list(columns)
     if len(set(columns)) != len(columns):
         raise ValueError("columns must be distinct")
-    ket = bethe_state(lams, spec, gamma)
-    bra = dual_state(lams, spec, gamma)
-    den = complex(bra @ flip_apply(ket))
-    scale = float(np.max(np.abs(ket)) * np.max(np.abs(bra))) * spec.dim
-    if abs(den) < 1e-14 * max(scale, 1.0):
-        raise ZeroDivisionError("partition function vanished (non-generic parameters)")
-    v = ket
+    v, bra, den = correlator_pair(lams, spec, gamma)
     for k in columns:
         v = pi_apply(k, spec, v)
-    num = complex(bra @ flip_apply(v))
-    val = num / den
+    val = complex(bra @ flip_apply(v)) / den
     if return_complex:
         return val
     return float(val.real)

@@ -313,6 +313,9 @@ def main(argv=None):
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad flag and 0 after --help
+        return exc.code
+    try:
         args = _apply_config_defaults(args, argv)
         return args.func(args)
     except PoleError as exc:

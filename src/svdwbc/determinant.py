@@ -78,35 +78,40 @@ def cauchy_det_check(xi, lams) -> float:
 def t_prime_matrix(xi, roots) -> np.ndarray:
     """Analytic Jacobian d t(xi_i) / d lam_j of the transfer eigenvalue with
     respect to the Bethe roots, the eigenvalue factors a and d held fixed.
+    A (draws, N) stack of xi gives a (draws, N, N) stack of matrices.
     """
     xi = np.asarray(xi, dtype=complex)
     eta = roots.gamma.eta
-    d = roots.values[None, :] - xi[:, None]  # lam_j - xi_i
+    d = roots.values - xi[..., :, None]  # lam_j - xi_i
     coth_d = _coth(d)  # raises before the products divide by a zero sinh
-    P = np.prod(np.sinh(d + eta) / np.sinh(d), axis=1)
-    Q = np.prod(np.sinh(eta - d) / np.sinh(-d), axis=1)
-    dQ = Q * np.array([algebra.d_eigenvalue(x, roots.mu, roots.gamma) for x in xi])
-    return P[:, None] * (_coth(d + eta) - coth_d) + dQ[:, None] * (-coth_d - _coth(eta - d))
+    P = np.prod(np.sinh(d + eta) / np.sinh(d), axis=-1)
+    Q = np.prod(np.sinh(eta - d) / np.sinh(-d), axis=-1)
+    dQ = Q * algebra.d_eigenvalue(xi, roots.mu, roots.gamma)
+    return P[..., None] * (_coth(d + eta) - coth_d) + dQ[..., None] * (-coth_d - _coth(eta - d))
 
 
-def slavnov_scalar_product(inp, roots=None) -> complex:
+def slavnov_scalar_product(inp, roots=None):
     """<up| prod_j C(xi_j) prod_j B(lam_j) |up> = det t' / det V with
-    V_ij = 1/sinh(xi_i - lam_j), for lam solving the Bethe equations."""
-    if roots is not None:
-        inp = SlavnovInput(tuple(inp), roots)
-    _check_bethe(inp.roots)
-    xi = np.asarray(inp.xi, dtype=complex)
-    lams = inp.roots.values
-    diff = np.sinh(xi[:, None] - lams[None, :])
+    V_ij = 1/sinh(xi_i - lam_j), for lam solving the Bethe equations.
+
+    With roots given, inp may also be a (draws, N) stack of xi; that returns
+    an array with one scalar product per row, from batched determinants.
+    """
+    if roots is None:
+        inp, roots = inp.xi, inp.roots
+    xi = np.asarray(inp, dtype=complex)
+    if xi.ndim not in (1, 2) or xi.shape[-1] != roots.N:
+        raise ValueError(f"need {roots.N} xi parameters per row, got shape {xi.shape}")
+    _check_bethe(roots)
+    diff = np.sinh(xi[..., :, None] - roots.values)
     if np.min(np.abs(diff)) < 1e-13:
         raise PoleError("xi coincides with a root: V matrix is singular")
-    V = 1.0 / diff
-    tp = t_prime_matrix(xi, inp.roots)
-    sign_v, logdet_v = np.linalg.slogdet(V)
-    sign_t, logdet_t = np.linalg.slogdet(tp)
-    if sign_v == 0:
+    sign_v, logdet_v = np.linalg.slogdet(1.0 / diff)
+    sign_t, logdet_t = np.linalg.slogdet(t_prime_matrix(xi, roots))
+    if np.any(sign_v == 0):
         raise PoleError("V matrix is numerically singular")
-    return complex(sign_t / sign_v * np.exp(logdet_t - logdet_v))
+    out = sign_t / sign_v * np.exp(logdet_t - logdet_v)
+    return complex(out) if xi.ndim == 1 else out
 
 
 def varphi_prime_matrix(roots) -> np.ndarray:

@@ -21,18 +21,21 @@ def _record(name, residual, tol, **extra):
     return rec
 
 
+# draws per batched rtt_residual call: bounds its (draws, 4, 4, 4, 4) stacks
+_RTT_SLAB = 16
+
+
 def check_rtt(gamma, seed=42, draws=100, tol=1e-12):
     """Intertwining-relation residual over random parameter pairs at M = 2."""
     rng = np.random.default_rng(seed)
     spec = algebra.homogeneous_spec(2)
     pairs = rng.normal(size=(draws, 4))
-
-    def one(row):
-        lam = row[0] + 0.3j * row[1]
-        mu = row[2] + 0.3j * row[3]
-        return algebra.rtt_residual(lam, mu, spec, gamma)
-
-    worst = max(map(one, pairs))
+    lam = pairs[:, 0] + 0.3j * pairs[:, 1]
+    mu = pairs[:, 2] + 0.3j * pairs[:, 3]
+    worst = max(
+        np.max(algebra.rtt_residual(lam[s : s + _RTT_SLAB], mu[s : s + _RTT_SLAB], spec, gamma))
+        for s in range(0, draws, _RTT_SLAB)
+    )
     return _record("rtt_intertwining", worst, tol, draws=draws, M=2)
 
 
@@ -67,55 +70,52 @@ def check_qism(gamma, sizes=(2, 4), seed=42, tol=1e-10):
     return _record("qism_projector", worst, tol, sizes=list(sizes))
 
 
-def check_slavnov(gamma, cases=((1, 2), (2, 4), (3, 6)), seed=42, draws=20, tol=1e-8):
-    """Scalar-product determinant against direct operator application."""
+def check_slavnov(states, seed=42, draws=20, tol=1e-8):
+    """Scalar-product determinant against direct operator application, for
+    each solved root set of `states`: one stacked C-sweep per root index."""
     rng = np.random.default_rng(seed)
 
-    def one(case):
-        N, M = case
-        roots = bethe.solve_ground_state(M, gamma)
-        spec = roots.spec
-        v = algebra.bethe_state(roots.values, spec, gamma)
-        worst = 0.0
-        for _ in range(draws):
-            xi = rng.normal(size=N) * 0.8 + 1j * rng.normal(size=N) * 0.3
-            det_val = determinant.slavnov_scalar_product(xi, roots)
-            u = algebra.up_state(spec)
-            for x in xi:
-                u = algebra.monodromy_apply(x, spec, gamma, u, "C", transpose=True)
-            brute = complex(u @ v)
-            worst = max(worst, abs(det_val - brute) / abs(brute))
-        return worst
+    def one(roots):
+        N = roots.N
+        xi = np.array([
+            rng.normal(size=N) * 0.8 + 1j * rng.normal(size=N) * 0.3 for _ in range(draws)
+        ])
+        v = algebra.bethe_state(roots.values, roots.spec, roots.gamma)
+        # one dot per row, as a single draw pairs them, so each value is the
+        # same floating-point number as in a draw-by-draw loop
+        brute = np.array([u @ v for u in algebra.dual_state(xi, roots.spec, roots.gamma)])
+        det_val = determinant.slavnov_scalar_product(xi, roots)
+        return np.max(np.abs(det_val - brute) / np.abs(brute))
 
-    worst = max(map(one, cases))
-    return _record("slavnov_vs_bruteforce", worst, tol, cases=[list(c) for c in cases], draws=draws)
+    worst = max(map(one, states))
+    cases = [[r.N, len(r.mu)] for r in states]
+    return _record("slavnov_vs_bruteforce", worst, tol, cases=cases, draws=draws)
 
 
-def check_gaudin(gamma, sizes=(2, 4, 6), tol=1e-8):
+def check_gaudin(states, tol=1e-8):
     """Norm determinant against the brute-force pairing."""
     worst = 0.0
-    for M in sizes:
-        roots = bethe.solve_ground_state(M, gamma)
+    for roots in states:
         spec = roots.spec
         brute = complex(
-            algebra.dual_state(roots.values, spec, gamma)
-            @ algebra.bethe_state(roots.values, spec, gamma)
+            algebra.dual_state(roots.values, spec, roots.gamma)
+            @ algebra.bethe_state(roots.values, spec, roots.gamma)
         )
         worst = max(worst, abs(determinant.gaudin_norm(roots) - brute) / abs(brute))
-    return _record("gaudin_vs_bruteforce", worst, tol, sizes=list(sizes))
+    return _record("gaudin_vs_bruteforce", worst, tol, sizes=[len(r.mu) for r in states])
 
 
-def check_gaudin_specialization(gamma, M=4, eps=(1e-3, 1e-4, 1e-5), tol=1e-6):
+def check_gaudin_specialization(roots, eps=(1e-3, 1e-4, 1e-5), tol=1e-6):
     """Scalar-product determinant specialized xi -> roots, Richardson
     extrapolated in the offset, against the norm determinant."""
-    roots = bethe.solve_ground_state(M, gamma)
     vals = [
         determinant.slavnov_scalar_product(roots.values + e, roots) for e in eps
     ]
     extr = determinant.neville_extrapolate(list(eps), vals)
     ref = determinant.gaudin_norm(roots)
     return _record(
-        "gaudin_specialization_limit", abs(extr - ref) / abs(ref), tol, eps=list(eps), M=M
+        "gaudin_specialization_limit", abs(extr - ref) / abs(ref), tol, eps=list(eps),
+        M=len(roots.mu),
     )
 
 
@@ -133,54 +133,57 @@ def check_d_action(gamma, seed=42, tol=1e-9):
 
 def check_efp_finite(gamma, sizes=(4, 6), seed=42, tol=1e-8):
     """Determinant-path emptiness probability against the brute-force
-    correlator, every consecutive window, generic distinct inhomogeneities."""
+    correlator, every consecutive window, generic distinct inhomogeneities.
+    Each lattice builds its ket and bra once for all its windows."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for M in sizes:
         mu = tuple(np.sort(0.3 * rng.normal(size=M)))
         spec = LatticeSpec(M, mu)
         roots = bethe.solve_bae(*bethe.ground_state_numbers(M // 2), spec, gamma)
+        ket, bra, den = algebra.correlator_pair(roots.values, spec, gamma)
         for n in range(1, M + 1):
             for k in range(0, M - n + 1):
                 det_val = determinant.efp_finite(roots, k, n, return_complex=True)
-                brute = algebra.correlator_bruteforce(
-                    roots.values, spec, gamma, range(k + 1, k + n + 1), return_complex=True
-                )
-                worst = max(worst, abs(det_val - brute))
+                v = ket
+                for col in range(k + 1, k + n + 1):
+                    v = algebra.pi_apply(col, spec, v)
+                worst = max(worst, abs(det_val - complex(bra @ algebra.flip_apply(v)) / den))
     return _record("efp_determinant_vs_bruteforce", worst, tol, sizes=list(sizes))
 
 
-def check_partition(gamma, sizes=(4, 6), tol=1e-10):
+def check_partition(states, tol=1e-10):
     """Z = <N|R|N> against flip-sign times the norm determinant."""
     worst = 0.0
-    for M in sizes:
-        roots = bethe.solve_ground_state(M, gamma)
-        spec = roots.spec
-        z = algebra.partition_bruteforce(roots.values, spec, gamma)
+    for roots in states:
+        z = algebra.partition_bruteforce(roots.values, roots.spec, roots.gamma)
         ref = roots.r_sign * determinant.gaudin_norm(roots)
         worst = max(worst, abs(z - ref) / abs(ref))
-    return _record("partition_vs_norm", worst, tol, sizes=list(sizes))
+    return _record("partition_vs_norm", worst, tol, sizes=[len(r.mu) for r in states])
 
 
 def run_battery(gamma, M=4, seed=42, draws=100, tol=None):
     """Full cross-check battery; per-check default tolerances unless a global
-    override is given.  Returns the list of check records."""
+    override is given.  Each homogeneous ground state is solved once and
+    handed to every check that uses it.  Returns the list of check records."""
     if M % 2 != 0 or M < 2:
         raise ValueError(f"verification requires even M >= 2, got {M}")
     if M > 6:
         raise ValueError(f"the battery checks lattices up to M = 6, got M = {M}")
+    if draws < 1:
+        raise ValueError(f"verification needs at least one random draw, got draws = {draws}")
     ov = (lambda t: t) if tol is None else (lambda t: tol)
-    slav_cases = tuple((m // 2, m) for m in (2, 4, 6) if m <= max(M, 2))
-    sizes = tuple(m for m in (2, 4, 6) if m <= max(M, 4))
+    ground = {m: bethe.solve_ground_state(m, gamma) for m in (2, 4, 6) if m <= max(M, 4)}
+    states = list(ground.values())
     checks = [
         check_rtt(gamma, seed=seed, draws=draws, tol=ov(1e-12)),
         check_commutation(gamma, M=min(M, 4), seed=seed, tol=ov(1e-12)),
         check_qism(gamma, sizes=tuple(m for m in (2, 4) if m <= M), seed=seed, tol=ov(1e-10)),
-        check_slavnov(gamma, cases=slav_cases, seed=seed, tol=ov(1e-8)),
-        check_gaudin(gamma, sizes=sizes, tol=ov(1e-8)),
-        check_gaudin_specialization(gamma, M=M, tol=ov(1e-6)),
+        check_slavnov([r for m, r in ground.items() if m <= M], seed=seed, tol=ov(1e-8)),
+        check_gaudin(states, tol=ov(1e-8)),
+        check_gaudin_specialization(ground[M], tol=ov(1e-6)),
         check_d_action(gamma, seed=seed, tol=ov(1e-9)),
         check_efp_finite(gamma, sizes=tuple(m for m in (4, 6) if m <= M) or (4,), seed=seed, tol=ov(1e-8)),
-        check_partition(gamma, sizes=sizes[-2:], tol=ov(1e-10)),
+        check_partition(states[-2:], tol=ov(1e-10)),
     ]
     return checks

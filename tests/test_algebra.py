@@ -140,6 +140,53 @@ class TestMonodromyOracle:
             assert np.max(np.abs(t_x - (ref[0] + ref[3]) @ x)) / (scale * np.max(np.abs(x))) < 1e-13
 
 
+class TestStackedSweep:
+    """One sweep over a stack of inputs, with one rapidity per input, gives
+    exactly what one monodromy_apply call per rapidity gives."""
+
+    @pytest.mark.parametrize("M", [2, 4, 6, 8])
+    def test_blocks_match_per_rapidity_apply(self, gamma, M):
+        rng = np.random.default_rng(7200 + M)
+        spec = LatticeSpec(M, tuple(0.3 * rng.normal(size=M) + 0.1j * rng.normal(size=M)))
+        S = 5
+        lams = rng.normal(size=S) + 0.3j * rng.normal(size=S)
+        X = rng.normal(size=(S, spec.dim)) + 1j * rng.normal(size=(S, spec.dim))
+        for transpose in (False, True):
+            one = {name: np.array([algebra.monodromy_apply(lam, spec, gamma, x, name, transpose)
+                                   for lam, x in zip(lams, X)]) for name in "ABCD"}
+            for name in "BC":
+                row, col = algebra._BLOCK_INDEX[name]
+                if transpose:
+                    row, col = col, row
+                w = np.zeros((2, S, spec.dim), dtype=complex)
+                w[col] = X
+                got = algebra._sweep(lams, spec, gamma, w, reverse=transpose)[row]
+                assert np.array_equal(got, one[name])
+            # A + D: the first S inputs enter aux slot 0, the next S aux slot 1
+            w = np.zeros((2, 2 * S, spec.dim), dtype=complex)
+            w[0, :S] = w[1, S:] = X
+            algebra._sweep(np.tile(lams, 2), spec, gamma, w, reverse=transpose)
+            assert np.array_equal(w[0, :S] + w[1, S:], one["A"] + one["D"])
+
+    def test_pole_in_stack_names_column(self, gamma):
+        mu = (0.1, -0.2, 0.35, 0.0)
+        spec = LatticeSpec(4, mu)
+        for k, m in enumerate(mu, 1):
+            lams = np.array([0.3 + 0.1j, m - gamma.eta / 2, -0.4])
+            w = np.zeros((2, len(lams), spec.dim), dtype=complex)
+            for reverse in (False, True):
+                with pytest.raises(PoleError, match=f"column {k}"):
+                    algebra._sweep(lams, spec, gamma, w, reverse=reverse)
+
+    def test_stacked_states_match_single_states(self, gamma, rng):
+        spec = LatticeSpec(6, tuple(0.2 * rng.normal(size=6)))
+        lams = rng.normal(size=(4, 3)) + 0.3j * rng.normal(size=(4, 3))
+        for build in (algebra.bethe_state, algebra.dual_state):
+            got = build(lams, spec, gamma)
+            assert got.shape == (4, spec.dim)
+            assert np.array_equal(got, np.array([build(row, spec, gamma) for row in lams]))
+
+
 class TestTransfer:
     def test_trace_is_a_plus_d(self, gamma, rng):
         spec = LatticeSpec(2, (0.1, -0.2))
@@ -176,6 +223,17 @@ class TestRTT:
     def test_equal_arguments(self, gamma):
         spec = LatticeSpec(2, (0.15, -0.4))
         assert algebra.rtt_residual(0.3, 0.3, spec, gamma) < 1e-13
+
+    def test_batched_matches_per_draw(self, gamma, rng):
+        spec = LatticeSpec(2, (0.15, -0.4))
+        lam = rng.normal(size=(5, 8)) + 0.3j * rng.normal(size=(5, 8))
+        mu = rng.normal(size=8) + 0.3j * rng.normal(size=8)
+        got = algebra.rtt_residual(lam, mu, spec, gamma)
+        assert got.shape == (5, 8)
+        want = [[algebra.rtt_residual(a, b, spec, gamma) for a, b in zip(row, mu)] for row in lam]
+        assert all(isinstance(v, float) for row in want for v in row)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.max(got) < 1e-12
 
     def test_b_operators_commute(self, gamma, rng):
         spec = LatticeSpec(4, tuple(0.2 * rng.normal(size=4)))

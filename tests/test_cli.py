@@ -1,7 +1,10 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,13 +56,19 @@ class TestVerifyCommand:
         assert run(["verify", "--M", "8"]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_draws_below_one_rejected(self, draws, capsys):
+        assert run(["verify", "--M", "2", f"--draws={draws}"]) == 2
+        assert "at least one random draw" in capsys.readouterr().err
+
     def test_reproducible_payload(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            assert run(["verify", "--M", "4", "--seed", "7", "--out", str(path)]) == 0
-        da, db = load(a), load(b)
-        da.pop("created"), db.pop("created")
-        assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+        for M in ("4", "6"):
+            a, b = tmp_path / f"a{M}.json", tmp_path / f"b{M}.json"
+            for path in (a, b):
+                assert run(["verify", "--M", M, "--seed", "7", "--out", str(path)]) == 0
+            da, db = load(a), load(b)
+            da.pop("created"), db.pop("created")
+            assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
 class TestSolveBae:
@@ -109,11 +118,10 @@ class TestSolveBae:
         assert res["v"] == [-1, -1]
         assert all(r["branch"] == "shifted" for r in res["roots"])
 
-    def test_unread_seed_flag_is_bad_input(self):
+    def test_unread_seed_flag_is_bad_input(self, capsys):
         # only verify and efp-thermo draw random numbers
-        with pytest.raises(SystemExit) as exc:
-            run(["solve-bae", "--N", "2", "--seed", "1"])
-        assert exc.value.code == 2
+        assert run(["solve-bae", "--N", "2", "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_inadmissible_numbers_exit_code(self, capsys):
         code = run(["solve-bae", "--M", "8", "--numbers=-1.5,-0.5,0.5,2.5"])
@@ -236,6 +244,26 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert run(["solve-bae", "--N", "1", "--config", str(cfg)]) == 2
+
+
+class TestArgumentErrors:
+    """argparse's own exits come back as main's return value."""
+
+    def test_help_returns_zero(self, capsys):
+        assert run(["--help"]) == 0
+        assert run(["verify", "--help"]) == 0
+        assert "usage: svdwbc" in capsys.readouterr().out
+
+    def test_help_from_the_shell_exits_zero(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "svdwbc.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "usage: svdwbc" in proc.stdout
+
+    def test_unknown_subcommand_is_bad_input(self, capsys):
+        assert run(["frobnicate"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestReadme:

@@ -50,6 +50,25 @@ class TestSlavnov:
             brute = brute_scalar_product(xi, roots.values, roots.spec, gamma)
             assert abs(det_val - brute) / abs(brute) < 1e-8
 
+    @pytest.mark.parametrize("M", [2, 4, 6])
+    def test_stack_matches_per_draw(self, gamma, rng, M):
+        roots = bethe.solve_ground_state(M, gamma)
+        N = roots.N
+        xi = rng.normal(size=(12, N)) * 0.8 + 1j * rng.normal(size=(12, N)) * 0.3
+        got = determinant.slavnov_scalar_product(xi, roots)
+        assert got.shape == (12,)
+        want = [determinant.slavnov_scalar_product(row, roots) for row in xi]
+        assert all(isinstance(v, complex) for v in want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        t_stack = determinant.t_prime_matrix(xi, roots)
+        for row, t in zip(xi, t_stack):
+            np.testing.assert_allclose(t, determinant.t_prime_matrix(row, roots), rtol=1e-12, atol=0)
+
+    def test_stack_of_wrong_width_rejected(self, gamma):
+        roots = bethe.solve_ground_state(4, gamma)
+        with pytest.raises(ValueError, match="xi parameters"):
+            determinant.slavnov_scalar_product(np.zeros((3, 3)) + 0.1j, roots)
+
     def test_xi_permutation_invariance(self, gamma, rng):
         roots = bethe.solve_ground_state(6, gamma)
         xi = rng.normal(size=3) + 1j * rng.normal(size=3) * 0.2

@@ -21,8 +21,10 @@ def _record(name, residual, tol, **extra):
     return rec
 
 
-# draws per batched rtt_residual call: bounds its (draws, 4, 4, 4, 4) stacks
-_RTT_SLAB = 16
+# draws per batched rtt_residual call.  It bounds the (draws, 4, 4, 4, 4)
+# stacks (about 20 KiB per draw): 100 draws in one call raise the process's
+# peak RSS by about 1.5 MB, slabs of 8 leave it where the per-draw loop had it
+_RTT_SLAB = 8
 
 
 def check_rtt(gamma, seed=42, draws=100, tol=1e-12):

@@ -38,7 +38,7 @@ def test_record_shapes_unchanged():
     assert checks["rtt_intertwining"]["draws"] == 3
 
 
-@pytest.mark.parametrize("draws", [1, 16, 17, 40])
+@pytest.mark.parametrize("draws", [1, verify._RTT_SLAB, verify._RTT_SLAB + 1, 40])
 def test_rtt_slabs_cover_every_draw(draws):
     # the worst residual over slabs is the worst over the draws taken one at a time
     rng = np.random.default_rng(5)

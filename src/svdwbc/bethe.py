@@ -184,7 +184,7 @@ class BetheRootSet:
 
     def d_product_deviation(self) -> float:
         """|prod_j d(lam_j) - 1|, which vanishes on Bethe solutions."""
-        prod = np.prod([algebra.d_eigenvalue(z, self.mu, self.gamma) for z in self.values])
+        prod = np.prod(algebra.d_eigenvalue(self.values, self.mu, self.gamma))
         return float(abs(prod - 1.0))
 
     def to_json_dict(self) -> dict:
@@ -263,9 +263,11 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     # clamping keeps inadmissible quantum numbers from overflowing
     box = 50.0 + (np.max(np.abs(mu)) if spec.M else 0.0)
 
+    # each accepted iterate carries the residual and Jacobian of the trial
+    # that accepted it, so _system runs once per point visited
     best = np.inf
+    F, J = _system(x, shifted, n_i, mu, g)
     for _ in range(max_iter):
-        F, J = _system(x, shifted, n_i, mu, g)
         err = np.max(np.abs(F)) if N else 0.0
         best = min(best, err)
         if err < tol:
@@ -281,7 +283,7 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
         scale = 1.0
         for _ in range(40):
             x_new = np.clip(x + scale * step, -box, box)
-            F_new, _ = _system(x_new, shifted, n_i, mu, g)
+            F_new, J_new = _system(x_new, shifted, n_i, mu, g)
             if np.max(np.abs(F_new)) < err or scale < 1e-6:
                 break
             scale /= 2
@@ -289,29 +291,27 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
             # per-coordinate damped Newton sweep as fallback
             for i in range(N):
                 for _ in range(60):
-                    Fi, Ji = _system(x, shifted, n_i, mu, g)
-                    if abs(Fi[i]) < tol:
+                    if abs(F[i]) < tol:
                         break
-                    x[i] = np.clip(x[i] - np.clip(Fi[i] / Ji[i, i], -0.5, 0.5), -box, box)
+                    x[i] = np.clip(x[i] - np.clip(F[i] / J[i, i], -0.5, 0.5), -box, box)
+                    F, J = _system(x, shifted, n_i, mu, g)
         else:
-            x = x_new
+            x, F, J = x_new, F_new, J_new
     else:
-        F, _ = _system(x, shifted, n_i, mu, g)
         if not np.max(np.abs(F)) < tol:  # also catches a NaN residual
             raise ConvergenceError(
                 f"Bethe solver did not reach tol={tol} in {max_iter} iterations",
                 best_residual=float(best),
             )
 
-    for i in range(N):
-        for j in range(i + 1, N):
-            if shifted[i] == shifted[j] and abs(x[i] - x[j]) < 1e-8:
-                raise ValueError(
-                    f"roots {i} and {j} collided at x = {x[i]:.6g}: "
-                    "quantum numbers are not admissible"
-                )
+    close = (shifted[:, None] == shifted[None, :]) & (np.abs(x[:, None] - x[None, :]) < 1e-8)
+    pairs = np.argwhere(np.triu(close, 1))  # row-major: the first (i, j) pair first
+    if len(pairs):
+        i, j = pairs[0]
+        raise ValueError(
+            f"roots {i} and {j} collided at x = {x[i]:.6g}: quantum numbers are not admissible"
+        )
 
-    F, _ = _system(x, shifted, n_i, mu, g)
     points = tuple(SpectralPoint(float(xi), SHIFTED if s else REAL) for xi, s in zip(x, shifted))
     roots = BetheRootSet(
         roots=points,

@@ -124,6 +124,8 @@ def _resolve_roots(args):
     M = args.M if args.M else 2 * args.N
     if not M:
         raise ValueError("provide --M or --N")
+    if args.N and M != 2 * args.N:
+        raise ValueError(f"--M {M} and --N {args.N} disagree: M = 2N")
     mu = _parse_mu(args.mu, M)
     spec = LatticeSpec(M, mu)
     ns, vs = bethe.ground_state_numbers(spec.N)

@@ -24,11 +24,30 @@ logger = logging.getLogger(__name__)
 _BETHE_TOL = 1e-10
 
 
-def _coth(z):
-    s = np.sinh(z)
-    if np.size(s) and np.min(np.abs(s)) < 1e-14:
+def _exp_tables(*zs):
+    """U = e^{2(z - c)} for each rapidity array z, c the midrange of the real
+    parts of all of them.  In U, coth(x - y) = (U_x + U_y)/(U_x - U_y) and
+    |sinh(x - y)| = |U_x - U_y| / (2 sqrt|U_x U_y|), and no entry overflows
+    while the real parts span less than about 700."""
+    zs = [np.asarray(z, dtype=complex) for z in zs]
+    re = np.concatenate([z.real.ravel() for z in zs])
+    c = (re.max() + re.min()) / 2 if re.size else 0.0
+    return [np.exp(2 * (z - c)) for z in zs]
+
+
+def _gap(u, a):
+    """u - a for table entries u, a of x, y; a PoleError where |sinh(x - y)| < 1e-14."""
+    gap = u - a
+    if np.any(np.abs(gap) < 2e-14 * np.sqrt(np.abs(u)) * np.sqrt(np.abs(a))):
         raise PoleError("coth evaluated at a zero of sinh")
-    return np.cosh(z) / s
+    return gap
+
+
+def _coth_difference(u, a, b):
+    """coth(x - alpha) - coth(x - beta) from the table entries u, a, b of x,
+    alpha, beta: 2u(a - b)/((u - a)(u - b)), a product of two bounded ratios
+    and not the difference of two numbers near +-1."""
+    return 2 * (u / _gap(u, a)) * ((a - b) / _gap(u, b))
 
 
 def _check_bethe(roots):
@@ -82,12 +101,16 @@ def t_prime_matrix(xi, roots) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=complex)
     eta = roots.gamma.eta
-    d = roots.values - xi[..., :, None]  # lam_j - xi_i
-    coth_d = _coth(d)  # raises before the products divide by a zero sinh
-    P = np.prod(np.sinh(d + eta) / np.sinh(d), axis=-1)
-    Q = np.prod(np.sinh(eta - d) / np.sinh(-d), axis=-1)
+    u, x = _exp_tables(roots.values, xi[..., :, None])  # entry [..., i, j]: lam_j, xi_i
+    e = np.exp(2 * eta)
+    # with d = lam_j - xi_i: sinh(d + eta) / sinh(d) = e^{eta} (u - x/e) / (u - x)
+    p = _gap(u, x)  # raises before the products divide by a zero sinh
+    P = np.exp(roots.N * eta) * np.prod((u - x / e) / p, axis=-1)
+    Q = np.exp(-roots.N * eta) * np.prod((u - x * e) / p, axis=-1)  # sinh(eta - d) / sinh(-d)
     dQ = Q * algebra.d_eigenvalue(xi, roots.mu, roots.gamma)
-    return P[..., None] * (_coth(d + eta) - coth_d) + dQ[..., None] * (-coth_d - _coth(eta - d))
+    # coth(d + eta) - coth(d) and -coth(d) - coth(eta - d) = coth(d - eta) - coth(d)
+    return (P[..., None] * _coth_difference(u, x / e, x)
+            + dQ[..., None] * _coth_difference(u, x * e, x))
 
 
 def slavnov_scalar_product(inp, roots=None):
@@ -118,14 +141,13 @@ def varphi_prime_matrix(roots) -> np.ndarray:
     """Jacobian matrix of the logarithmic eigenvalue phase entering the norm
     determinant; off-diagonal entries -coth(eta + l_i - l_j) - coth(eta + l_j - l_i),
     diagonal from the inhomogeneity sum minus the root sum."""
-    lams = roots.values
-    eta = roots.gamma.eta
-    mu = np.asarray(roots.mu, dtype=complex)
-    dl = lams[:, None] - lams[None, :]
-    pair = _coth(eta + dl) + _coth(eta - dl)
+    e = np.exp(roots.gamma.eta)
+    u, m = _exp_tables(roots.values, roots.mu)
+    # coth(eta + l_i - l_j) + coth(eta - l_i + l_j), as coth(d + eta) - coth(d - eta)
+    pair = _coth_difference(u[:, None], u / e**2, u * e**2)
     np.fill_diagonal(pair, 0.0)
-    dm = lams[:, None] - mu[None, :]
-    diag = np.sum(_coth(dm - eta / 2) - _coth(dm + eta / 2), axis=1) + pair.sum(axis=1)
+    # coth(l_i - mu_k - eta/2) - coth(l_i - mu_k + eta/2)
+    diag = _coth_difference(u[:, None], m * e, m / e).sum(axis=1) + pair.sum(axis=1)
     out = -pair
     np.fill_diagonal(out, diag)
     return out

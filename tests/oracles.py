@@ -16,7 +16,9 @@ complex kernel K_2 and solves it densely, where the package factorizes only
 the occupied block of a real-valued branch kernel.  The divided-difference
 oracle runs the recursive definition on the sinh form of the window rows
 in 60-digit arithmetic, where the package uses a closed form in
-u = e^{2w}.  The alternating-sign-matrix oracle is the closed-form XXZ EFP
+u = e^{2w}.  The phi' and t' oracles evaluate each entry's coth formula in
+40-digit arithmetic, where the package reads all entries from one table of
+e^{2z}.  The alternating-sign-matrix oracle is the closed-form XXZ EFP
 at Delta = 1/2 in exact integers.
 """
 
@@ -158,6 +160,52 @@ def varphi_prime_fd(roots, step=1e-6):
                 d += sum(dlog(p, m) for p, m in zip(plus, minus))
             # phi = i sum(log ...), entries are -i (d phi) = sum of log-derivatives
             out[i, j] = d
+    return out
+
+
+def varphi_prime_mp(roots, dps=40):
+    """The norm-determinant matrix phi' entry by entry from its coth formula in
+    `dps`-digit arithmetic: off-diagonal -coth(eta + l_i - l_j) -
+    coth(eta - l_i + l_j), diagonal sum_k [coth(l_i - mu_k - eta/2) -
+    coth(l_i - mu_k + eta/2)] plus the pair terms of row i."""
+    with mpmath.workdps(dps):
+        lams = [mpmath.mpc(z) for z in roots.values]
+        mu = [mpmath.mpc(complex(m)) for m in roots.mu]
+        eta = mpmath.mpc(roots.gamma.eta)
+        N = len(lams)
+        diag = [sum(mpmath.coth(l - m - eta / 2) - mpmath.coth(l - m + eta / 2) for m in mu)
+                for l in lams]
+        out = np.zeros((N, N), dtype=complex)
+        for i in range(N):
+            for j in range(i + 1, N):
+                pair = mpmath.coth(eta + lams[i] - lams[j]) + mpmath.coth(eta - lams[i] + lams[j])
+                out[i, j] = out[j, i] = complex(-pair)
+                diag[i] += pair
+                diag[j] += pair
+        out[np.diag_indices(N)] = [complex(d) for d in diag]
+    return out
+
+
+def t_prime_mp(xi, roots, dps=40):
+    """d t(xi_i) / d lam_j from its sinh and coth formula in `dps`-digit
+    arithmetic, with d = lam_j - xi_i:
+    P_i (coth(d + eta) - coth(d)) - Q_i d(xi_i) (coth(d) + coth(eta - d)),
+    P_i = prod_j sinh(d + eta)/sinh(d), Q_i = prod_j sinh(eta - d)/sinh(-d)."""
+    with mpmath.workdps(dps):
+        lams = [mpmath.mpc(z) for z in roots.values]
+        mu = [mpmath.mpc(complex(m)) for m in roots.mu]
+        eta = mpmath.mpc(roots.gamma.eta)
+        out = np.zeros((len(xi), len(lams)), dtype=complex)
+        for i, x in enumerate(xi):
+            x = mpmath.mpc(complex(x))
+            d = [l - x for l in lams]
+            P = mpmath.fprod(mpmath.sinh(dj + eta) / mpmath.sinh(dj) for dj in d)
+            Q = mpmath.fprod(mpmath.sinh(eta - dj) / mpmath.sinh(-dj) for dj in d)
+            Q *= mpmath.fprod(mpmath.sinh(x - m - eta / 2) / mpmath.sinh(x - m + eta / 2)
+                              for m in mu)
+            for j, dj in enumerate(d):
+                out[i, j] = complex(P * (mpmath.coth(dj + eta) - mpmath.coth(dj))
+                                    - Q * (mpmath.coth(dj) + mpmath.coth(eta - dj)))
     return out
 
 

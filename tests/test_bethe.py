@@ -142,6 +142,34 @@ class TestSolver:
             bethe.solve_bae(ns[:-1] + (ns[-1] + 1,), vs, homogeneous_spec(8), gamma)
         assert err.value.best_residual > 0.1
 
+    @pytest.mark.parametrize("M, seeded, parity", [(64, False, 1), (64, True, 1), (8, False, -1)])
+    def test_each_point_evaluated_once(self, gamma, rng, monkeypatch, M, seeded, parity):
+        # the accepted backtracking trial's residual and Jacobian carry over
+        # to the next iteration and to the returned residuals
+        points = []
+        system = bethe._system
+
+        def recording(x, *args):
+            points.append(x.tobytes())
+            return system(x, *args)
+
+        monkeypatch.setattr(bethe, "_system", recording)
+        mu = np.sort(0.3 * rng.normal(size=M)) if seeded else np.zeros(M)
+        ns, _ = bethe.ground_state_numbers(M // 2)
+        roots = bethe.solve_bae(ns, (parity,) * (M // 2), LatticeSpec(M, tuple(mu)), gamma)
+        assert roots.max_residual < 1e-12
+        assert len(points) == len(set(points))
+
+    @pytest.mark.parametrize("parities, pair", [((1, 1, 1, 1), "0 and 2"),
+                                                ((1, 1, -1, 1), "1 and 3")])
+    def test_collision_names_first_same_branch_pair(self, gamma, monkeypatch, parities, pair):
+        # a residual whose zero puts roots 0, 2 and roots 1, 3 on equal abscissae
+        target = np.array([0.3, 0.1, 0.3, 0.1])
+        monkeypatch.setattr(bethe, "_system", lambda x, *args: (x - target, np.eye(len(x))))
+        ns, _ = bethe.ground_state_numbers(4)
+        with pytest.raises(ValueError, match=f"roots {pair} collided"):
+            bethe.solve_bae(ns, parities, homogeneous_spec(8), gamma)
+
     def test_json_roundtrip(self, gamma):
         roots = bethe.solve_ground_state(4, gamma)
         again = bethe.BetheRootSet.from_json_dict(roots.to_json_dict())

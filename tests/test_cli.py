@@ -129,6 +129,17 @@ class TestSolveBae:
         assert "convergence" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["solve-bae", "partition", "efp-finite"])
+    def test_disagreeing_m_and_n_rejected(self, command, capsys):
+        assert run([command, "--M", "8", "--N", "3"]) == 2
+        assert "--M 8 and --N 3 disagree" in capsys.readouterr().err
+
+    def test_agreeing_m_and_n_accepted(self, tmp_path):
+        out = tmp_path / "roots.json"
+        assert run(["solve-bae", "--M", "8", "--N", "4", "--out", str(out)]) == 0
+        assert load(out)["results"]["M"] == 8
+
+
 class TestPartitionCommand:
     def test_brute_force_equals_determinant(self, tmp_path):
         out = tmp_path / "z.json"

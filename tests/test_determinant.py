@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import efp_tuple_sum, varphi_prime_fd, window_dd_rows_mp
+from oracles import (efp_tuple_sum, t_prime_mp, varphi_prime_fd, varphi_prime_mp,
+                     window_dd_rows_mp)
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import LatticeSpec, homogeneous_spec
+from svdwbc.bethe import SHIFTED, SpectralPoint
 from svdwbc.errors import PoleError
 
 
@@ -63,6 +67,20 @@ class TestSlavnov:
         t_stack = determinant.t_prime_matrix(xi, roots)
         for row, t in zip(xi, t_stack):
             np.testing.assert_allclose(t, determinant.t_prime_matrix(row, roots), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("M", [2, 6, 16])
+    def test_t_prime_matches_coth_formula(self, gamma, rng, M):
+        roots = _seeded_roots(rng, M, gamma)
+        xi = rng.normal(size=(3, roots.N)) * 0.8 + 1j * rng.normal(size=(3, roots.N)) * 0.3
+        for row in xi:
+            ref = t_prime_mp(row, roots)
+            got = determinant.t_prime_matrix(row, roots)
+            assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_t_prime_pole_at_shifted_root(self, gamma):
+        roots = bethe.solve_ground_state(4, gamma)
+        with pytest.raises(PoleError):
+            determinant.t_prime_matrix(roots.values + [gamma.eta, 0.3], roots)
 
     def test_stack_of_wrong_width_rejected(self, gamma):
         roots = bethe.solve_ground_state(4, gamma)
@@ -135,6 +153,51 @@ class TestGaudinNorm:
         extr = determinant.neville_extrapolate(list(eps), vals)
         ref = determinant.gaudin_norm(roots)
         assert abs(extr - ref) / abs(ref) < 1e-6
+
+
+class TestVarphiPrimeOracle:
+    """phi' from one table of e^{2z} against its coth formula in 40 digits."""
+
+    @staticmethod
+    def assert_matches(roots):
+        ref = varphi_prime_mp(roots)
+        got = determinant.varphi_prime_matrix(roots)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M", [8, 64, 128])
+    def test_seeded_ground_states(self, gamma, rng, M):
+        self.assert_matches(_seeded_roots(rng, M, gamma))
+
+    def test_shifted_branch_twin(self, gamma):
+        ns, _ = bethe.ground_state_numbers(4)
+        roots = bethe.solve_bae(ns, (-1,) * 4, homogeneous_spec(8), gamma)
+        assert all(r.branch == SHIFTED for r in roots.roots)
+        self.assert_matches(roots)
+
+    def test_far_separated_rapidities(self, gamma):
+        # |Re(lam - mu)| reaches 300 on both branches: the table is centred on
+        # the midrange, so nothing overflows (a RuntimeWarning fails the test)
+        roots = bethe.BetheRootSet(
+            roots=(SpectralPoint(150.0), SpectralPoint(-150.0, SHIFTED), SpectralPoint(0.3)),
+            quantum_numbers=(-1, 0, 1),
+            parities=(1, -1, 1),
+            mu=(-150.0, 150.0, 0.1, -0.2, 0.0, 0.5),
+            gamma=gamma,
+        )
+        self.assert_matches(roots)
+
+    def test_nearly_real_inhomogeneities(self, gamma, rng):
+        roots = _seeded_roots(rng, 10, gamma, imag_scale=3e-13)
+        assert any(complex(m).imag != 0 for m in roots.mu)
+        self.assert_matches(roots)
+
+    def test_pole_at_shifted_inhomogeneity(self, gamma):
+        # mu_k = lam_j - i gamma / 2 puts coth(lam_j - mu_k - eta/2) on its pole
+        roots = bethe.solve_ground_state(4, gamma)
+        mu = list(roots.mu)
+        mu[2] = roots.values[1] - gamma.eta / 2
+        with pytest.raises(PoleError):
+            determinant.varphi_prime_matrix(replace(roots, mu=tuple(mu)))
 
 
 class TestDActionExpansion:

@@ -241,78 +241,110 @@ def _cmd_efp_thermo(args):
     return EXIT_OK
 
 
-def build_parser():
+def _shared_flags(p):
+    p.add_argument("--gamma", type=float, default=0.6, help="anisotropy in (0, pi/2)")
+    p.add_argument("--config", type=str, default=None,
+                   help="key=value file supplying flag defaults")
+    p.add_argument("--out", type=str, default=None, help="output file")
+
+
+def _lattice_flags(p, roots=True):
+    """--tol and --M; with `roots` also the lattice's --N and --mu."""
+    _shared_flags(p)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--M", type=int, default=0, help="lattice size (even)")
+    if roots:
+        p.add_argument("--N", type=int, default=0, help="number of roots (M = 2N)")
+        p.add_argument("--mu", type=str, default=None,
+                       help="'homogeneous', comma list, or @file")
+
+
+def _grid_flags(p):
+    _shared_flags(p)
+    p.add_argument("--cutoff", type=float, default=None)
+    p.add_argument("--points", type=int, default=256, help="points per branch")
+
+
+def _verify_flags(p):
+    _lattice_flags(p, roots=False)
+    p.set_defaults(M=4, tol=None)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--draws", type=int, default=100)
+
+
+def _solve_bae_flags(p):
+    _lattice_flags(p)
+    p.add_argument("--numbers", type=str, default=None,
+                   help="comma list of quantum numbers (default: symmetric filling)")
+    p.add_argument("--parities", type=str, default=None,
+                   help="comma list of +-1 parities (default: all +1)")
+
+
+def _efp_finite_flags(p):
+    _lattice_flags(p)
+    p.add_argument("--k", type=int, default=0, help="window offset (columns k+1..k+n)")
+    p.add_argument("--n", type=int, default=1, help="window length")
+
+
+def _density_flags(p):
+    _grid_flags(p)
+    p.add_argument("--mu", type=str, default=None,
+                   help="'homogeneous' or comma list for the averaged driving term")
+
+
+def _efp_thermo_flags(p):
+    _grid_flags(p)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--mu-window", dest="mu_window", type=str, default=None,
+                   help="window column values (default: homogeneous zeros)")
+    p.add_argument("--samples", type=int, default=200000, help="Monte Carlo samples (n >= 4)")
+    p.add_argument("--seed", type=int, default=42)
+
+
+# name -> (help line, function adding its flags, handler)
+_SUBCOMMANDS = {
+    "verify": ("run the brute-force cross-check battery", _verify_flags, _cmd_verify),
+    "solve-bae": ("solve the Bethe equations (ground-state numbers by default)",
+                  _solve_bae_flags, _cmd_solve_bae),
+    "partition": ("partition function, brute force vs determinant", _lattice_flags,
+                  _cmd_partition),
+    "efp-finite": ("finite-size emptiness formation probability", _efp_finite_flags,
+                   _cmd_efp_finite),
+    "density": ("thermodynamic density profile (CSV)", _density_flags, _cmd_density),
+    "efp-thermo": ("multiple-integral emptiness formation probability", _efp_thermo_flags,
+                   _cmd_efp_thermo),
+}
+
+
+def build_parser(command=None):
+    """The argument parser.  For a known `command` only that subcommand's
+    parser is built; otherwise (no command, --help, a misspelling) all of
+    them, so the top-level help and the invalid-choice message list every
+    subcommand.  The top-level usage reads the same either way."""
     parser = argparse.ArgumentParser(
         prog="svdwbc",
         description="Six-vertex model with domain wall boundaries: "
                     "verification suite, Bethe solver, densities and "
                     "emptiness formation probabilities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_lattice=True):
-        p.add_argument("--gamma", type=float, default=0.6, help="anisotropy in (0, pi/2)")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file supplying flag defaults")
-        p.add_argument("--out", type=str, default=None, help="output file")
-        if with_lattice:
-            p.add_argument("--tol", type=float, default=1e-12)
-            p.add_argument("--M", type=int, default=0, help="lattice size (even)")
-            p.add_argument("--N", type=int, default=0, help="number of roots (M = 2N)")
-            p.add_argument("--mu", type=str, default=None,
-                           help="'homogeneous', comma list, or @file")
-        else:
-            p.add_argument("--cutoff", type=float, default=None)
-            p.add_argument("--points", type=int, default=256, help="points per branch")
-
-    p = sub.add_parser("verify", help="run the brute-force cross-check battery")
-    common(p)
-    p.set_defaults(M=4, tol=None)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--draws", type=int, default=100)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("solve-bae", help="solve the Bethe equations "
-                                         "(ground-state numbers by default)")
-    common(p)
-    p.add_argument("--numbers", type=str, default=None,
-                   help="comma list of quantum numbers (default: symmetric filling)")
-    p.add_argument("--parities", type=str, default=None,
-                   help="comma list of +-1 parities (default: all +1)")
-    p.set_defaults(func=_cmd_solve_bae)
-
-    p = sub.add_parser("partition", help="partition function, brute force vs determinant")
-    common(p)
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("efp-finite", help="finite-size emptiness formation probability")
-    common(p)
-    p.add_argument("--k", type=int, default=0, help="window offset (columns k+1..k+n)")
-    p.add_argument("--n", type=int, default=1, help="window length")
-    p.set_defaults(func=_cmd_efp_finite)
-
-    p = sub.add_parser("density", help="thermodynamic density profile (CSV)")
-    common(p, with_lattice=False)
-    p.add_argument("--mu", type=str, default=None,
-                   help="'homogeneous' or comma list for the averaged driving term")
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("efp-thermo", help="multiple-integral emptiness formation probability")
-    common(p, with_lattice=False)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--mu-window", dest="mu_window", type=str, default=None,
-                   help="window column values (default: homogeneous zeros)")
-    p.add_argument("--samples", type=int, default=200000, help="Monte Carlo samples (n >= 4)")
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_efp_thermo)
-
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # one subparser would shrink the usage's {choices}; an explicit metavar
+    # keeps it, and is left unset otherwise because argparse then names the
+    # argument by it in the invalid-choice message
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, add_flags, func = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a bad flag and 0 after --help

@@ -128,19 +128,33 @@ def ground_state_theta(grid) -> np.ndarray:
     return np.where(grid.shifted, 0.0, 1.0)
 
 
-def _nystrom_solve(theta, grid, g, rhs):
-    """Solve (I + K_2 diag(theta w)) rho = rhs for one or more right-hand
-    sides (columns of rhs).  A node with theta w = 0 has an identity column,
-    so only the block of occupied nodes is factorized; rho at the other
-    nodes is rhs minus the occupied columns applied to that block's
-    solution.  Only the occupied kernel columns are built."""
-    if g == 0:
-        raise ValueError("the density equation degenerates at gamma = 0")
-    c = theta * grid.w
-    act = c != 0
-    x, sh = grid.x, grid.shifted
-    K = _kernel_branch(x[:, None] - x[act][None, :], sh[:, None] ^ sh[act][None, :], 2, g)
-    K *= c[act]
+def _mirror_pairs(grid, c):
+    """(pos, neg) as (2, h) node-index arrays, one row per branch (real,
+    shifted): the nodes with x > 0 in ascending order and, index for index,
+    their mirror images x -> -x.  None unless both branches carry the same
+    abscissae, bitwise mirror images of each other with no node at x = 0,
+    and c = theta w is bitwise reflection-symmetric too."""
+    x = grid.x
+    real, shifted = (np.flatnonzero(grid.shifted == b) for b in (False, True))
+    if len(real) != len(shifted) or len(real) % 2:
+        return None
+    idx = np.stack([i[np.argsort(x[i], kind="stable")] for i in (real, shifted)])
+    h = idx.shape[1] // 2
+    pos, neg = idx[:, h:], idx[:, :h][:, ::-1]
+    if (
+        np.array_equal(x[idx[0]], x[idx[1]])
+        and np.all(x[pos] > 0)
+        and np.array_equal(x[pos], -x[neg])
+        and np.array_equal(c[pos], c[neg])
+    ):
+        return pos, neg
+    return None
+
+
+def _occupied_solve(K, act, rhs):
+    """Solve (I + K) rho = rhs where K holds only the columns of the nodes
+    marked in act (so K[act] is square): factorize that block, then fill in
+    the other rows with one matrix product."""
     A = K[act]
     A[np.diag_indices_from(A)] += 1.0
     rho = np.empty_like(rhs)
@@ -149,6 +163,54 @@ def _nystrom_solve(theta, grid, g, rhs):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular density system: {exc}") from exc
     rho[~act] = rhs[~act] - K[~act] @ rho[act]
+    return rho
+
+
+def _nystrom_solve(theta, grid, g, rhs):
+    """Solve (I + K_2 diag(theta w)) rho = rhs for one or more right-hand
+    sides (columns of rhs).  A node with theta w = 0 has an identity column,
+    so only the block of occupied nodes is factorized; rho at the other
+    nodes is rhs minus the occupied columns applied to that block's
+    solution.  Only the occupied kernel columns are built.
+
+    K_2 is even, so when the grid and theta w are mirror images under
+    x -> -x the system commutes with that reflection and splits into an
+    even and an odd half (Atkinson, The Numerical Solution of Integral
+    Equations of the Second Kind, ch. 4).  Over the nodes x_i > 0 and the
+    occupied x_j > 0 the halves are I + (K(x_i - x_j) +- K(x_i + x_j)) c_j,
+    each half the size: two factorizations of a quarter of the cost and
+    half the kernel table.  Any other theta or grid solves the full
+    occupied block."""
+    if g == 0:
+        raise ValueError("the density equation degenerates at gamma = 0")
+    c = theta * grid.w
+    x, sh = grid.x, grid.shifted
+    pairs = _mirror_pairs(grid, c)
+    if pairs is None:
+        act = c != 0
+        K = _kernel_branch(x[:, None] - x[act][None, :], sh[:, None] ^ sh[act][None, :], 2, g)
+        K *= c[act]
+        return _occupied_solve(K, act, rhs)
+    pos, neg = pairs
+    act = c[pos] != 0
+    cols = pos[act]
+    # both branches share the abscissae x[pos[0]]: one sinh table per sign,
+    # broadcast over the two row branches
+    xp, xa = x[pos[0]][:, None], x[cols]
+    crossed = (np.array([[False], [True]]) ^ sh[cols])[:, None, :]
+    direct, mirror = (
+        _kernel_branch(d, crossed, 2, g).reshape(pos.size, len(cols)) for d in (xp - xa, xp + xa)
+    )
+    direct *= c[cols]
+    mirror *= c[cols]
+    even = direct + mirror
+    odd = np.subtract(direct, mirror, out=direct)
+    pos, neg, act = pos.ravel(), neg.ravel(), act.ravel()
+    e = _occupied_solve(even, act, 0.5 * (rhs[pos] + rhs[neg]))
+    o = _occupied_solve(odd, act, 0.5 * (rhs[pos] - rhs[neg]))
+    rho = np.empty_like(rhs)
+    rho[pos] = e + o
+    rho[neg] = e - o
     return rho
 
 

@@ -70,6 +70,18 @@ class TestVerifyCommand:
             da.pop("created"), db.pop("created")
             assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
+    @pytest.mark.parametrize("flags", [["--N", "3"], ["--N=2"], ["--mu", "0.1,0.2,0.3,0.4"]])
+    def test_lattice_flags_it_never_reads_are_bad_input(self, flags, capsys):
+        assert run(["verify", "--M", "4", "--draws", "2", *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["N = 2", "mu = homogeneous"])
+    def test_config_lattice_keys_are_bad_input(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["verify", "--M", "4", "--draws", "2", "--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
 
 class TestSolveBae:
     def test_writes_schema(self, tmp_path):
@@ -275,6 +287,41 @@ class TestArgumentErrors:
     def test_unknown_subcommand_is_bad_input(self, capsys):
         assert run(["frobnicate"]) == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+COMMANDS = ["verify", "solve-bae", "partition", "efp-finite", "density", "efp-thermo"]
+
+
+class TestParserPerCommand:
+    """main builds only the subparser that argv[0] names; what argparse
+    prints must not show it."""
+
+    def test_one_subparser_for_a_named_command(self, tmp_path, monkeypatch):
+        built, add_parser = [], argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert run(["efp-finite", "--M", "4", "--n", "1", "--out", str(tmp_path / "e.json")]) == 0
+        assert built == ["efp-finite"]
+        built.clear()
+        assert run(["--help"]) == 0
+        assert built == COMMANDS
+
+    @staticmethod
+    def _full_parser_output(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("tail", [["--help"], ["--bogus"], ["--gamma", "x"]])
+    def test_messages_match_the_full_parser(self, command, tail, capsys):
+        code, full = self._full_parser_output([command, *tail], capsys)
+        assert run([command, *tail]) == code
+        assert capsys.readouterr() == full
 
 
 class TestReadme:

@@ -17,7 +17,7 @@ from oracles import (
 from svdwbc import bethe, determinant, thermo
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.bethe import SHIFTED, SpectralPoint
-from svdwbc.errors import PoleError
+from svdwbc.errors import ConvergenceError, PoleError
 
 
 @pytest.fixture(scope="module")
@@ -172,17 +172,45 @@ class TestDensity:
         assert any("grid under-resolved" in r.getMessage() for r in caplog.records)
 
 
+def _mirror_image(theta, grid):
+    """theta with every node at x < 0 given the value of its mirror node;
+    contour_grid lists each branch in ascending x, so the mirror of the
+    k-th node of a branch is its k-th node from the end."""
+    out = np.array(theta, dtype=float)
+    for branch in (~grid.shifted, grid.shifted):
+        idx = np.flatnonzero(branch)
+        out[idx] = np.where(grid.x[idx] > 0, out[idx], out[idx][::-1])
+    return out
+
+
 def _thetas(grid):
-    """Ground-state, seeded with zeros on both branches, and nowhere zero."""
+    """Ground-state, shifted-branch packed, seeded with zeros on both
+    branches (as drawn, and mirror-symmetrized), and nowhere zero."""
     rng = np.random.default_rng(2024)
     mixed = rng.random(grid.n_nodes)
     mixed[rng.random(grid.n_nodes) < 0.3] = 0.0
     assert np.any(mixed[grid.shifted] == 0) and np.any(mixed[~grid.shifted] == 0)
+    mirrored = _mirror_image(mixed, grid)
+    assert np.any(mirrored[grid.shifted] == 0) and np.any(mirrored[~grid.shifted] == 0)
     return {
         "ground": thermo.ground_state_theta(grid),
+        "shifted": np.where(grid.shifted, 1.0, 0.0),
+        "mirrored": mirrored,
         "mixed": mixed,
         "nonzero": 0.2 + 0.7 * rng.random(grid.n_nodes),
     }
+
+
+KINDS = ["ground", "shifted", "mirrored", "mixed", "nonzero"]
+SYMMETRIC = {"ground", "shifted", "mirrored"}
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Shapes of the matrices np.linalg.solve factorizes, in call order."""
+    shapes, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+    return shapes
 
 
 class TestNystromOracle:
@@ -198,20 +226,82 @@ class TestNystromOracle:
     def _close(got, ref):
         return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("kind", ["ground", "mixed", "nonzero"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_solve_density_matches_dense_solve(self, gamma, grid32, kind):
         theta = _thetas(grid32)[kind]
         prof = thermo.solve_density(theta, grid32, gamma)
         ref = nystrom_dense(theta, grid32, gamma, self._drive(grid32, gamma, 0.0))
         assert self._close(prof.rho_tot, ref)
 
-    @pytest.mark.parametrize("kind", ["ground", "mixed", "nonzero"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_uneven_drive_matches_dense_solve(self, gamma, grid32, kind):
+        theta = _thetas(grid32)[kind]
+        mu = (-0.4, 0.1, 0.75)
+        prof = thermo.solve_density(theta, grid32, gamma, mu=mu)
+        drive = np.mean([self._drive(grid32, gamma, c) for c in mu], axis=0)
+        assert self._close(prof.rho_tot, nystrom_dense(theta, grid32, gamma, drive))
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_local_densities_match_dense_solve(self, gamma, grid32, kind):
         theta = _thetas(grid32)[kind]
         centers = [-0.4, 0.1, 0.75]
         for loc, c in zip(thermo.local_densities(centers, theta, grid32, gamma), centers):
             ref = nystrom_dense(theta, grid32, gamma, self._drive(grid32, gamma, c))
             assert self._close(loc.rho_tot, ref)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_symmetric_weights_factor_two_half_blocks(self, gamma, grid32, kind, factored):
+        theta = _thetas(grid32)[kind]
+        P = np.count_nonzero(theta * grid32.w)
+        thermo.solve_density(theta, grid32, gamma)
+        thermo.local_densities([-0.4, 0.1, 0.75], theta, grid32, gamma)
+        block = [(P // 2, P // 2)] * 2 if kind in SYMMETRIC else [(P, P)]
+        assert factored == block * 2
+
+    def test_custom_grid_off_the_mirror_takes_the_full_block(self, gamma, grid32, factored):
+        # the same nodes with the shifted branch moved by half a spacing
+        x = np.where(grid32.shifted, grid32.x + 1e-3, grid32.x)
+        grid = thermo.ContourGrid(grid32.cutoff, 32, x, grid32.w, grid32.shifted)
+        theta = thermo.ground_state_theta(grid)
+        prof = thermo.solve_density(theta, grid, gamma)
+        P = np.count_nonzero(theta * grid.w)
+        assert factored == [(P, P)]
+        assert self._close(prof.rho_tot, nystrom_dense(theta, grid, gamma,
+                                                       self._drive(grid, gamma, 0.0)))
+
+    @pytest.mark.parametrize("kind", ["ground", "mixed"])
+    def test_singular_block_is_a_convergence_error(self, gamma, grid32, kind, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError, match="singular density system"):
+            thermo.solve_density(_thetas(grid32)[kind], grid32, gamma)
+
+
+class TestMirrorSplit:
+    """The even/odd split needs both branches on the same abscissae, each the
+    mirror image of itself with no node at 0; contour_grid must keep it."""
+
+    @pytest.mark.parametrize("cutoff", [None, 7.5])
+    @pytest.mark.parametrize("points", [8, 33, 256, 1024])
+    @pytest.mark.parametrize("g", [0.3, 0.6, 1.2])
+    def test_contour_grid_is_mirror_symmetric(self, g, points, cutoff):
+        grid = thermo.contour_grid(AnisotropyParam(g), cutoff, points)
+        real, shifted = ~grid.shifted, grid.shifted
+        assert np.array_equal(grid.x[real], grid.x[shifted])
+        for branch in (real, shifted):
+            x, w = grid.x[branch], grid.w[branch]
+            assert np.all(np.diff(x) > 0)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            assert np.all(x != 0)
+        assert thermo._mirror_pairs(grid, grid.w * thermo.ground_state_theta(grid)) is not None
+
+    def test_resolution_check_splits_both_grids(self, gamma, factored):
+        grid = thermo.contour_grid(gamma, points_per_branch=64)
+        fine = thermo.contour_grid(gamma, grid.cutoff, grid.n_nodes)
+        thermo.solve_density(thermo.ground_state_theta(grid), grid, gamma, check_resolution=True)
+        P, P_fine = np.count_nonzero(~grid.shifted), np.count_nonzero(~fine.shifted)
+        assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)] * 2
 
 
 class TestTransferTheta:

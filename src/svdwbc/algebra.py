@@ -24,8 +24,18 @@ monodromy matrix L_1 ... L_M is the same sweep run over the columns in
 reverse order, with the block's row and column swapped.  Each stacked input
 may carry its own rapidity: the sweep then reads an (M, S) weight table, so
 S states, or S pairs of monodromy matrices, cost one sweep per factor.
+
+Product states (bethe_state, dual_state) take a sector sweep instead.  By
+the ice rule the j-th B (or transposed C) factor takes its input in the
+sector of j down spins (aux down) and returns it in sector j + 1 (aux up),
+so the sweep keeps only those two sectors' amplitudes: column k pairs the
+sector-j states with site k up and the same states flipped down in sector
+j + 1, and mixes each pair by the same [[b, c], [c, b]] block.  The index
+tables are built on first use, once per M, and the state is scattered into
+the 2^M vector only at the end.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,9 +221,13 @@ def _require_vector(spec):
 
 
 def monodromy(lam, spec, gamma):
-    """Dense (A, B, C, D) blocks of the monodromy matrix at rapidity lam."""
+    """Dense (A, B, C, D) blocks of the monodromy matrix at rapidity lam.  A
+    1-d lam gives each block as a stack with one matrix per rapidity, from
+    one sweep."""
     _require_dense(spec)
-    w = _all_blocks(lam, spec, gamma, np.eye(spec.dim))[:, :, 0]
+    w = _all_blocks(lam, spec, gamma, np.eye(spec.dim))
+    if np.ndim(lam) == 0:
+        w = w[:, :, 0]
     return w[0, 0], w[0, 1], w[1, 0], w[1, 1]
 
 
@@ -234,21 +248,59 @@ def up_state(spec):
     return v
 
 
+@functools.lru_cache(maxsize=None)
+def _sector_tables(M):
+    """(states, pairs) of the sector sweep at size M.  states[j] lists the
+    basis states with j down spins in increasing order, and a sweep buffer
+    holds the sectors one after another in that order.  pairs[j] is an
+    (M, 2, C(M-1, j)) array of buffer positions: [k, 1] the states of
+    sector j with site k + 1 up, [k, 0] the same states with site k + 1
+    flipped down, in sector j + 1."""
+    idx = np.arange(1 << M)
+    pop = np.zeros(1 << M, dtype=np.intp)
+    for bit in range(M):  # np.bitwise_count needs numpy >= 2
+        pop += (idx >> bit) & 1
+    states = tuple(np.flatnonzero(pop == j) for j in range(M + 1))
+    pos = np.empty(1 << M, dtype=np.intp)
+    pos[np.concatenate(states)] = idx
+    flips = [1 << (M - 1 - k) for k in range(M)]
+    pairs = []
+    for s in states[:-1]:
+        ups = [s[(s & f) == 0] for f in flips]
+        pairs.append(np.array([(pos[u | f], pos[u]) for u, f in zip(ups, flips)]))
+    for table in states + tuple(pairs):  # shared by every caller
+        table.setflags(write=False)
+    return states, tuple(pairs)
+
+
 def _product_state(lams, spec, gamma, transpose):
     """One block product over the rapidities on the last axis of lams, applied
     to |up>: B(lams[..., -1]) first, or with transpose=True C^T(lams[..., 0])
-    first.  Both blocks take the input in aux slot 1 and return it in slot 0.
-    A 2-d lams (S, N) gives the S states as the rows of an (S, 2^M) array."""
+    first.  Both blocks take the input in aux slot 1 (sector j) and return
+    it in slot 0 (sector j + 1).  A 2-d lams (S, N) gives the S states as
+    the rows of an (S, 2^M) array."""
     _require_vector(spec)
     lams = np.asarray(lams)
     stack = np.atleast_2d(lams)
-    w = np.zeros((2, len(stack), spec.dim), dtype=complex)
-    w[1, :, 0] = 1.0
-    for lam in (stack.T if transpose else stack.T[::-1]):
-        _sweep(lam, spec, gamma, w, reverse=transpose)
-        w[1] = w[0]
-        w[0] = 0.0
-    return w[1] if lams.ndim > 1 else w[1, 0]
+    S, n = stack.shape
+    factors = stack.T if transpose else stack.T[::-1]
+    # (M, n, S, 1, 1): each state's amplitudes run along the last axis, so a
+    # state's arithmetic does not depend on how many share the stack
+    b, c = (t.reshape(spec.M, n, S, 1, 1) for t in _column_weights(factors.ravel(), spec, gamma))
+    out = np.zeros((S, spec.dim), dtype=complex)
+    if n <= spec.M:
+        states, pairs = _sector_tables(spec.M)
+        columns = range(spec.M - 1, -1, -1) if transpose else range(spec.M)
+        buf = np.zeros((S, spec.dim), dtype=complex)
+        buf[:, 0] = 1.0  # |up>, the one state of sector 0
+        for j in range(n):
+            for k in columns:
+                # xy[:, 0]: aux up, site k down; xy[:, 1]: aux down, site k up
+                xy = buf[:, pairs[j][k]]
+                buf[:, pairs[j][k]] = xy * b[k, j] + c[k, j] * xy[:, ::-1]
+        start = sum(map(len, states[:n]))
+        out[:, states[n]] = buf[:, start:start + len(states[n])]
+    return out if lams.ndim > 1 else out[0]
 
 
 def bethe_state(lams, spec, gamma):
@@ -347,15 +399,11 @@ def qism_pi(k, spec, gamma):
     _require_dense(spec)
     if not (1 <= k <= spec.M):
         raise ValueError(f"column index {k} out of range 1..{spec.M}")
-    eta2 = gamma.eta / 2
-    out = np.eye(spec.dim, dtype=complex)
-    for l in range(1, k):
-        out = out @ transfer(spec.mu[l - 1] + eta2, spec, gamma)
-    _, _, _, D = monodromy(spec.mu[k - 1] + eta2, spec, gamma)
-    out = out @ D
-    for l in range(k + 1, spec.M + 1):
-        out = out @ transfer(spec.mu[l - 1] + eta2, spec, gamma)
-    return out
+    # all M factors from one stacked sweep over the shifted inhomogeneities
+    A, _, _, D = monodromy(np.asarray(spec.mu) + gamma.eta / 2, spec, gamma)
+    factors = A + D
+    factors[k - 1] = D[k - 1]
+    return functools.reduce(np.matmul, factors, np.eye(spec.dim, dtype=complex))
 
 
 def correlator_pair(lams, spec, gamma):

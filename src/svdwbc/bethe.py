@@ -234,8 +234,11 @@ def _system(x, shifted, n_target, mu, g):
 
 def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     """Solve the logarithmic Bethe equations for quantum numbers n_i with
-    parities v_i.  Returns a BetheRootSet with per-root residuals; the flip
-    eigenvalue is determined brute-force when M <= 12.
+    parities v_i.  Returns a BetheRootSet with per-root residuals and the
+    flip eigenvalue r_sign = sign <N|N> = (-1)^N sign det J, read from the
+    final Newton Jacobian J: the Gaudin matrix is phi' = i J, and the norm
+    prefactor is (i sin(gamma))^N times a product that is positive for
+    roots on the contour.
     """
     gamma = _aniso(gamma)
     if gamma.gamma == 0:
@@ -326,10 +329,9 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
         raise ConvergenceError(
             f"solution violates prod d(lam_j) = 1 by {dev:.2e}", best_residual=dev
         )
-    if spec.M <= algebra.BRUTE_FORCE_MAX_M:
-        sign, res = flip_sign_residual(roots, spec)
-        if res < 1e-8:  # otherwise not a flip eigenstate: leave r_sign unset
-            roots = replace(roots, r_sign=sign)
+    sign = np.linalg.slogdet(J)[0]
+    if sign:  # a singular Jacobian leaves r_sign unset
+        roots = replace(roots, r_sign=int((-1) ** N * sign))
     return roots
 
 

@@ -341,12 +341,26 @@ def build_parser(command=None):
     return parser
 
 
+def _parse_args(parser, argv):
+    """parser.parse_args(argv), except that when argv starts with the
+    subcommand, arguments it does not take are reported by the subcommand's
+    parser, whose usage lists the flags it does take (argparse would report
+    them with the top-level usage)."""
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if argv[0] == args.command:
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[args.command]
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:  # argparse exits 2 on a bad flag and 0 after --help
         return exc.code
     try:

@@ -229,15 +229,16 @@ def d_action_check(lams, extra, spec, gamma) -> float:
     extra = list(extra)
     N, n = len(lams), len(extra)
     ext = np.array(lams + extra, dtype=complex)
-    lhs = algebra.bethe_state(lams, spec, gamma)
+    uppers = [N + l + 1 for l in range(n)]
+    tuples = list(_index_tuples(N + n, n, upper_per_level=uppers))
+    coeffs = np.array([g_coefficient(tup, ext, N, spec.mu, gamma) for tup in tuples])
+    # the B-state of lams and of every term's remaining rapidities, one stack
+    rests = [lams] + [[ext[k] for k in range(N + n) if k not in tup] for tup in tuples]
+    states = algebra.bethe_state(np.array(rests, dtype=complex), spec, gamma)
+    lhs = states[0]
     for z in extra:
         lhs = algebra.monodromy_apply(z, spec, gamma, lhs, "D")
-    rhs = np.zeros_like(lhs)
-    uppers = [N + l + 1 for l in range(n)]
-    for tup in _index_tuples(N + n, n, upper_per_level=uppers):
-        coeff = g_coefficient(tup, ext, N, spec.mu, gamma)
-        rest = [ext[k] for k in range(N + n) if k not in tup]
-        rhs += coeff * algebra.bethe_state(rest, spec, gamma)
+    rhs = coeffs @ states[1:]
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 

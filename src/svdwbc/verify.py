@@ -49,11 +49,9 @@ def check_commutation(gamma, M=4, seed=42, draws=5, tol=1e-12):
     for _ in range(draws):
         lam = rng.normal() + 0.3j * rng.normal()
         mu = rng.normal() + 0.3j * rng.normal()
-        _, B1, _, _ = algebra.monodromy(lam, spec, gamma)
-        _, B2, _, _ = algebra.monodromy(mu, spec, gamma)
-        T1 = algebra.transfer(lam, spec, gamma)
-        T2 = algebra.transfer(mu, spec, gamma)
-        for X, Y in ((B1, B2), (T1, T2)):
+        A, B, _, D = algebra.monodromy(np.array([lam, mu]), spec, gamma)
+        T = A + D
+        for X, Y in (B, T):
             scale = max(np.max(np.abs(X @ Y)), 1e-300)
             worst = max(worst, np.max(np.abs(X @ Y - Y @ X)) / scale)
     return _record("operator_commutation", worst, tol, M=M, draws=draws)
@@ -154,6 +152,17 @@ def check_efp_finite(gamma, sizes=(4, 6), seed=42, tol=1e-8):
     return _record("efp_determinant_vs_bruteforce", worst, tol, sizes=list(sizes))
 
 
+def check_flip(states, tol=1e-10):
+    """R|N> = r_sign |N> on the brute-force Bethe states: the residual is
+    the larger of the eigenvector residual and |brute-force sign - r_sign|,
+    so a wrong r_sign reads 2."""
+    worst = 0.0
+    for roots in states:
+        sign, res = bethe.flip_sign_residual(roots, roots.spec)
+        worst = max(worst, res, abs(sign - roots.r_sign))
+    return _record("flip_eigenvalue", worst, tol, sizes=[len(r.mu) for r in states])
+
+
 def check_partition(states, tol=1e-10):
     """Z = <N|R|N> against flip-sign times the norm determinant."""
     worst = 0.0
@@ -186,6 +195,7 @@ def run_battery(gamma, M=4, seed=42, draws=100, tol=None):
         check_gaudin_specialization(ground[M], tol=ov(1e-6)),
         check_d_action(gamma, seed=seed, tol=ov(1e-9)),
         check_efp_finite(gamma, sizes=tuple(m for m in (4, 6) if m <= M) or (4,), seed=seed, tol=ov(1e-8)),
+        check_flip(states, tol=ov(1e-10)),
         check_partition(states[-2:], tol=ov(1e-10)),
     ]
     return checks

@@ -235,6 +235,14 @@ class TestRTT:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert np.max(got) < 1e-12
 
+    def test_stacked_monodromy_matches_scalar_calls(self, gamma, rng):
+        spec = LatticeSpec(4, tuple(0.2 * rng.normal(size=4)))
+        lams = rng.normal(size=3) + 0.3j * rng.normal(size=3)
+        stacked = algebra.monodromy(lams, spec, gamma)
+        for s, lam in enumerate(lams):
+            for got, want in zip(stacked, algebra.monodromy(lam, spec, gamma)):
+                assert np.array_equal(got[s], want)
+
     def test_b_operators_commute(self, gamma, rng):
         spec = LatticeSpec(4, tuple(0.2 * rng.normal(size=4)))
         lam, mu = 0.3 + 0.2j, -0.5 + 0.1j
@@ -263,6 +271,62 @@ class TestBetheState:
     def test_empty_product_is_up_state(self, gamma):
         spec = homogeneous_spec(4)
         assert np.allclose(algebra.bethe_state([], spec, gamma), algebra.up_state(spec))
+
+
+class TestSectorSweep:
+    """Product states run on the sectors of j and j + 1 down spins only;
+    the dense sweep of monodromy_apply is their oracle."""
+
+    @staticmethod
+    def _dense(lams, spec, gamma, transpose):
+        # <N| = <up|C(lam_1)...C(lam_N) is C^T(lam_N)...C^T(lam_1)|up>
+        v = algebra.up_state(spec)
+        for lam in (lams if transpose else lams[::-1]):
+            v = algebra.monodromy_apply(lam, spec, gamma, v, "C" if transpose else "B", transpose)
+        return v
+
+    @pytest.mark.parametrize("M", range(2, 13, 2))
+    def test_matches_dense_products(self, gamma, M):
+        rng = np.random.default_rng(9100 + M)
+        spec = LatticeSpec(M, tuple(0.3 * rng.normal(size=M) + 0.05j * rng.normal(size=M)))
+        N = M // 2
+        lams = rng.normal(size=(3, N)) * 0.6 + 0.2j * rng.normal(size=(3, N))
+        for build, transpose in ((algebra.bethe_state, False), (algebra.dual_state, True)):
+            want = np.array([self._dense(row, spec, gamma, transpose) for row in lams])
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(build(lams, spec, gamma) - want)) < 1e-13 * scale
+            assert np.max(np.abs(build(lams[0], spec, gamma) - want[0])) < 1e-13 * scale
+
+    def test_dual_is_reversed_lattice_ket(self, gamma, rng):
+        # reversing the columns turns the transposed sweep into the forward one
+        M = 12
+        spec = LatticeSpec(M, tuple(0.3 * rng.normal(size=M)))
+        flipped = LatticeSpec(M, spec.mu[::-1])
+        lams = rng.normal(size=M // 2) * 0.5 + 0.1j * rng.normal(size=M // 2)
+        idx = np.arange(spec.dim)
+        bitrev = sum(((idx >> b) & 1) << (M - 1 - b) for b in range(M))
+        ket = algebra.bethe_state(lams, flipped, gamma)
+        bra = algebra.dual_state(lams, spec, gamma)
+        assert np.max(np.abs(bra - ket[bitrev])) < 1e-14 * np.max(np.abs(bra))
+
+    @pytest.mark.parametrize("M", [0, 2, 6, 12])
+    def test_tables(self, M):
+        states, pairs = algebra._sector_tables(M)
+        assert len(states) == M + 1 and len(pairs) == M
+        buffer = np.concatenate(states)
+        assert sorted(buffer) == list(range(1 << M))
+        for j, s in enumerate(states):
+            assert all(bin(int(i)).count("1") == j for i in s)
+        for j, table in enumerate(pairs):
+            assert table.shape == (M, 2, len(states[j]) * (M - j) // M)
+            for k in range(M):
+                down, up = buffer[table[k]]
+                assert set(down) <= set(states[j + 1]) and set(up) <= set(states[j])
+                assert np.all(down ^ up == 1 << (M - 1 - k))
+
+    def test_more_factors_than_columns_give_zero(self, gamma):
+        spec = LatticeSpec(2, (0.1, -0.2))
+        assert not np.any(algebra.bethe_state([0.3, -0.1, 0.4], spec, gamma))
 
 
 class TestPartition:
@@ -311,6 +375,16 @@ class TestProjectors:
                         np.abs(algebra.qism_pi(k, spec, gamma) - algebra.projector_pi(k, spec))
                     )
                     assert delta < 1e-10
+
+    def test_qism_matches_factor_by_factor_product(self, gamma, rng):
+        # one stacked sweep gives every factor of the product
+        spec = LatticeSpec(4, tuple(0.25 * rng.normal(size=4)))
+        for k in range(1, 5):
+            want = np.eye(spec.dim, dtype=complex)
+            for l, m in enumerate(spec.mu, 1):
+                T = algebra.monodromy(m + gamma.eta / 2, spec, gamma)
+                want = want @ (T[3] if l == k else T[0] + T[3])
+            assert np.array_equal(algebra.qism_pi(k, spec, gamma), want)
 
     def test_transfer_product_at_shifted_points_is_identity(self, gamma, rng):
         # the consecutive-window reduction of correlators rests on this

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svdwbc import algebra, bethe
+from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.bethe import REAL, SHIFTED, SpectralPoint
 from svdwbc.errors import PoleError
@@ -278,6 +278,58 @@ class TestEigenstateResidual:
             assert sign in (-1, 1)
             assert res < 1e-10
             assert roots.r_sign == sign
+
+
+def _solve(M, gamma, seeded, parity):
+    mu = np.sort(0.3 * np.random.default_rng(M).normal(size=M)) if seeded else np.zeros(M)
+    ns, _ = bethe.ground_state_numbers(M // 2)
+    return bethe.solve_bae(ns, (parity,) * (M // 2), LatticeSpec(M, tuple(mu)), gamma)
+
+
+class TestFlipSign:
+    """r_sign = (-1)^N sign det J from the solver's own Jacobian, at every M."""
+
+    @pytest.mark.parametrize("gamma_val", [0.3, 0.6, 1.2])
+    @pytest.mark.parametrize("M", range(2, 13, 2))
+    def test_matches_brute_force(self, gamma_val, M):
+        gamma = AnisotropyParam(gamma_val)
+        for seeded in (False, True):
+            for parity in (1, -1):  # the ground state and its shifted-branch twin
+                roots = _solve(M, gamma, seeded, parity)
+                sign, res = bethe.flip_sign_residual(roots, roots.spec)
+                assert res < 1e-10
+                assert roots.r_sign == sign
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_gaudin_matrix_is_i_times_jacobian(self, gamma, parity):
+        # the identity that puts sign <N|N> in the solver's hands
+        roots = _solve(12, gamma, True, parity)
+        x = np.array([r.x for r in roots.roots])
+        shifted = np.array([r.branch == SHIFTED for r in roots.roots])
+        _, J = bethe._system(x, shifted, roots.quantum_numbers, np.real(roots.mu), gamma.gamma)
+        phi = determinant.varphi_prime_matrix(roots)
+        assert np.max(np.abs(phi - 1j * J)) < 1e-14 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("M", range(14, 49, 2))
+    def test_matches_norm_sign(self, gamma, M):
+        for parity in (1, -1):
+            roots = _solve(M, gamma, True, parity)
+            norm = determinant.gaudin_norm(roots)
+            assert np.isfinite(norm)
+            assert roots.r_sign == np.sign(norm.real)
+
+    @pytest.mark.parametrize("M", [64, 128])
+    def test_set_beyond_brute_force(self, gamma, M):
+        assert bethe.solve_ground_state(M, gamma).r_sign in (-1, 1)
+
+    def test_solve_builds_no_state(self, gamma, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_bae swept a 2^M state")
+
+        monkeypatch.setattr(algebra, "_sweep", forbidden)
+        monkeypatch.setattr(algebra, "_product_state", forbidden)
+        for parity in (1, -1):
+            assert _solve(12, gamma, True, parity).r_sign in (-1, 1)
 
 
 class TestRootSymmetry:

@@ -313,7 +313,7 @@ class TestParserPerCommand:
     @staticmethod
     def _full_parser_output(argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(argv)
+            cli._parse_args(cli.build_parser(), argv)
         return exc.value.code, capsys.readouterr()
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -322,6 +322,26 @@ class TestParserPerCommand:
         code, full = self._full_parser_output([command, *tail], capsys)
         assert run([command, *tail]) == code
         assert capsys.readouterr() == full
+
+
+class TestUnknownFlags:
+    """A flag the subcommand does not take is reported with that
+    subcommand's usage, which lists the flags it does take."""
+
+    @pytest.mark.parametrize("argv, bad", [(["verify", "--N", "3"], "--N 3"),
+                                           (["efp-thermo", "--samples-typo", "1"],
+                                            "--samples-typo 1")])
+    def test_subcommand_usage(self, argv, bad, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: svdwbc {argv[0]} [-h]")
+        assert err.endswith(f"svdwbc {argv[0]}: error: unrecognized arguments: {bad}\n")
+
+    def test_flag_before_the_subcommand_keeps_top_level_usage(self, capsys):
+        assert run(["--bogus", "verify"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svdwbc [-h]")
+        assert err.endswith("svdwbc: error: unrecognized arguments: --bogus\n")
 
 
 class TestReadme:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ GAMMA = AnisotropyParam(0.6)
 @pytest.mark.parametrize("M", [2, 4, 6])
 def test_every_check_passes(M, seed):
     checks = verify.run_battery(GAMMA, M=M, seed=seed)
-    assert len(checks) == 9
+    assert len(checks) == 10
     assert [c["check"] for c in checks if not c["passed"]] == []
 
 
@@ -34,6 +36,7 @@ def test_record_shapes_unchanged():
     assert checks["slavnov_vs_bruteforce"]["draws"] == 20
     assert checks["gaudin_vs_bruteforce"]["sizes"] == [2, 4, 6]
     assert checks["gaudin_specialization_limit"]["M"] == 6
+    assert checks["flip_eigenvalue"]["sizes"] == [2, 4, 6]
     assert checks["partition_vs_norm"]["sizes"] == [4, 6]
     assert checks["rtt_intertwining"]["draws"] == 3
 
@@ -47,3 +50,12 @@ def test_rtt_slabs_cover_every_draw(draws):
     each = [algebra.rtt_residual(p[0] + 0.3j * p[1], p[2] + 0.3j * p[3], spec, GAMMA)
             for p in pairs]
     assert verify.check_rtt(GAMMA, seed=5, draws=draws)["residual"] == max(each)
+
+
+def test_flip_check_catches_a_wrong_sign():
+    states = [bethe.solve_ground_state(m, GAMMA) for m in (2, 4, 6)]
+    assert verify.check_flip(states)["passed"]
+    states[1] = replace(states[1], r_sign=-states[1].r_sign)
+    rec = verify.check_flip(states)
+    assert not rec["passed"]
+    assert rec["residual"] == 2.0

@@ -36,7 +36,6 @@ from .bethe import (
 )
 from .determinant import (
     EfpRequest,
-    SlavnovInput,
     cauchy_det_check,
     d_action_check,
     efp_finite,
@@ -54,7 +53,6 @@ from .thermo import (
     ContourGrid,
     DensityProfile,
     EfpResult,
-    LocalDensity,
     contour_grid,
     efp_sum_finite,
     efp_thermo,

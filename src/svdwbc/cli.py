@@ -39,43 +39,25 @@ def _parse_mu(text, M):
     return vals
 
 
-def _load_config_file(path):
-    out = {}
+def _config_flags(path, parser):
+    """The lines `key = value` (or `key value`) of a config file as the
+    flags `--key=value` of `parser`, the subcommand's own parser; '#'
+    starts a comment."""
+    flags = []
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, val = line.split("=", 1)
-            else:
-                key, val = line.split(None, 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-def _coerce(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _apply_config_defaults(args, argv):
-    """Config file supplies defaults; flags given on the command line win."""
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _load_config_file(args.config)
-    for key, val in file_vals.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key: {key}")
-        flag = "--" + key.replace("_", "-")
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue  # explicit flag overrides the file
-        setattr(args, key, _coerce(val))
-    return args
+            key, val = (line.split("=" if "=" in line else None, 1) + [""])[:2]
+            key, val = key.strip(), val.strip()
+            if not val:
+                raise ValueError(f"{path}, line {number}: no value for config key {key!r}")
+            flag = "--" + key.replace("_", "-")
+            if flag not in parser._option_string_actions:
+                raise ValueError(f"unknown config key: {key}")
+            flags.append(f"{flag}={val}")
+    return flags
 
 
 def _emit(payload, out_path):
@@ -341,6 +323,11 @@ def build_parser(command=None):
     return parser
 
 
+def _subparser(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
 def _parse_args(parser, argv):
     """parser.parse_args(argv), except that when argv starts with the
     subcommand, arguments it does not take are reported by the subcommand's
@@ -349,8 +336,7 @@ def _parse_args(parser, argv):
     args, extra = parser.parse_known_args(argv)
     if extra:
         if argv[0] == args.command:
-            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            parser = sub.choices[args.command]
+            parser = _subparser(parser, args.command)
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
@@ -361,11 +347,13 @@ def main(argv=None):
     parser = build_parser(argv[0] if argv else None)
     try:
         args = _parse_args(parser, argv)
+        if args.config:
+            # the file's flags go first, so the command line's own win
+            flags = _config_flags(args.config, _subparser(parser, args.command))
+            args = _parse_args(parser, [args.command, *flags, *argv[1:]])
+        return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on a bad flag and 0 after --help
         return exc.code
-    try:
-        args = _apply_config_defaults(args, argv)
-        return args.func(args)
     except PoleError as exc:
         print(f"singular parameters: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

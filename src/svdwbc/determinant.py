@@ -11,6 +11,7 @@ the finite-size EFP and the thermodynamic multiple integral in `thermo`.
 Every formula here has a brute-force counterpart in `algebra` used by tests.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -58,18 +59,6 @@ def _check_bethe(roots):
         )
 
 
-@dataclass(frozen=True)
-class SlavnovInput:
-    """Generic dual parameters xi paired with a solved Bethe root set."""
-
-    xi: tuple
-    roots: bethe.BetheRootSet
-
-    def __post_init__(self):
-        if len(self.xi) != self.roots.N:
-            raise ValueError(f"need {self.roots.N} xi parameters, got {len(self.xi)}")
-
-
 def cauchy_det_check(xi, lams) -> float:
     """Relative deviation between det[1/sinh(xi_k - lam_l)] * prod sinh(xi_k - lam_l)
     and prod_{k<l} sinh(lam_k - lam_l) sinh(xi_l - xi_k).
@@ -113,16 +102,14 @@ def t_prime_matrix(xi, roots) -> np.ndarray:
             + dQ[..., None] * _coth_difference(u, x * e, x))
 
 
-def slavnov_scalar_product(inp, roots=None):
+def slavnov_scalar_product(xi, roots):
     """<up| prod_j C(xi_j) prod_j B(lam_j) |up> = det t' / det V with
     V_ij = 1/sinh(xi_i - lam_j), for lam solving the Bethe equations.
 
-    With roots given, inp may also be a (draws, N) stack of xi; that returns
-    an array with one scalar product per row, from batched determinants.
+    A (draws, N) stack of xi returns an array with one scalar product per
+    row, from batched determinants.
     """
-    if roots is None:
-        inp, roots = inp.xi, inp.roots
-    xi = np.asarray(inp, dtype=complex)
+    xi = np.asarray(xi, dtype=complex)
     if xi.ndim not in (1, 2) or xi.shape[-1] != roots.N:
         raise ValueError(f"need {roots.N} xi parameters per row, got shape {xi.shape}")
     _check_bethe(roots)
@@ -206,20 +193,6 @@ def g_coefficient(indices, lams_ext, N, mu, gamma) -> complex:
     return complex(out)
 
 
-def _index_tuples(N, n, upper_per_level=None):
-    """Ordered tuples (i_1..i_n), pairwise distinct, i_l < upper(l)."""
-    def rec(prefix, l):
-        if l == n:
-            yield prefix
-            return
-        hi = upper_per_level[l] if upper_per_level else N
-        for i in range(hi):
-            if i not in prefix:
-                yield from rec(prefix + (i,), l + 1)
-
-    yield from rec((), 0)
-
-
 def d_action_check(lams, extra, spec, gamma) -> float:
     """Max-norm discrepancy of the D-product expansion identity:
     prod_j D(extra_j) prod_k B(lam_k)|up> against the coefficient sum over
@@ -229,8 +202,9 @@ def d_action_check(lams, extra, spec, gamma) -> float:
     extra = list(extra)
     N, n = len(lams), len(extra)
     ext = np.array(lams + extra, dtype=complex)
-    uppers = [N + l + 1 for l in range(n)]
-    tuples = list(_index_tuples(N + n, n, upper_per_level=uppers))
+    # ordered tuples of distinct indices with i_l <= N + l (0-based l)
+    tuples = [t for t in itertools.permutations(range(N + n), n)
+              if all(i <= N + l for l, i in enumerate(t))]
     coeffs = np.array([g_coefficient(tup, ext, N, spec.mu, gamma) for tup in tuples])
     # the B-state of lams and of every term's remaining rapidities, one stack
     rests = [lams] + [[ext[k] for k in range(N + n) if k not in tup] for tup in tuples]

@@ -220,6 +220,12 @@ def _centres(mu):
     return (0.0,) if mu is None or len(mu) == 0 else mu
 
 
+def _interpolate(z, drive, grid, g, coeff):
+    """Nystrom interpolation drive(z) - sum_q K_2(z - z_q) coeff_q at the
+    points z, with coeff = w rho_p at the grid nodes (a column per density)."""
+    return drive - _kernel_at(2, z, grid.values, g) @ coeff
+
+
 @dataclass(frozen=True)
 class DensityProfile:
     """Vacancy, particle and hole densities on a contour grid."""
@@ -239,36 +245,50 @@ class DensityProfile:
     def rho_tot_at(self, z):
         """Nystrom interpolation of rho_tot at arbitrary points (complex or
         SpectralPoint); exact at the grid nodes."""
-        return _nystrom_eval(z, self.grid, self.rho_p, self.gamma, _centres(self.mu))
+        g = _aniso(self.gamma).gamma
+        vals = np.array(
+            [p.value if isinstance(p, SpectralPoint) else p for p in np.atleast_1d(z)],
+            dtype=complex,
+        )
+        drive = _kernel_at(1, vals, _centres(self.mu), g).mean(axis=1)
+        out = _interpolate(vals, drive, self.grid, g, self.grid.w * self.rho_p)
+        if np.max(np.abs(out.imag)) < 1e-10 * (1 + np.max(np.abs(out.real))):
+            out = out.real
+        return out if out.shape != (1,) else out[0]
 
 
-@dataclass(frozen=True)
-class LocalDensity:
-    """Density responding to a single column at mu = center; averaging these
-    over the column inhomogeneities reproduces the total density."""
+def _driven_profiles(theta, grid, gamma, mus):
+    """One DensityProfile per entry of `mus`, each driven by K_1 averaged
+    over that entry's real centres (None: homogeneous), from one Nystrom
+    factorization.  A single profile is solved with a 1-D right-hand side."""
+    gamma = _aniso(gamma)
+    g = gamma.gamma
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != grid.x.shape:
+        raise ValueError("theta must be sampled on the grid nodes")
+    if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
+        raise ValueError("theta must lie in [0, 1]")
+    centres = [np.asarray(_centres(mu), dtype=complex) for mu in mus]
+    if any(np.any(np.abs(c.imag) > 1e-12) for c in centres):
+        raise ValueError("the density equation requires real driving centres")
+    drive = np.empty((grid.n_nodes, len(mus)))
+    for j, c in enumerate(centres):
+        drive[:, j] = np.real(_kernel_at(1, grid.values, c.real, g).mean(axis=1))
+    if len(mus) == 1:
+        rhos = [_nystrom_solve(theta, grid, g, drive[:, 0])]
+    else:
+        rhos = _nystrom_solve(theta, grid, g, drive).T
+    return [
+        DensityProfile(grid, theta, r, theta * r, (1 - theta) * r, gamma, mu)
+        for r, mu in zip(rhos, mus)
+    ]
 
-    center: float
-    grid: ContourGrid
-    theta: np.ndarray
-    rho_tot: np.ndarray
-    gamma: object
 
-    def rho_tot_at(self, z):
-        return _nystrom_eval(z, self.grid, self.theta * self.rho_tot, self.gamma, (self.center,))
-
-
-def _nystrom_eval(z, grid, rho_p_nodes, gamma, centres):
-    """Evaluate rho(z) = mean_c K_1(z - c) - sum_q K_2(z - z_q) rho_p(z_q) w_q
-    at points z (complex or SpectralPoint)."""
-    g = _aniso(gamma).gamma
-    vals = np.array(
-        [p.value if isinstance(p, SpectralPoint) else p for p in np.atleast_1d(z)], dtype=complex
-    )
-    drive = _kernel_at(1, vals, centres, g).mean(axis=1)
-    out = drive - _kernel_at(2, vals, grid.values, g) @ (grid.w * rho_p_nodes)
-    if np.max(np.abs(out.imag)) < 1e-10 * (1 + np.max(np.abs(out.real))):
-        out = out.real
-    return out if out.shape != (1,) else out[0]
+def _doubled(theta, grid, gamma):
+    """theta carried to the grid with twice the actual nodes per branch, and
+    that grid: the reference of the grid-doubling checks."""
+    fine = contour_grid(gamma, grid.cutoff, grid.n_nodes)
+    return _transfer_theta(theta, grid, fine), fine
 
 
 def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
@@ -277,28 +297,9 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
     on the directed contour.  theta is the Fermi weight per grid node; only
     the block of nodes with theta != 0 is factorized, and the other nodes
     are filled in with one matrix-vector product."""
-    gamma = _aniso(gamma)
-    g = gamma.gamma
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != grid.x.shape:
-        raise ValueError("theta must be sampled on the grid nodes")
-    if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
-        raise ValueError("theta must lie in [0, 1]")
-    drive = _kernel_at(1, grid.values, _centres(mu), g).mean(axis=1)
-    rho = _nystrom_solve(theta, grid, g, np.real(drive))
-    prof = DensityProfile(
-        grid=grid,
-        theta=theta,
-        rho_tot=rho,
-        rho_p=theta * rho,
-        rho_h=(1 - theta) * rho,
-        gamma=gamma,
-        mu=tuple(mu) if mu is not None else None,
-    )
+    prof = _driven_profiles(theta, grid, gamma, [tuple(mu) if mu is not None else None])[0]
     if check_resolution:
-        fine = contour_grid(gamma, grid.cutoff, grid.n_nodes)  # twice the actual per branch
-        theta_fine = _transfer_theta(theta, grid, fine)
-        ref = solve_density(theta_fine, fine, gamma, mu)
+        ref = solve_density(*_doubled(prof.theta, grid, prof.gamma), prof.gamma, mu)
         d0 = abs(prof.rho_tot_at(0.0) - ref.rho_tot_at(0.0))
         if d0 > 1e-6:
             logger.warning("grid under-resolved: rho_tot(0) moves by %.2e on doubling", d0)
@@ -324,24 +325,16 @@ def _transfer_theta(theta, grid, fine):
     return out
 
 
-def local_density(center, theta, grid, gamma) -> LocalDensity:
+def local_density(center, theta, grid, gamma) -> DensityProfile:
     """Density driven by a single column kernel K_1(lam - center)."""
     return local_densities([center], theta, grid, gamma)[0]
 
 
 def local_densities(centers, theta, grid, gamma):
-    """Solve the integral equation for several column centres with one
-    factorization of the occupied block (the kernel matrix does not depend
-    on the driving)."""
-    gamma = _aniso(gamma)
-    g = gamma.gamma
-    theta = np.asarray(theta, dtype=float)
-    centers = np.real(np.asarray(centers, dtype=complex))
-    sol = _nystrom_solve(theta, grid, g, np.real(_kernel_at(1, grid.values, centers, g)))
-    return [
-        LocalDensity(float(c), grid, theta, sol[:, i], gamma)
-        for i, c in enumerate(centers)
-    ]
+    """One-column profiles, mu = (c,), for several column centres c, with
+    one factorization of the occupied block (the kernel matrix does not
+    depend on the driving)."""
+    return _driven_profiles(theta, grid, gamma, [(c,) for c in centers])
 
 
 def varphi_prime_thermo_row_check(roots, mu_window, profile, locals_=None) -> float:
@@ -455,10 +448,8 @@ def efp_thermo(
     if res.imag_residual > imag_floor:
         logger.warning("EFP imaginary residue %.2e exceeds 1e-6", res.imag_residual)
     if check_convergence:
-        fine = contour_grid(gamma, grid.cutoff, grid.n_nodes)  # twice the actual per branch
         ref = efp_thermo(
-            n, mu_window, _transfer_theta(theta, grid, fine), fine, gamma,
-            mc_samples=mc_samples, seed=seed,
+            n, mu_window, *_doubled(theta, grid, gamma), gamma, mc_samples=mc_samples, seed=seed
         )
         if abs(ref.value - res.value) > 1e-4 * (1 + abs(res.value)):
             raise ConvergenceError(
@@ -478,7 +469,7 @@ def _dd_densities(w, theta, grid, gamma, points=()):
     drive = dd / (2j * np.pi)
     rho = _nystrom_solve(theta, grid, g, np.real(drive[:, : grid.n_nodes]).T)
     coeff = (theta * grid.w)[:, None] * rho
-    at = drive[:, grid.n_nodes :] - (_kernel_at(2, points, grid.values, g) @ coeff).T
+    at = _interpolate(points, drive[:, grid.n_nodes :].T, grid, g, coeff).T
     return rho.T, at, pref
 
 

@@ -142,6 +142,19 @@ class TestSolver:
             bethe.solve_bae(ns[:-1] + (ns[-1] + 1,), vs, homogeneous_spec(8), gamma)
         assert err.value.best_residual > 0.1
 
+    @pytest.mark.parametrize("M, g, mu", [
+        (4, 0.3, (-1.0, 0.3, 1.0, 2.2)),
+        (6, 0.6, (-1.9, -0.7, 1.2, 1.3, 1.4, 2.3)),
+    ])
+    def test_fallback_sweep_solves_wide_ground_states(self, M, g, mu):
+        # damped Newton stalls on these wide inhomogeneity spreads, and
+        # without the per-coordinate sweep the solve is a ConvergenceError
+        roots = bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
+        assert roots.max_residual < 1e-12
+        assert bethe.eigenvalue_residual(roots, roots.spec, 0.4) < 1e-12
+        sign, _ = bethe.flip_sign_residual(roots, roots.spec)
+        assert roots.r_sign == sign
+
     @pytest.mark.parametrize("M, seeded, parity", [(64, False, 1), (64, True, 1), (8, False, -1)])
     def test_each_point_evaluated_once(self, gamma, rng, monkeypatch, M, seeded, parity):
         # the accepted backtracking trial's residual and Jacobian carry over

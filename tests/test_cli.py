@@ -268,6 +268,30 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         assert run(["solve-bae", "--N", "1", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("M = 4.0", "argument --M: invalid int value: '4.0'"),
+        ("N = 2.5", "argument --N: invalid int value: '2.5'"),
+        ("func = x", "unknown config key: func"),
+        ("command = verify", "unknown config key: command"),
+        ("M", "line 2: no value for config key 'M'"),
+        ("M =", "line 2: no value for config key 'M'"),
+    ])
+    def test_values_are_parsed_like_flags(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"gamma = 0.6\n{line}\n")
+        assert run(["partition", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_values_reach_the_flags_verbatim(self, tmp_path):
+        # the `key value` form, a value with spaces, and one that starts
+        # with a minus sign
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N 2\nmu = -0.2, 0.1, 0.3, 0.5\n")
+        out = tmp_path / "r.json"
+        assert run(["solve-bae", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load(out)["config"]["M"] == 4
+        assert load(out)["config"]["mu"] == "-0.2, 0.1, 0.3, 0.5"
+
 
 class TestArgumentErrors:
     """argparse's own exits come back as main's return value."""

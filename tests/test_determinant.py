@@ -113,8 +113,8 @@ class TestSlavnov:
 
     def test_input_length_validated(self, gamma):
         roots = bethe.solve_ground_state(4, gamma)
-        with pytest.raises(ValueError):
-            determinant.SlavnovInput((0.1,), roots)
+        with pytest.raises(ValueError, match="need 2 xi parameters per row"):
+            determinant.slavnov_scalar_product((0.1,), roots)
         with pytest.raises(PoleError):
             # xi on a root makes the Cauchy matrix singular
             determinant.slavnov_scalar_product(roots.values, roots)

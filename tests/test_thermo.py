@@ -328,6 +328,30 @@ class TestTransferTheta:
 
 
 class TestLocalDensity:
+    @pytest.mark.parametrize("c", [0.0, 0.4, -0.75])
+    def test_is_the_one_column_profile(self, gamma, grid06, profile06, c):
+        loc = thermo.local_density(c, profile06.theta, grid06, gamma)
+        ref = thermo.solve_density(profile06.theta, grid06, gamma, mu=[c])
+        assert isinstance(loc, thermo.DensityProfile)
+        assert loc.mu == ref.mu == (c,)
+        for field in ("rho_tot", "rho_p", "rho_h"):
+            assert np.max(np.abs(getattr(loc, field) - getattr(ref, field))) < 1e-15
+        z = np.array([0.3, -1.2, 0.5 + 0.5j * np.pi, 0.2 + 0.4j])
+        assert np.max(np.abs(loc.rho_tot_at(z) - ref.rho_tot_at(z))) < 1e-15
+
+    def test_complex_centres_rejected(self, gamma, grid06, profile06):
+        # the branch kernel reads only the real part of a centre, so a
+        # complex one would silently solve for its real part
+        theta = profile06.theta
+        with pytest.raises(ValueError, match="real driving centres"):
+            thermo.solve_density(theta, grid06, gamma, mu=[0.1 + 0.2j])
+        with pytest.raises(ValueError, match="real driving centres"):
+            thermo.local_densities([0.3, 0.1 + 0.2j], theta, grid06, gamma)
+        # a rounding-level imaginary part is the real centre
+        tiny = thermo.solve_density(theta, grid06, gamma, mu=[0.1 + 1e-14j])
+        real = thermo.solve_density(theta, grid06, gamma, mu=[0.1])
+        assert np.array_equal(tiny.rho_tot, real.rho_tot)
+
     def test_centre_zero_equals_global(self, gamma, grid06, profile06):
         loc = thermo.local_density(0.0, profile06.theta, grid06, gamma)
         assert np.max(np.abs(loc.rho_tot - profile06.rho_tot)) < 1e-14

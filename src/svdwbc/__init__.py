@@ -18,6 +18,7 @@ from .algebra import (
     partition_bruteforce,
     projector_pi,
     qism_pi,
+    qism_projectors,
     rtt_residual,
     transfer,
 )

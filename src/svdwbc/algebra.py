@@ -138,11 +138,33 @@ def l_matrix(lam, gamma):
     return out
 
 
+def _exp_tables(*zs):
+    """U = e^{2(z - c)} for each rapidity array z, c the midrange of the real
+    parts of all of them.  In U, coth(x - y) = (U_x + U_y)/(U_x - U_y) and
+    |sinh(x - y)| = |U_x - U_y| / (2 sqrt|U_x U_y|), and no entry overflows
+    while the real parts span less than about 700."""
+    zs = [np.asarray(z, dtype=complex) for z in zs]
+    re = np.concatenate([z.real.ravel() for z in zs])
+    c = (re.max() + re.min()) / 2 if re.size else 0.0
+    return [np.exp(2 * (z - c)) for z in zs]
+
+
 def d_eigenvalue(lam, mu, gamma):
     """d(lam) = prod_k b(lam - mu_k), the D-eigenvalue on the all-up state.
-    An array lam gives one value per entry, from one weight evaluation."""
-    b = boltzmann_weights(np.asarray(lam)[..., None] - np.asarray(mu, dtype=complex), gamma)[1]
-    return np.prod(b, axis=-1)
+    An array lam gives one value per entry.  In the table U = e^{2(lam - c)},
+    m = e^{2(mu - c)} of _exp_tables each factor is
+    b = (U - m_k e^eta) / (U e^eta - m_k), one subtraction pair and one
+    division, and |sinh(lam - mu_k + eta/2)| = |U e^eta - m_k| / (2 sqrt|U m_k|)
+    finds the poles that boltzmann_weights reports."""
+    e = np.exp(_aniso(gamma).eta)
+    lam = np.asarray(lam)[..., None]
+    U, m = _exp_tables(lam, mu)
+    den = U * e - m
+    small = np.abs(den) < 2 * _POLE_TOL * np.sqrt(np.abs(U)) * np.sqrt(np.abs(m))
+    if np.any(small):
+        at = np.broadcast_to(lam - np.asarray(mu), small.shape)[small][0]
+        raise PoleError(f"weights singular at lam = {at} (lam = -eta/2 mod i*pi)")
+    return np.prod((U - m * e) / den, axis=-1)
 
 
 def _column_weights(lam, spec, gamma):
@@ -391,19 +413,31 @@ def pi_apply(k, spec, vec):
     return _pi_mask(k, spec).reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
 
 
-def qism_pi(k, spec, gamma):
-    """Down-projector at column k built from the inverse scattering solution:
+def qism_projectors(spec, gamma):
+    """All M down-projectors from the inverse scattering solution, as an
+    (M, 2^M, 2^M) stack: pi_k is
     prod_{l<k} T(mu_l + eta/2) . D(mu_k + eta/2) . prod_{l>k} T(mu_l + eta/2).
-    """
+    Every factor comes from one stacked sweep over the shifted
+    inhomogeneities, and pi_k continues the shared prefix product left to
+    right, so each is the same product as taken factor by factor."""
     gamma = _aniso(gamma)
     _require_dense(spec)
+    A, _, _, D = monodromy(np.asarray(spec.mu) + gamma.eta / 2, spec, gamma)
+    T = A + D
+    out = np.empty_like(T)
+    prefix = np.eye(spec.dim, dtype=complex)
+    for k in range(spec.M):
+        out[k] = functools.reduce(np.matmul, T[k + 1:], prefix @ D[k])
+        prefix = prefix @ T[k]
+    return out
+
+
+def qism_pi(k, spec, gamma):
+    """Down-projector at column k built from the inverse scattering solution,
+    entry k - 1 of qism_projectors."""
     if not (1 <= k <= spec.M):
         raise ValueError(f"column index {k} out of range 1..{spec.M}")
-    # all M factors from one stacked sweep over the shifted inhomogeneities
-    A, _, _, D = monodromy(np.asarray(spec.mu) + gamma.eta / 2, spec, gamma)
-    factors = A + D
-    factors[k - 1] = D[k - 1]
-    return functools.reduce(np.matmul, factors, np.eye(spec.dim, dtype=complex))
+    return qism_projectors(spec, gamma)[k - 1]
 
 
 def correlator_pair(lams, spec, gamma):

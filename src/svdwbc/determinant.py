@@ -25,17 +25,6 @@ logger = logging.getLogger(__name__)
 _BETHE_TOL = 1e-10
 
 
-def _exp_tables(*zs):
-    """U = e^{2(z - c)} for each rapidity array z, c the midrange of the real
-    parts of all of them.  In U, coth(x - y) = (U_x + U_y)/(U_x - U_y) and
-    |sinh(x - y)| = |U_x - U_y| / (2 sqrt|U_x U_y|), and no entry overflows
-    while the real parts span less than about 700."""
-    zs = [np.asarray(z, dtype=complex) for z in zs]
-    re = np.concatenate([z.real.ravel() for z in zs])
-    c = (re.max() + re.min()) / 2 if re.size else 0.0
-    return [np.exp(2 * (z - c)) for z in zs]
-
-
 def _gap(u, a):
     """u - a for table entries u, a of x, y; a PoleError where |sinh(x - y)| < 1e-14."""
     gap = u - a
@@ -90,7 +79,7 @@ def t_prime_matrix(xi, roots) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=complex)
     eta = roots.gamma.eta
-    u, x = _exp_tables(roots.values, xi[..., :, None])  # entry [..., i, j]: lam_j, xi_i
+    u, x = algebra._exp_tables(roots.values, xi[..., :, None])  # entry [..., i, j]: lam_j, xi_i
     e = np.exp(2 * eta)
     # with d = lam_j - xi_i: sinh(d + eta) / sinh(d) = e^{eta} (u - x/e) / (u - x)
     p = _gap(u, x)  # raises before the products divide by a zero sinh
@@ -129,7 +118,7 @@ def varphi_prime_matrix(roots) -> np.ndarray:
     determinant; off-diagonal entries -coth(eta + l_i - l_j) - coth(eta + l_j - l_i),
     diagonal from the inhomogeneity sum minus the root sum."""
     e = np.exp(roots.gamma.eta)
-    u, m = _exp_tables(roots.values, roots.mu)
+    u, m = algebra._exp_tables(roots.values, roots.mu)
     # coth(eta + l_i - l_j) + coth(eta - l_i + l_j), as coth(d + eta) - coth(d - eta)
     pair = _coth_difference(u[:, None], u / e**2, u * e**2)
     np.fill_diagonal(pair, 0.0)
@@ -329,30 +318,63 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
 # Every EFP sum, finite size and thermodynamic, reads H from the node tables
 # of _integrand_factors.
 
-_CHUNK = 8192  # sampled tuples per batched evaluation of H; bounds the (B, n, n) stacks
+_CHUNK = 8192  # sampled tuples per batched evaluation of H; bounds the (n, B) stacks
 
 
 def _integrand_factors(z, w, g):
     """Slot table F[l, p] = f_l(z_p) and pair table D[a, b] = sinh(z_b - z_a - i g)
-    over the nodes z for the window w."""
+    over the nodes z for the window w.  D is (X - 1/X) / 2 with
+    X = e^{-i g} v_b / v_a and v = e^{z - c}, c the midrange of Re z: two outer
+    products of the node exponentials in place of P^2 complex sinh, finite
+    while Re z spans less than about 1400."""
     slot = np.arange(len(w))
     shift = np.where(slot[None, :] < slot[:, None], -0.5j * g, 0.5j * g)  # [l, m]
     s = np.sinh(z[None, None, :] - w[None, :, None] + shift[:, :, None])
     s[slot, slot] = 1.0
-    return s.prod(axis=1), np.sinh(z[None, :] - z[:, None] - 1j * g)
+    v, = algebra._exp_tables(0.5 * z)  # e^{2(z/2 - c/2)} = e^{z - c}
+    ph = np.exp(-0.5j * g)
+    half = np.outer(0.5 * ph / v, ph * v)  # e^{z_b - z_a - i g} / 2
+    # a new table, not an in-place update of `half`: the in-place form left
+    # the heap so that a later 512-point density solve peaked about 1 MB higher
+    return s.prod(axis=1), half - np.outer(0.5 * v / ph, 1 / (ph * v))
 
 
-def _h_tuples(idx, R, F, D, weight):
+def _batched_det(cols):
+    """det A for a stack of n x n matrices given column by column: cols[j] is
+    the (n, B) stack of column j.  Up to n = 6 a Laplace expansion over row
+    subsets, last column first: the minors on the last k columns, one per
+    k-subset of the rows, take n 2^(n-1) vector products in all and no LAPACK
+    call per matrix.  Above n = 6 that count outgrows one LU per matrix, and
+    np.linalg.det takes over."""
+    n = len(cols)
+    if n > 6:
+        return np.linalg.det(np.stack(cols, axis=-1).swapaxes(0, 1))
+    minors = {(): 1.0}  # row subset -> its minor on the columns done so far
+    for j in range(n - 1, -1, -1):
+        new = {}
+        for rows in itertools.combinations(range(n), n - j):
+            # expand along column j, the first column of the minor
+            acc = cols[j][rows[0]] * minors[rows[1:]]
+            for t in range(1, len(rows)):
+                term = cols[j][rows[t]] * minors[rows[:t] + rows[t + 1:]]
+                acc = acc - term if t % 2 else acc + term
+            new[rows] = acc
+        minors = new
+    return minors[tuple(range(n))]
+
+
+def _h_tuples(idx, R, FW, D):
     """prod_l weight[a_l] * H at each node tuple a = idx[:, b] of an (n, B) index
-    stack, with rows R[i, p] = R_i(z_p) and the tables of _integrand_factors.
+    stack, with rows R[i, p] = R_i(z_p), the pair table D of _integrand_factors
+    and its slot table folded with the weights, FW[l, p] = f_l(z_p) weight[p].
     A tuple with a repeated index is exactly 0 (two equal determinant columns)."""
-    n = len(idx)
+    n, P = FW.shape
     l, m = np.triu_indices(n, 1)
-    pair = D[idx[l], idx[m]]
+    pair = D.take(idx[l] * P + idx[m])
     if np.any(np.abs(pair) < 1e-14):
         raise PoleError("coincident rapidities shifted by i*gamma")
-    det = np.linalg.det(np.moveaxis(R[:, idx], -1, 0))
-    slots = np.prod(F[np.arange(n)[:, None], idx] * weight[idx], axis=0)
+    det = _batched_det([R.take(a, axis=1) for a in idx])
+    slots = np.prod(FW.take(np.arange(n)[:, None] * P + idx), axis=0)
     vals = det * slots / np.prod(pair, axis=0)
     return np.where(np.all(idx[l] != idx[m], axis=0), vals, 0.0)
 

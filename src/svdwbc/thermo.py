@@ -368,7 +368,7 @@ def h_function(lams, mu_window, locals_):
     g = _aniso(locals_[0].gamma).gamma
     rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
     F, D = determinant._integrand_factors(lams, np.asarray(mu_window, dtype=complex), g)
-    return complex(determinant._h_tuples(np.arange(n)[:, None], rows, F, D, np.ones(n))[0])
+    return complex(determinant._h_tuples(np.arange(n)[:, None], rows, F, D)[0])
 
 
 @dataclass(frozen=True)
@@ -473,6 +473,23 @@ def _dd_densities(w, theta, grid, gamma, points=()):
     return rho.T, at, pref
 
 
+_GUIDE = 1 << 14  # guide-table buckets of _search; a power of two, so u * _GUIDE is exact
+
+
+def _search(cdf, u, side):
+    """np.searchsorted(cdf, u, side) for keys u in [0, 1] and a nondecreasing
+    cdf, through a guide table.  The keys in bucket [b, b + 1) / _GUIDE share
+    one index when no cdf entry separates the bucket's edges, and one gather
+    finds it; only the keys in the at most len(cdf) buckets that hold an
+    entry take a binary search.  The last entry serves the key 1.0."""
+    edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, side)
+    guide = np.append(np.where(edges[1:] == edges[:-1], edges[:-1], -1), edges[-1])
+    out = guide[(u * _GUIDE).astype(np.intp)]
+    split = out < 0
+    out[split] = np.searchsorted(cdf, u[split], side)
+    return out
+
+
 def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     """(value, stderr, samples) of the n-fold directed integral."""
     rho, _, pref = _dd_densities(w, theta, grid, gamma)
@@ -492,18 +509,23 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
         raise ValueError(f"need at least {n_strata} Monte Carlo samples, one per stratum")
     rng = np.random.default_rng(seed)
     q = np.abs(c * (L.mean(axis=0) @ R))
-    q = q / q.sum()
+    total = q.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError(f"Monte Carlo sampling weights sum to {total}")
+    q = q / total
     cdf = np.cumsum(q)
     per = mc_samples // n_strata
     samples = n_strata * per
     u = (np.arange(n_strata)[:, None] + rng.random((n_strata, per))) / n_strata
-    idx0 = np.minimum(np.searchsorted(cdf, u.ravel()), len(z) - 1)
-    idx_rest = rng.choice(len(z), size=(n - 1, samples), p=q)
+    idx0 = np.minimum(_search(cdf, u.ravel(), "left"), len(z) - 1)
+    # rng.choice(len(z), size, p=q), draw for draw: its cdf and side
+    idx_rest = _search(cdf / cdf[-1], rng.random((n - 1, samples)), "right")
     idx = np.vstack([idx0, idx_rest])
     F, D = determinant._integrand_factors(z, w, gamma.gamma)
+    FW = F * (c / q)
     chunk = determinant._CHUNK
     vals = np.concatenate([
-        determinant._h_tuples(idx[:, s:s + chunk], R, F, D, c / q) for s in range(0, samples, chunk)
+        determinant._h_tuples(idx[:, s:s + chunk], R, FW, D) for s in range(0, samples, chunk)
     ])
     err = float(np.abs(vals.std(ddof=1)) / np.sqrt(samples))
     return pref * vals.mean(), abs(pref) * err, samples

@@ -64,9 +64,8 @@ def check_qism(gamma, sizes=(2, 4), seed=42, tol=1e-10):
     for M in sizes:
         for mu in ((0.0,) * M, tuple(0.25 * rng.normal(size=M))):
             spec = LatticeSpec(M, mu)
-            for k in range(1, M + 1):
-                d = np.max(np.abs(algebra.qism_pi(k, spec, gamma) - algebra.projector_pi(k, spec)))
-                worst = max(worst, d)
+            for k, pi in enumerate(algebra.qism_projectors(spec, gamma), 1):
+                worst = max(worst, np.max(np.abs(pi - algebra.projector_pi(k, spec))))
     return _record("qism_projector", worst, tol, sizes=list(sizes))
 
 

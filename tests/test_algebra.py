@@ -45,6 +45,22 @@ class TestWeights:
         empty = algebra.d_eigenvalue(lam, (), gamma)
         assert empty == 1.0 and isinstance(empty, complex)
 
+    def test_d_eigenvalue_table_matches_weight_product(self, gamma, rng):
+        # the exponential table against the sinh weights at a large lattice,
+        # for real rapidities and for complex ones off the contour
+        mu = np.sort(0.5 * rng.normal(size=128))
+        lams = np.concatenate([rng.normal(size=32), rng.normal(size=32) + 0.3j * rng.normal(size=32)])
+        got = algebra.d_eigenvalue(lams, mu, gamma)
+        b = algebra.boltzmann_weights(lams[:, None] - mu, gamma)[1]
+        expect = np.prod(b, axis=1)
+        assert got.shape == (64,)
+        assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-13
+
+    def test_d_eigenvalue_pole_raises(self, gamma):
+        mu = (0.1, -0.4, 0.7)
+        with pytest.raises(PoleError, match="weights singular"):
+            algebra.d_eigenvalue(np.array([0.3, mu[1] - gamma.eta / 2]), mu, gamma)
+
     def test_gamma_window_validated(self):
         with pytest.raises(ValueError):
             AnisotropyParam(np.pi / 2)
@@ -385,6 +401,17 @@ class TestProjectors:
                 T = algebra.monodromy(m + gamma.eta / 2, spec, gamma)
                 want = want @ (T[3] if l == k else T[0] + T[3])
             assert np.array_equal(algebra.qism_pi(k, spec, gamma), want)
+
+    def test_all_columns_form_takes_one_sweep(self, gamma, rng, monkeypatch):
+        spec = LatticeSpec(4, tuple(0.25 * rng.normal(size=4)))
+        sweeps = []
+        sweep = algebra._sweep
+        monkeypatch.setattr(algebra, "_sweep", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+        stack = algebra.qism_projectors(spec, gamma)
+        assert len(sweeps) == 1 and stack.shape == (4, spec.dim, spec.dim)
+        for k in range(1, 5):
+            assert np.array_equal(stack[k - 1], algebra.qism_pi(k, spec, gamma))
+            assert np.max(np.abs(stack[k - 1] - algebra.projector_pi(k, spec))) < 1e-10
 
     def test_transfer_product_at_shifted_points_is_identity(self, gamma, rng):
         # the consecutive-window reduction of correlators rests on this

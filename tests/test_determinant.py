@@ -510,3 +510,24 @@ class TestEfpProperties:
             assert abs(val.imag) < 1e-8
             assert 0.0 <= val.real <= prev
             prev = val.real
+
+
+class TestTupleKernels:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batched_det_matches_lapack(self, n, rng):
+        # Laplace minors up to n = 6, np.linalg.det above: both sides of the switch
+        for A in (rng.normal(size=(300, n, n)),
+                  rng.normal(size=(300, n, n)) + 1j * rng.normal(size=(300, n, n))):
+            got = determinant._batched_det([A[:, :, j].T for j in range(n)])
+            want = np.linalg.det(A)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_repeated_index_is_exactly_zero(self, gamma, rng):
+        z = rng.normal(size=12)
+        w = np.array([-0.5, 0.0, 0.2, 0.6])
+        F, D = determinant._integrand_factors(z, w, gamma.gamma)
+        R = rng.normal(size=(4, 12))
+        tuples = [(2, 5, 2, 7), (9, 9, 1, 0), (4, 3, 8, 4), (1, 4, 8, 6)]
+        vals = determinant._h_tuples(np.array(tuples).T, R, F, D)
+        assert np.all(vals[:3] == 0.0) and vals[3] != 0.0

@@ -697,11 +697,111 @@ class TestNodeSumOracle:
         assert mc.stderr > 0
         assert abs(mc.value - exact.real) < 5 * mc.stderr
 
+    def test_vanishing_sampling_weights_rejected(self, gamma, coarse_grid):
+        # no occupied node leaves nothing to draw from
+        theta = np.zeros(coarse_grid.n_nodes)
+        with pytest.raises(ValueError, match="sampling weights"):
+            thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma, mc_samples=64)
+
     @pytest.mark.parametrize("samples", [-5, 0, 1, 31])
     def test_fewer_samples_than_strata_rejected(self, gamma, coarse_grid, samples):
         theta = thermo.ground_state_theta(coarse_grid)
         with pytest.raises(ValueError, match="samples"):
             thermo.efp_thermo(4, self.WINDOW, theta, coarse_grid, gamma, mc_samples=samples)
+
+
+class TestGuideSearch:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_searchsorted(self, side, rng):
+        q = rng.random(300)
+        q[[0, 1, 50, 51, 52, 299]] = 0.0  # zero-probability nodes repeat cdf values
+        cdf = np.cumsum(q)
+        cdf /= cdf[-1]
+        edges = np.arange(thermo._GUIDE + 1) / thermo._GUIDE
+        keys = np.concatenate([rng.random(20000), [0.0], edges, cdf])
+        keys = np.concatenate([keys, np.nextafter(keys, 0), np.nextafter(keys, 1)])
+        want = np.searchsorted(cdf, keys, side)
+        assert np.array_equal(thermo._search(cdf, keys, side), want)
+        # the shape of a key array is kept
+        got = thermo._search(cdf, keys[:30000].reshape(3, -1), side)
+        assert np.array_equal(got, want[:30000].reshape(3, -1))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unnormalized_cdf(self, side, rng):
+        cdf = 0.7 * np.cumsum(rng.random(40)) / 40  # ends below 1
+        keys = np.concatenate([rng.random(5000), cdf, [cdf[-1], 0.0, 1.0]])
+        assert np.array_equal(thermo._search(cdf, keys, side), np.searchsorted(cdf, keys, side))
+
+
+def _reference_mc(n, window, theta, grid, gamma, samples, seed):
+    """efp_thermo's stratified sampler written with Generator.choice, the pair
+    table from np.sinh and one LAPACK determinant per tuple: the draws and
+    values the guide-table search and the Laplace minors must reproduce."""
+    w = np.asarray(window, dtype=float)
+    g = gamma.gamma
+    rho, _, pref = thermo._dd_densities(w, theta, grid, gamma)
+    active = np.abs(theta * grid.w) > 0
+    z, c, R = grid.values[active], (theta * grid.w)[active], rho[:, active]
+    uw = np.exp(2 * (w - w.mean()))
+    L = np.cumprod(np.hstack([np.ones((n, 1)), uw[:, None] - uw[None, :-1]]), axis=1)
+    q = np.abs(c * (L.mean(axis=0) @ R))
+    q = q / q.sum()
+    rng = np.random.default_rng(seed)
+    per = samples // 32
+    u = (np.arange(32)[:, None] + rng.random((32, per))) / 32
+    idx0 = np.minimum(np.searchsorted(np.cumsum(q), u.ravel()), len(z) - 1)
+    idx = np.vstack([idx0, rng.choice(len(z), size=(n - 1, 32 * per), p=q)])
+    l, m = np.triu_indices(n, 1)
+    pair = np.prod(np.sinh(z[idx[m]] - z[idx[l]] - 1j * g), axis=0)
+    slots = np.prod([
+        np.sinh(z[idx[k]] - w[j] + (-0.5j if j < k else 0.5j) * g)
+        for k in range(n) for j in range(n) if j != k
+    ], axis=0)
+    det = np.linalg.det(np.moveaxis(R[:, idx], -1, 0))
+    vals = det * slots * np.prod((c / q)[idx], axis=0) / pair
+    vals = np.where(np.all(idx[l] != idx[m], axis=0), vals, 0.0)
+    return pref * vals.mean(), abs(pref) * np.abs(vals.std(ddof=1)) / np.sqrt(len(vals))
+
+
+class TestMonteCarloStream:
+    """The sampler's index draws are Generator.choice's, draw for draw.  A
+    numpy release that changes how choice maps its uniforms to indices fails
+    here instead of silently moving every seeded Monte Carlo value."""
+
+    def test_choice_is_a_right_search_of_the_normalized_cdf(self):
+        for seed in range(5):
+            q = np.abs(np.random.default_rng(100 + seed).normal(size=200))
+            q[::17] = 0.0
+            q = q / q.sum()
+            want = np.random.default_rng(seed).choice(len(q), size=(3, 4000), p=q)
+            cdf = np.cumsum(q)
+            keys = np.random.default_rng(seed).random((3, 4000))
+            assert np.array_equal(thermo._search(cdf / cdf[-1], keys, "right"), want)
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_matches_the_choice_and_lapack_sampler(self, gamma, coarse_grid, seed):
+        window = TestNodeSumOracle.WINDOW
+        theta = thermo.ground_state_theta(coarse_grid)
+        res = thermo.efp_thermo(4, window, theta, coarse_grid, gamma,
+                                mc_samples=20000, seed=seed)
+        value, stderr = _reference_mc(4, window, theta, coarse_grid, gamma, 20000, seed)
+        assert res.value == pytest.approx(value.real, rel=1e-12, abs=0)
+        assert res.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+
+
+class TestPairTable:
+    def test_matches_sinh_on_both_branches(self, gamma, grid06):
+        z = grid06.values
+        _, D = determinant._integrand_factors(z, np.array([0.1, -0.2]), gamma.gamma)
+        want = np.sinh(z[None, :] - z[:, None] - 1j * gamma.gamma)
+        assert np.max(np.abs(D - want) / np.abs(want)) <= 1e-14
+
+    def test_largest_allowed_reach_stays_finite(self, gamma):
+        # 2 cutoff = 680 < 700; a RuntimeWarning (overflow) is an error here
+        grid = thermo.contour_grid(gamma, cutoff=340.0, points_per_branch=64)
+        theta = np.where(grid.shifted, 0.3, 1.0)
+        res = thermo.efp_thermo(2, [0.0, 0.0], theta, grid, gamma)
+        assert np.isfinite(res.value) and np.isfinite(res.imag_residual)
 
 
 class TestEfpSumFinite:

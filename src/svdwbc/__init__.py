@@ -44,7 +44,6 @@ from .determinant import (
     gaudin_norm,
     neville_extrapolate,
     psi_phi_rows,
-    psi_prime_matrix,
     scalar_product_ratio,
     slavnov_scalar_product,
     varphi_prime_matrix,
@@ -58,11 +57,8 @@ from .thermo import (
     efp_sum_finite,
     efp_thermo,
     ground_state_theta,
-    h_function,
-    k1_tot,
     kernel_K,
     local_densities,
-    local_density,
     solve_density,
     varphi_prime_thermo_row_check,
 )

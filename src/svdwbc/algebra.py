@@ -167,6 +167,32 @@ def d_eigenvalue(lam, mu, gamma):
     return np.prod((U - m * e) / den, axis=-1)
 
 
+def _gap(u, a):
+    """u - a for table entries u, a of x, y; a PoleError where |sinh(x - y)| < 1e-14."""
+    gap = u - a
+    if np.any(np.abs(gap) < 2e-14 * np.sqrt(np.abs(u)) * np.sqrt(np.abs(a))):
+        raise PoleError("coth evaluated at a zero of sinh")
+    return gap
+
+
+def _transfer_terms(xi, lams, mu, gamma):
+    """The two terms of the transfer eigenvalue t(xi) = P + dQ at each entry
+    of an array xi with at least one axis, for the roots lams:
+    P = prod_j sinh(lam_j - xi + eta) / sinh(lam_j - xi) and
+    dQ = d(xi) prod_j sinh(xi - lam_j + eta) / sinh(xi - lam_j).  Each factor
+    comes from the _exp_tables entries u of lam_j and x of xi, entry
+    [..., i, j]; those tables and e = e^{2 eta} are returned after P and dQ."""
+    xi = np.asarray(xi, dtype=complex)
+    eta = _aniso(gamma).eta
+    u, x = _exp_tables(lams, xi[..., :, None])
+    e = np.exp(2 * eta)
+    # with d = lam_j - xi_i: sinh(d + eta) / sinh(d) = e^{eta} (u - x/e) / (u - x)
+    p = _gap(u, x)  # raises before the products divide by a zero sinh
+    P = np.exp(len(lams) * eta) * np.prod((u - x / e) / p, axis=-1)
+    Q = np.exp(-len(lams) * eta) * np.prod((u - x * e) / p, axis=-1)  # sinh(eta - d) / sinh(-d)
+    return P, Q * d_eigenvalue(xi, mu, gamma), u, x, e
+
+
 def _column_weights(lam, spec, gamma):
     """(b, c) tables of shape (M, S): the weights of every column at each of
     the S rapidities of a 1-d lam (S = 1 for a scalar lam).  A pole at any

@@ -120,17 +120,13 @@ def counting_function(lam, roots) -> float:
 
 
 def log_form_consistency(lam, roots) -> float:
-    """|sin(counting + i-log form)|: the two logarithmic versions of the
-    Bethe equations agree modulo pi, up to a global half-turn per root."""
-    p = _as_point(lam)
-    z = p.value
-    eta = roots.gamma.eta
-    phase = 1j * np.log(algebra.d_eigenvalue(z, roots.mu, roots.gamma))
-    for r in roots.roots:
-        w = r.value
-        phase += 1j * np.log(-np.sinh(eta + z - w) / np.sinh(eta - z + w))
-    total = counting_function(lam, roots) + phase.real
-    return float(abs(np.sin(total)))
+    """|sin(counting + i-log form)| at lam away from the roots: the two
+    logarithmic versions of the Bethe equations agree modulo pi, up to a
+    global half-turn per root.  The i-log form is i log(dQ/P) for the terms
+    of algebra._transfer_terms, so its real part is -arg(dQ/P)."""
+    P, dQ, *_ = algebra._transfer_terms([_as_point(lam).value], roots.values, roots.mu,
+                                        roots.gamma)
+    return float(abs(np.sin(counting_function(lam, roots) - np.angle(dQ[0] / P[0]))))
 
 
 @dataclass(frozen=True)
@@ -345,22 +341,12 @@ def solve_ground_state(M, gamma, mu=None, tol=1e-12):
 def eigenvalue_t(lam, roots):
     """Transfer-matrix eigenvalue
     t(lam) = prod_i 1/b(lam_i - lam + eta/2) + d(lam) prod_i 1/b(lam - lam_i + eta/2),
-    smooth at lam = lam_i through the pole cancellation enforced by the
-    Bethe equations.
+    the terms P + dQ of algebra._transfer_terms, smooth at lam = lam_i
+    through the pole cancellation enforced by the Bethe equations.
     """
     lam = complex(lam) if not isinstance(lam, SpectralPoint) else lam.value
-    eta = roots.gamma.eta
-    vals = roots.values
-    term1 = 1.0 + 0j
-    term2 = algebra.d_eigenvalue(lam, roots.mu, roots.gamma)
-    for z in vals:
-        s1 = np.sinh(z - lam)
-        s2 = np.sinh(lam - z)
-        if min(abs(s1), abs(s2)) < 1e-13:
-            raise algebra.PoleError(f"eigenvalue evaluation too close to root {z}")
-        term1 *= np.sinh(z - lam + eta) / s1
-        term2 *= np.sinh(lam - z + eta) / s2
-    return term1 + term2
+    P, dQ, *_ = algebra._transfer_terms([lam], roots.values, roots.mu, roots.gamma)
+    return P[0] + dQ[0]
 
 
 def eigenvalue_residual(roots, spec, lam):

@@ -25,19 +25,11 @@ logger = logging.getLogger(__name__)
 _BETHE_TOL = 1e-10
 
 
-def _gap(u, a):
-    """u - a for table entries u, a of x, y; a PoleError where |sinh(x - y)| < 1e-14."""
-    gap = u - a
-    if np.any(np.abs(gap) < 2e-14 * np.sqrt(np.abs(u)) * np.sqrt(np.abs(a))):
-        raise PoleError("coth evaluated at a zero of sinh")
-    return gap
-
-
 def _coth_difference(u, a, b):
     """coth(x - alpha) - coth(x - beta) from the table entries u, a, b of x,
     alpha, beta: 2u(a - b)/((u - a)(u - b)), a product of two bounded ratios
     and not the difference of two numbers near +-1."""
-    return 2 * (u / _gap(u, a)) * ((a - b) / _gap(u, b))
+    return 2 * (u / algebra._gap(u, a)) * ((a - b) / algebra._gap(u, b))
 
 
 def _check_bethe(roots):
@@ -77,15 +69,7 @@ def t_prime_matrix(xi, roots) -> np.ndarray:
     respect to the Bethe roots, the eigenvalue factors a and d held fixed.
     A (draws, N) stack of xi gives a (draws, N, N) stack of matrices.
     """
-    xi = np.asarray(xi, dtype=complex)
-    eta = roots.gamma.eta
-    u, x = algebra._exp_tables(roots.values, xi[..., :, None])  # entry [..., i, j]: lam_j, xi_i
-    e = np.exp(2 * eta)
-    # with d = lam_j - xi_i: sinh(d + eta) / sinh(d) = e^{eta} (u - x/e) / (u - x)
-    p = _gap(u, x)  # raises before the products divide by a zero sinh
-    P = np.exp(roots.N * eta) * np.prod((u - x / e) / p, axis=-1)
-    Q = np.exp(-roots.N * eta) * np.prod((u - x * e) / p, axis=-1)  # sinh(eta - d) / sinh(-d)
-    dQ = Q * algebra.d_eigenvalue(xi, roots.mu, roots.gamma)
+    P, dQ, u, x, e = algebra._transfer_terms(xi, roots.values, roots.mu, roots.gamma)
     # coth(d + eta) - coth(d) and -coth(d) - coth(eta - d) = coth(d - eta) - coth(d)
     return (P[..., None] * _coth_difference(u, x / e, x)
             + dQ[..., None] * _coth_difference(u, x * e, x))
@@ -206,33 +190,14 @@ def d_action_check(lams, extra, spec, gamma) -> float:
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def psi_prime_matrix(roots, mu_window) -> np.ndarray:
-    """phi' with its last n rows replaced by the window rows
-    sinh(eta) / [sinh(l_j - w_i - eta/2) sinh(l_j - w_i + eta/2)]."""
-    out = varphi_prime_matrix(roots)
-    out[out.shape[0] - len(mu_window):] = _window_rows(roots, mu_window)
-    return out
-
-
-def _window_rows(roots, mu_window):
-    lams = roots.values
-    eta = roots.gamma.eta
-    w = np.asarray(mu_window, dtype=complex)
-    den = np.sinh(lams[None, :] - w[:, None] - eta / 2) * np.sinh(
-        lams[None, :] - w[:, None] + eta / 2
-    )
-    if den.size and np.min(np.abs(den)) < 1e-14:
-        raise PoleError("window column coincides with a shifted root")
-    return np.sinh(eta) / den
-
-
 def psi_phi_rows(roots, mu_window) -> np.ndarray:
-    """The n x N block of window rows multiplied by the inverse of phi',
-    obtained from one linear solve.  The complementary rows are exact
-    Kronecker rows by construction."""
-    phi = varphi_prime_matrix(roots)
-    rows = _window_rows(roots, mu_window)
-    return np.linalg.solve(phi.T, rows.T).T
+    """The n x N block of window rows R(lam; w_i) of window_dd_rows, one
+    column at a time, multiplied by the inverse of phi', obtained from one
+    linear solve.  The complementary rows are exact Kronecker rows by
+    construction."""
+    rows = [window_dd_rows(roots.values, [w], roots.gamma.eta)[0][0] for w in mu_window]
+    rows = np.reshape(rows, (len(rows), roots.N))
+    return np.linalg.solve(varphi_prime_matrix(roots).T, rows.T).T
 
 
 def window_dd_rows(lams, mu_window, eta):

@@ -55,12 +55,20 @@ def _kernel_at(n, z, nodes, g):
     return out
 
 
-def k1_tot(lam, mu, gamma):
-    """Averaged driving kernel (1/M) sum_k K_1(lam - mu_k); the homogeneous
-    default (mu None or empty) is K_1 itself."""
-    if mu is None or len(mu) == 0:
-        return kernel_K(1, lam, gamma)
-    return np.mean([kernel_K(1, lam - m, gamma) for m in mu])
+def _drive(z, mu, g):
+    """Driving term K_1^tot(z) = (1/M) sum_k K_1(z - mu_k) of the total
+    density at the points z; the homogeneous default (mu None or empty) is
+    K_1(z) itself."""
+    return _kernel_at(1, z, (0.0,) if mu is None or len(mu) == 0 else mu, g).mean(axis=1)
+
+
+def _real_points(values, what):
+    """values as a real array; a ValueError unless each is finite with an
+    imaginary part of at most 1e-12, which is dropped."""
+    v = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(v)) or np.any(np.abs(v.imag) > 1e-12):
+        raise ValueError(f"need finite, real {what}, got {values}")
+    return v.real
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,8 @@ def contour_grid(gamma, cutoff=None, points_per_branch=256):
     g = _aniso(gamma).gamma
     if cutoff is None:
         cutoff = 20.0 * max(1.0, g)
-    if cutoff <= 0 or points_per_branch < 8:
-        raise ValueError("cutoff must be positive and points_per_branch >= 8")
+    if not (np.isfinite(cutoff) and cutoff > 0) or points_per_branch < 8:
+        raise ValueError("cutoff must be finite and positive and points_per_branch >= 8")
     w0 = min(max(g, 1e-3), 1.0) / 2
     edges = [0.0]
     e = w0
@@ -214,12 +222,6 @@ def _nystrom_solve(theta, grid, g, rhs):
     return rho
 
 
-def _centres(mu):
-    """Driving centres of the total density: the inhomogeneities, or the
-    origin for a homogeneous lattice."""
-    return (0.0,) if mu is None or len(mu) == 0 else mu
-
-
 def _interpolate(z, drive, grid, g, coeff):
     """Nystrom interpolation drive(z) - sum_q K_2(z - z_q) coeff_q at the
     points z, with coeff = w rho_p at the grid nodes (a column per density)."""
@@ -250,8 +252,7 @@ class DensityProfile:
             [p.value if isinstance(p, SpectralPoint) else p for p in np.atleast_1d(z)],
             dtype=complex,
         )
-        drive = _kernel_at(1, vals, _centres(self.mu), g).mean(axis=1)
-        out = _interpolate(vals, drive, self.grid, g, self.grid.w * self.rho_p)
+        out = _interpolate(vals, _drive(vals, self.mu, g), self.grid, g, self.grid.w * self.rho_p)
         if np.max(np.abs(out.imag)) < 1e-10 * (1 + np.max(np.abs(out.real))):
             out = out.real
         return out if out.shape != (1,) else out[0]
@@ -268,12 +269,10 @@ def _driven_profiles(theta, grid, gamma, mus):
         raise ValueError("theta must be sampled on the grid nodes")
     if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
         raise ValueError("theta must lie in [0, 1]")
-    centres = [np.asarray(_centres(mu), dtype=complex) for mu in mus]
-    if any(np.any(np.abs(c.imag) > 1e-12) for c in centres):
-        raise ValueError("the density equation requires real driving centres")
     drive = np.empty((grid.n_nodes, len(mus)))
-    for j, c in enumerate(centres):
-        drive[:, j] = np.real(_kernel_at(1, grid.values, c.real, g).mean(axis=1))
+    for j, mu in enumerate(mus):
+        centres = None if mu is None else _real_points(mu, "driving centres")
+        drive[:, j] = np.real(_drive(grid.values, centres, g))
     if len(mus) == 1:
         rhos = [_nystrom_solve(theta, grid, g, drive[:, 0])]
     else:
@@ -325,11 +324,6 @@ def _transfer_theta(theta, grid, fine):
     return out
 
 
-def local_density(center, theta, grid, gamma) -> DensityProfile:
-    """Density driven by a single column kernel K_1(lam - center)."""
-    return local_densities([center], theta, grid, gamma)[0]
-
-
 def local_densities(centers, theta, grid, gamma):
     """One-column profiles, mu = (c,), for several column centres c, with
     one factorization of the occupied block (the kernel matrix does not
@@ -353,22 +347,6 @@ def varphi_prime_thermo_row_check(roots, mu_window, profile, locals_=None) -> fl
     for i, loc in enumerate(locals_):
         pred[i] = np.asarray(loc.rho_tot_at(roots.values)) / (M * rho_at_roots)
     return float(np.max(np.abs(exact - pred)))
-
-
-def h_function(lams, mu_window, locals_):
-    """Emptiness-formation integrand factor:
-    det[rho~_i(lam_j)] / prod_{l<m} sinh(lam_m - lam_l - i gamma)
-    times the staggered sinh products against the window columns."""
-    lams = np.array(
-        [p.value if isinstance(p, SpectralPoint) else complex(p) for p in lams]
-    )
-    n = len(lams)
-    if len(mu_window) != n or len(locals_) != n:
-        raise ValueError("need one window column and one local density per rapidity")
-    g = _aniso(locals_[0].gamma).gamma
-    rows = np.array([np.atleast_1d(loc.rho_tot_at(lams)) for loc in locals_], dtype=complex)
-    F, D = determinant._integrand_factors(lams, np.asarray(mu_window, dtype=complex), g)
-    return complex(determinant._h_tuples(np.arange(n)[:, None], rows, F, D)[0])
 
 
 @dataclass(frozen=True)
@@ -420,7 +398,7 @@ def efp_thermo(
     gamma = _aniso(gamma)
     if n == 0:
         return EfpResult(1.0, 0.0, 0, (), grid.cutoff, grid.points_per_branch)
-    mu_window = [float(np.real(w)) for w in mu_window]
+    mu_window = _real_points(mu_window, "window columns").tolist()
     if len(mu_window) != n:
         raise ValueError(f"need {n} window columns, got {len(mu_window)}")
     reach = max(2 * grid.cutoff, (n - 1) * (grid.cutoff + max(map(abs, mu_window))))
@@ -541,7 +519,7 @@ def efp_sum_finite(roots, mu_window, profile):
     divided-difference solution of `efp_thermo`, Nystrom-interpolated at the
     roots, and the prefactor in that basis.
     """
-    w = np.array([float(np.real(x)) for x in mu_window])
+    w = _real_points(mu_window, "window columns")
     n = len(w)
     if n == 0:
         return 1.0

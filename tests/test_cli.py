@@ -207,6 +207,15 @@ class TestDensityCommand:
         assert run(["density", "--gamma", "0", "--out", str(tmp_path / "d.csv")]) == 2
         assert "gamma = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mu", "nan,0"], "driving centres"),
+        (["--cutoff", "nan"], "cutoff"),
+    ])
+    def test_nonfinite_input_is_bad_input(self, flags, message, tmp_path, capsys):
+        assert run(["density", *flags, "--out", str(tmp_path / "d.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestEfpThermoCommand:
     def test_n1_ground_state(self, tmp_path):
@@ -244,6 +253,15 @@ class TestEfpThermoCommand:
             assert run(["efp-thermo", "--n", "2", *extra, "--out", str(out)]) == 0
             values.append(load(out)["results"]["efp"])
         assert abs(values[1] - values[0]) < 1e-10
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "2", "--mu-window", "nan,0"], "window columns"),
+        (["--n", "1", "--mu-window", "inf"], "window columns"),
+        (["--n", "1", "--cutoff", "nan"], "cutoff"),
+    ])
+    def test_nonfinite_input_is_bad_input(self, flags, message, capsys):
+        assert run(["efp-thermo", *flags]) == 2
+        assert message in capsys.readouterr().err
 
     def test_overflowing_cutoff_is_bad_input(self, capsys):
         # the pair table sinh(z_b - z_a - i gamma) would reach sinh(800)

@@ -256,12 +256,6 @@ class TestScalarProductRatio:
         )
         assert abs(S - brute) / abs(brute) < 1e-9
 
-    def test_psi_prime_first_rows_equal_varphi_prime(self, gamma):
-        roots = bethe.solve_ground_state(6, gamma)
-        psi = determinant.psi_prime_matrix(roots, [0.0])
-        phi = determinant.varphi_prime_matrix(roots)
-        assert np.array_equal(psi[:2], phi[:2])
-
     def test_identity_rows_of_solved_block(self, gamma):
         # the kept-root rows of psi' phi'^{-1} are Kronecker rows by
         # construction; the solved block must reproduce the window rows
@@ -269,7 +263,9 @@ class TestScalarProductRatio:
         w = [0.0]
         rows = determinant.psi_phi_rows(roots, w)
         phi = determinant.varphi_prime_matrix(roots)
-        assert np.max(np.abs(rows @ phi - determinant._window_rows(roots, w))) < 1e-10
+        lam, eta = roots.values, gamma.eta
+        window_row = np.sinh(eta) / (np.sinh(lam - w[0] - eta / 2) * np.sinh(lam - w[0] + eta / 2))
+        assert np.max(np.abs(rows @ phi - window_row)) < 1e-10
 
 
 class TestShiftedBranchState:

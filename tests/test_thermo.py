@@ -86,22 +86,37 @@ class TestKernel:
 
 
 class TestK1Tot:
+    """The driving term K_1^tot of the total density, thermo._drive."""
+
     def test_homogeneous_default(self, gamma):
-        assert thermo.k1_tot(0.4, None, gamma) == thermo.kernel_K(1, 0.4, gamma)
+        z = np.array([0.4, 0.4 + 0.3j])
+        got = thermo._drive(z, None, gamma.gamma)
+        assert np.array_equal(got, thermo._drive(z, (), gamma.gamma))
+        assert np.array_equal(got, thermo._drive(z, (0.0,), gamma.gamma))
+        # off the contour lines the complex kernel itself, on them its branch form
+        assert got[1] == thermo.kernel_K(1, z[1], gamma)
+        assert abs(got[0] - thermo.kernel_K(1, z[0], gamma)) < 1e-15
 
     def test_two_value_average(self, gamma):
         d = 0.3
-        expect = 0.5 * (
-            thermo.kernel_K(1, 0.2 - d, gamma) + thermo.kernel_K(1, 0.2 + d, gamma)
-        )
-        assert abs(thermo.k1_tot(0.2, [d, -d], gamma) - expect) < 1e-15
+        z = np.array([0.2, 0.2 + 0.3j])
+        expect = 0.5 * (thermo.kernel_K(1, z - d, gamma) + thermo.kernel_K(1, z + d, gamma))
+        assert np.max(np.abs(thermo._drive(z, [d, -d], gamma.gamma) - expect)) < 1e-15
 
     def test_symmetric_set_even(self, gamma):
         mus = [0.5, -0.5, 0.2, -0.2]
-        assert abs(thermo.k1_tot(0.7, mus, gamma) - thermo.k1_tot(-0.7, mus, gamma)) < 1e-14
+        z = np.array([0.7, 0.7 + 0.3j, 0.7 + 0.5j * np.pi])
+        drive = thermo._drive(z, mus, gamma.gamma)
+        assert np.max(np.abs(drive - thermo._drive(-z, mus, gamma.gamma))) < 1e-14
 
 
 class TestContourGrid:
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_cutoff_rejected(self, gamma, cutoff):
+        # a NaN cutoff used to build no panel and divide by zero
+        with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+            thermo.contour_grid(gamma, cutoff=cutoff)
+
     def test_directed_weights(self, grid06):
         real, shifted = ~grid06.shifted, grid06.shifted
         assert grid06.w[real].sum() > 0
@@ -330,7 +345,7 @@ class TestTransferTheta:
 class TestLocalDensity:
     @pytest.mark.parametrize("c", [0.0, 0.4, -0.75])
     def test_is_the_one_column_profile(self, gamma, grid06, profile06, c):
-        loc = thermo.local_density(c, profile06.theta, grid06, gamma)
+        loc = thermo.local_densities([c], profile06.theta, grid06, gamma)[0]
         ref = thermo.solve_density(profile06.theta, grid06, gamma, mu=[c])
         assert isinstance(loc, thermo.DensityProfile)
         assert loc.mu == ref.mu == (c,)
@@ -352,8 +367,16 @@ class TestLocalDensity:
         real = thermo.solve_density(theta, grid06, gamma, mu=[0.1])
         assert np.array_equal(tiny.rho_tot, real.rho_tot)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_nonfinite_centres_rejected(self, gamma, grid06, profile06, bad):
+        theta = profile06.theta
+        with pytest.raises(ValueError, match="finite, real driving centres"):
+            thermo.solve_density(theta, grid06, gamma, mu=[bad, 0.0])
+        with pytest.raises(ValueError, match="finite, real driving centres"):
+            thermo.local_densities([0.3, bad], theta, grid06, gamma)
+
     def test_centre_zero_equals_global(self, gamma, grid06, profile06):
-        loc = thermo.local_density(0.0, profile06.theta, grid06, gamma)
+        loc = thermo.local_densities([0.0], profile06.theta, grid06, gamma)[0]
         assert np.max(np.abs(loc.rho_tot - profile06.rho_tot)) < 1e-14
 
     def test_averaging_reproduces_total(self, gamma, grid06):
@@ -368,7 +391,7 @@ class TestLocalDensity:
         # ground-state theta is flat on the packed branch, so the local
         # density is a translate of the global one
         delta = 0.4
-        loc = thermo.local_density(delta, profile06.theta, grid06, gamma)
+        loc = thermo.local_densities([delta], profile06.theta, grid06, gamma)[0]
         xs = np.linspace(-2, 2, 41)
         shifted = np.real(np.atleast_1d(loc.rho_tot_at(xs)))
         base = np.real(np.atleast_1d(profile06.rho_tot_at(xs - delta)))
@@ -378,8 +401,8 @@ class TestLocalDensity:
         # negative control: a position-dependent Fermi weight breaks it
         theta = np.where(grid06.shifted, 0.0, 1.0 / (1.0 + grid06.x**2))
         delta = 0.4
-        loc0 = thermo.local_density(0.0, theta, grid06, gamma)
-        loc1 = thermo.local_density(delta, theta, grid06, gamma)
+        loc0 = thermo.local_densities([0.0], theta, grid06, gamma)[0]
+        loc1 = thermo.local_densities([delta], theta, grid06, gamma)[0]
         xs = np.linspace(-1, 1, 11)
         a = np.real(np.atleast_1d(loc1.rho_tot_at(xs)))
         b = np.real(np.atleast_1d(loc0.rho_tot_at(xs - delta)))
@@ -416,12 +439,24 @@ class TestThermoRowFormula:
         assert thermo.varphi_prime_thermo_row_check(roots, [0.0], profile06) < 1e-12
 
 
+def _h_at(lams, w, locs, gamma):
+    """H at one rapidity tuple through determinant._h_tuples, with unit
+    weights and the rows of the local densities `locs` at the tuple, and
+    the oracle's literal form of H on the same rows."""
+    z = np.array([p.value if isinstance(p, SpectralPoint) else complex(p) for p in lams])
+    rows = np.array([np.atleast_1d(loc.rho_tot_at(z)) for loc in locs], dtype=complex)
+    F, D = determinant._integrand_factors(z, np.asarray(w, dtype=complex), gamma.gamma)
+    h = determinant._h_tuples(np.arange(len(z))[:, None], rows, F, D)[0]
+    return h, efp_integrand_h(z, rows, w, gamma)
+
+
 class TestHFunction:
     def test_single_point_reduces_to_local_density(self, gamma, grid06, profile06):
-        loc = thermo.local_density(0.0, profile06.theta, grid06, gamma)
+        loc = thermo.local_densities([0.0], profile06.theta, grid06, gamma)[0]
         lam = SpectralPoint(0.37)
-        h = thermo.h_function([lam], [0.0], [loc])
+        h, ref = _h_at([lam], [0.0], [loc], gamma)
         assert abs(h - loc.rho_tot_at(lam.value)) < 1e-14
+        assert abs(h - ref) <= 1e-14 * abs(ref)
 
     def test_swap_antisymmetry_cancels(self, gamma, grid06, profile06):
         # H itself changes under a swap of rapidities, but the swap factor
@@ -431,11 +466,12 @@ class TestHFunction:
         w = [-0.2, 0.2]
         locs = thermo.local_densities(w, profile06.theta, grid06, gamma)
         za, zb = SpectralPoint(0.31), SpectralPoint(-0.64)
-        h_ab = thermo.h_function([za, zb], w, locs)
-        h_ba = thermo.h_function([zb, za], w, locs)
+        (h_ab, ref_ab), (h_ba, ref_ba) = (_h_at(t, w, locs, gamma) for t in ([za, zb], [zb, za]))
         # exchanging integration labels leaves the integrand sum invariant
         assert abs(h_ab + h_ba - (h_ba + h_ab)) < 1e-16
         assert h_ab != h_ba
+        assert abs(h_ab - ref_ab) <= 1e-12 * abs(ref_ab)
+        assert abs(h_ba - ref_ba) <= 1e-12 * abs(ref_ba)
 
     def test_homogeneous_window_limit_finite(self, gamma, grid06, profile06):
         # H / prefactor stays finite as the window degenerates; extrapolate
@@ -445,7 +481,8 @@ class TestHFunction:
         for eps in eps_list:
             w = [-eps / 2, eps / 2]
             locs = thermo.local_densities(w, profile06.theta, grid06, gamma)
-            h = thermo.h_function(lam, w, locs)
+            h, ref = _h_at(lam, w, locs, gamma)
+            assert abs(h - ref) <= 1e-12 * abs(ref)
             vals.append(h / np.sinh(w[0] - w[1]))
         extr = determinant.neville_extrapolate([e * e for e in eps_list], vals)
         assert np.isfinite(extr)
@@ -456,11 +493,39 @@ class TestHFunction:
         # denominator itself only degenerates at a spacing of i*gamma
         locs = thermo.local_densities([0.1, -0.1], profile06.theta, grid06, gamma)
         lam = SpectralPoint(0.3)
-        assert abs(thermo.h_function([lam, lam], [0.1, -0.1], locs)) < 1e-15
+        h, ref = _h_at([lam, lam], [0.1, -0.1], locs, gamma)
+        assert h == 0 and abs(ref) < 1e-15
         with pytest.raises(PoleError):
-            thermo.h_function(
-                [0.3, 0.3 + 1j * gamma.gamma], [0.1, -0.1], locs
-            )
+            _h_at([0.3, 0.3 + 1j * gamma.gamma], [0.1, -0.1], locs, gamma)
+
+
+class TestWindowColumns:
+    """efp_thermo and efp_sum_finite take the window columns under the rule
+    of the driving centres: finite, with at most a rounding-level imaginary
+    part, which is dropped."""
+
+    BAD = [0.1 + 0.3j, np.nan, np.inf, complex(0.1, np.nan)]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_efp_thermo_rejects(self, gamma, coarse_grid, bad):
+        theta = thermo.ground_state_theta(coarse_grid)
+        with pytest.raises(ValueError, match="finite, real window columns"):
+            thermo.efp_thermo(2, [bad, 0.0], theta, coarse_grid, gamma)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_efp_sum_finite_rejects(self, gamma, profile06, bad):
+        roots = bethe.solve_ground_state(8, gamma)
+        with pytest.raises(ValueError, match="finite, real window columns"):
+            thermo.efp_sum_finite(roots, [0.0, bad], profile=profile06)
+
+    def test_rounding_level_imaginary_part_dropped(self, gamma, coarse_grid, profile06):
+        theta = thermo.ground_state_theta(coarse_grid)
+        tiny = thermo.efp_thermo(2, [0.1 + 1e-14j, -0.2], theta, coarse_grid, gamma)
+        real = thermo.efp_thermo(2, [0.1, -0.2], theta, coarse_grid, gamma)
+        assert tiny == real
+        roots = bethe.solve_ground_state(8, gamma)
+        assert thermo.efp_sum_finite(roots, [0.1 + 1e-14j], profile06) == thermo.efp_sum_finite(
+            roots, [0.1], profile06)
 
 
 class TestEfpThermo:
@@ -657,7 +722,7 @@ class TestNodeSumOracle:
         vals = np.array([p.value if isinstance(p, SpectralPoint) else p for p in lams])
         rows = np.array([loc.rho_tot_at(vals) for loc in locs])
         for k in (1, 2, 3):
-            h = thermo.h_function(lams[:k], w[:k], locs[:k])
+            h, _ = _h_at(lams[:k], w[:k], locs[:k], gamma)
             ref = efp_integrand_h(vals[:k], rows[:k, :k], w[:k], gamma)
             assert abs(h - ref) <= 1e-12 * abs(ref)
 

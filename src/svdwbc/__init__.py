@@ -24,7 +24,6 @@ from .algebra import (
 )
 from .bethe import (
     BetheRootSet,
-    SpectralPoint,
     counting_function,
     eigenvalue_residual,
     eigenvalue_t,

@@ -1,8 +1,8 @@
 """Bethe equations in logarithmic form for 1-string root configurations.
 
 Roots live on the directed contour made of the real axis and the line
-Im(lam) = pi/2; a root is stored as a real abscissa plus a branch tag,
-equivalently a parity v = 1 - (4/pi) Im(lam) in {+1, -1}.  The logarithmic
+Im(lam) = pi/2; a root is stored as a real abscissa plus its parity
+v = 1 - (4/pi) Im(lam) in {+1, -1}, which names the branch.  The logarithmic
 equations counting(lam_i) = 2 pi n_i are solved by a damped Newton iteration
 with analytic Jacobian, with a per-coordinate fallback sweep.
 """
@@ -22,38 +22,16 @@ SHIFTED = "shifted"
 _BRANCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Point on the contour: real abscissa x on the branch Im=0 or Im=pi/2."""
-
-    x: float
-    branch: str = REAL
-
-    def __post_init__(self):
-        if self.branch not in (REAL, SHIFTED):
-            raise ValueError(f"branch must be '{REAL}' or '{SHIFTED}', got {self.branch!r}")
-
-    @property
-    def parity(self) -> int:
-        return 1 if self.branch == REAL else -1
-
-    @property
-    def value(self) -> complex:
-        return self.x + (0.5j * np.pi if self.branch == SHIFTED else 0.0)
-
-    @classmethod
-    def from_complex(cls, z):
-        z = complex(z)
-        im = np.mod(z.imag, np.pi)
-        if min(im, np.pi - im) < _BRANCH_TOL:
-            return cls(z.real, REAL)
-        if abs(im - np.pi / 2) < _BRANCH_TOL:
-            return cls(z.real, SHIFTED)
-        raise ValueError(f"point {z} is off the contour (Im must be 0 or pi/2 mod pi)")
-
-
-def _as_point(lam) -> SpectralPoint:
-    return lam if isinstance(lam, SpectralPoint) else SpectralPoint.from_complex(lam)
+def _on_contour(lam):
+    """(x, shifted) of a complex point on the contour: Im lam = 0 or pi/2
+    mod pi to within 1e-9, a ValueError elsewhere."""
+    z = complex(lam)
+    im = np.mod(z.imag, np.pi)
+    if min(im, np.pi - im) < _BRANCH_TOL:
+        return z.real, False
+    if abs(im - np.pi / 2) < _BRANCH_TOL:
+        return z.real, True
+    raise ValueError(f"point {z} is off the contour (Im must be 0 or pi/2 mod pi)")
 
 
 def p_n(lam, n, gamma):
@@ -64,9 +42,7 @@ def p_n(lam, n, gamma):
     -2 atan(tanh(x) tan(n gamma/2)).  Monotone increasing (decreasing) on the
     real (shifted) branch when sin(n gamma) > 0; no unwrapping is needed.
     """
-    g = _aniso(gamma).gamma
-    p = _as_point(lam)
-    return float(_p_n_x(p.x, p.branch == SHIFTED, n, g))
+    return float(_p_n_x(*_on_contour(lam), n, _aniso(gamma).gamma))
 
 
 def _p_n_x(x, crossed, n, g):
@@ -90,9 +66,7 @@ def _p_n_deriv_x(x, crossed, n, g):
 
 def p_n_deriv(lam, n, gamma):
     """d p_n / dx along the branch of lam."""
-    g = _aniso(gamma).gamma
-    p = _as_point(lam)
-    return float(_p_n_deriv_x(p.x, p.branch == SHIFTED, n, g))
+    return float(_p_n_deriv_x(*_on_contour(lam), n, _aniso(gamma).gamma))
 
 
 def _counting_raw(x, shifted, root_x, root_shifted, mu, g):
@@ -106,17 +80,8 @@ def _counting_raw(x, shifted, root_x, root_shifted, mu, g):
 
 def counting_function(lam, roots) -> float:
     """sum_k p_1(lam - mu_k) - sum_j p_2(lam - lam_j) along the contour."""
-    p = _as_point(lam)
-    return float(
-        _counting_raw(
-            p.x,
-            p.branch == SHIFTED,
-            np.array([r.x for r in roots.roots]),
-            np.array([r.branch == SHIFTED for r in roots.roots]),
-            np.real(roots.mu),
-            roots.gamma.gamma,
-        )
-    )
+    return float(_counting_raw(*_on_contour(lam), np.array(roots.x), roots.shifted,
+                               np.real(roots.mu), roots.gamma.gamma))
 
 
 def log_form_consistency(lam, roots) -> float:
@@ -124,16 +89,19 @@ def log_form_consistency(lam, roots) -> float:
     logarithmic versions of the Bethe equations agree modulo pi, up to a
     global half-turn per root.  The i-log form is i log(dQ/P) for the terms
     of algebra._transfer_terms, so its real part is -arg(dQ/P)."""
-    P, dQ, *_ = algebra._transfer_terms([_as_point(lam).value], roots.values, roots.mu,
+    x, shifted = _on_contour(lam)
+    P, dQ, *_ = algebra._transfer_terms([x + 0.5j * np.pi * shifted], roots.values, roots.mu,
                                         roots.gamma)
     return float(abs(np.sin(counting_function(lam, roots) - np.angle(dQ[0] / P[0]))))
 
 
 @dataclass(frozen=True)
 class BetheRootSet:
-    """Solved 1-string roots with their quantum numbers and diagnostics."""
+    """Solved 1-string roots with their quantum numbers and diagnostics.
+    Root i is the abscissa x[i] on the branch of its parity: the real axis
+    for v = +1, the line Im = pi/2 for v = -1."""
 
-    roots: tuple  # SpectralPoint, length N
+    x: tuple  # real abscissae, length N
     quantum_numbers: tuple  # (half-)integers n_i
     parities: tuple  # +1 / -1
     mu: tuple  # M inhomogeneities (real)
@@ -142,9 +110,9 @@ class BetheRootSet:
     r_sign: int | None = None
 
     def __post_init__(self):
-        N = len(self.roots)
+        N = len(self.x)
         if not (len(self.quantum_numbers) == len(self.parities) == N):
-            raise ValueError("roots, quantum numbers and parities must have equal length")
+            raise ValueError("abscissae, quantum numbers and parities must have equal length")
         seen = set()
         for n, v in zip(self.quantum_numbers, self.parities):
             if v not in (1, -1):
@@ -162,11 +130,18 @@ class BetheRootSet:
 
     @property
     def N(self) -> int:
-        return len(self.roots)
+        return len(self.x)
+
+    @property
+    def shifted(self) -> np.ndarray:
+        return np.array(self.parities) == -1
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.roots])
+        """The complex roots x + i pi/2 [v = -1]; a real array when every
+        root is on the real axis."""
+        x, shifted = np.array(self.x, dtype=float), self.shifted
+        return x + 0.5j * np.pi * shifted if shifted.any() else x + 0.0
 
     @property
     def spec(self) -> LatticeSpec:
@@ -174,7 +149,7 @@ class BetheRootSet:
 
     @property
     def max_residual(self) -> float:
-        if len(self.residuals) != len(self.roots):
+        if len(self.residuals) != len(self.x):
             return np.inf  # unsolved set
         return max(self.residuals) if self.residuals else 0.0
 
@@ -188,7 +163,8 @@ class BetheRootSet:
             "gamma": self.gamma.gamma,
             "M": len(self.mu),
             "mu": [float(np.real(m)) for m in self.mu],
-            "roots": [{"x": r.x, "branch": r.branch} for r in self.roots],
+            "roots": [{"x": x, "branch": SHIFTED if v == -1 else REAL}
+                      for x, v in zip(self.x, self.parities)],
             "n": list(self.quantum_numbers),
             "v": list(self.parities),
             "residuals": list(self.residuals),
@@ -200,8 +176,10 @@ class BetheRootSet:
 
     @classmethod
     def from_json_dict(cls, d) -> "BetheRootSet":
-        return cls(
-            roots=tuple(SpectralPoint(r["x"], r["branch"]) for r in d["roots"]),
+        """Inverse of to_json_dict; each root's branch must agree with its
+        parity in "v"."""
+        roots = cls(
+            x=tuple(r["x"] for r in d["roots"]),
             quantum_numbers=tuple(d["n"]),
             parities=tuple(d["v"]),
             mu=tuple(d["mu"]),
@@ -209,6 +187,11 @@ class BetheRootSet:
             residuals=tuple(d.get("residuals", ())),
             r_sign=d.get("r_sign"),
         )
+        if [r["branch"] for r in d["roots"]] != [SHIFTED if v == -1 else REAL
+                                                  for v in roots.parities]:
+            raise ValueError("each root's branch must agree with its parity: "
+                             f"'{REAL}' for v = 1, '{SHIFTED}' for v = -1")
+        return roots
 
 
 def ground_state_numbers(N):
@@ -311,9 +294,8 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
             f"roots {i} and {j} collided at x = {x[i]:.6g}: quantum numbers are not admissible"
         )
 
-    points = tuple(SpectralPoint(float(xi), SHIFTED if s else REAL) for xi, s in zip(x, shifted))
     roots = BetheRootSet(
-        roots=points,
+        x=tuple(x.tolist()),
         quantum_numbers=n_i,
         parities=v_i,
         mu=mu_c,
@@ -344,22 +326,21 @@ def eigenvalue_t(lam, roots):
     the terms P + dQ of algebra._transfer_terms, smooth at lam = lam_i
     through the pole cancellation enforced by the Bethe equations.
     """
-    lam = complex(lam) if not isinstance(lam, SpectralPoint) else lam.value
-    P, dQ, *_ = algebra._transfer_terms([lam], roots.values, roots.mu, roots.gamma)
+    P, dQ, *_ = algebra._transfer_terms([complex(lam)], roots.values, roots.mu, roots.gamma)
     return P[0] + dQ[0]
 
 
-def eigenvalue_residual(roots, spec, lam):
+def eigenvalue_residual(roots, lam):
     """||T(lam)|N> - t(lam)|N>|| / |||N>|| for the brute-force state."""
-    psi = algebra.bethe_state(roots.values, spec, roots.gamma)
-    tpsi = algebra.transfer_apply(lam, spec, roots.gamma, psi)
+    psi = algebra.bethe_state(roots.values, roots.spec, roots.gamma)
+    tpsi = algebra.transfer_apply(lam, roots.spec, roots.gamma, psi)
     t = eigenvalue_t(lam, roots)
     return float(np.linalg.norm(tpsi - t * psi) / np.linalg.norm(psi))
 
 
-def flip_sign_residual(roots, spec):
+def flip_sign_residual(roots):
     """(sign, residual) of R|N> = sign |N>."""
-    psi = algebra.bethe_state(roots.values, spec, roots.gamma)
+    psi = algebra.bethe_state(roots.values, roots.spec, roots.gamma)
     flipped = algebra.flip_apply(psi)
     i0 = int(np.argmax(np.abs(psi)))
     s = flipped[i0] / psi[i0]

@@ -26,16 +26,15 @@ EXIT_CONVERGENCE = 3
 EXIT_SINGULAR = 4
 
 
-def _parse_mu(text, M):
-    """Inhomogeneity source: 'homogeneous', a comma list, or @file."""
-    if text is None or text == "homogeneous":
-        return (0.0,) * M
+def _parse_list(text, count, what, kind=float):
+    """The values of a list flag: a comma (or blank) separated list, or @file
+    holding one; exactly `count` of them unless count is None."""
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            text = fh.read().strip()
-    vals = tuple(float(tok) for tok in text.replace(",", " ").split())
-    if M and len(vals) != M:
-        raise ValueError(f"expected {M} inhomogeneities, got {len(vals)}")
+            text = fh.read()
+    vals = tuple(kind(tok) for tok in text.replace(",", " ").split())
+    if count is not None and len(vals) != count:
+        raise ValueError(f"expected {count} {what}, got {len(vals)}")
     return vals
 
 
@@ -108,13 +107,14 @@ def _resolve_roots(args):
         raise ValueError("provide --M or --N")
     if args.N and M != 2 * args.N:
         raise ValueError(f"--M {M} and --N {args.N} disagree: M = 2N")
-    mu = _parse_mu(args.mu, M)
+    homogeneous = args.mu in (None, "homogeneous")
+    mu = (0.0,) * M if homogeneous else _parse_list(args.mu, M, "inhomogeneities")
     spec = LatticeSpec(M, mu)
     ns, vs = bethe.ground_state_numbers(spec.N)
     if getattr(args, "numbers", None):
-        ns = tuple(float(t) for t in args.numbers.replace(",", " ").split())
+        ns = _parse_list(args.numbers, spec.N, "quantum numbers")
     if getattr(args, "parities", None):
-        vs = tuple(int(t) for t in args.parities.replace(",", " ").split())
+        vs = _parse_list(args.parities, spec.N, "parities", int)
     return bethe.solve_bae(ns, vs, spec, AnisotropyParam(args.gamma), tol=args.tol)
 
 
@@ -166,7 +166,7 @@ def _cmd_efp_finite(args):
 def _cmd_density(args):
     gamma = AnisotropyParam(args.gamma)
     grid = thermo.contour_grid(gamma, args.cutoff, args.points)
-    mu = _parse_mu(args.mu, 0) if args.mu not in (None, "homogeneous") else None
+    mu = None if args.mu in (None, "homogeneous") else _parse_list(args.mu, None, "centres")
     theta = thermo.ground_state_theta(grid)
     prof = thermo.solve_density(theta, grid, gamma, mu=mu, check_resolution=True)
     rows = sorted(
@@ -199,12 +199,8 @@ def _cmd_efp_thermo(args):
     gamma = AnisotropyParam(args.gamma)
     grid = thermo.contour_grid(gamma, args.cutoff, args.points)
     theta = thermo.ground_state_theta(grid)
-    if args.mu_window:
-        window = [float(t) for t in args.mu_window.replace(",", " ").split()]
-        if len(window) != args.n:
-            raise ValueError(f"--mu-window must list {args.n} values")
-    else:
-        window = [0.0] * args.n
+    window = (_parse_list(args.mu_window, args.n, "window columns") if args.mu_window
+              else (0.0,) * args.n)
     res = thermo.efp_thermo(
         args.n, window, theta, grid, gamma, mc_samples=args.samples, seed=args.seed,
     )
@@ -257,9 +253,9 @@ def _verify_flags(p):
 def _solve_bae_flags(p):
     _lattice_flags(p)
     p.add_argument("--numbers", type=str, default=None,
-                   help="comma list of quantum numbers (default: symmetric filling)")
+                   help="quantum numbers, comma list or @file (default: symmetric filling)")
     p.add_argument("--parities", type=str, default=None,
-                   help="comma list of +-1 parities (default: all +1)")
+                   help="+-1 parities, comma list or @file (default: all +1)")
 
 
 def _efp_finite_flags(p):
@@ -271,14 +267,14 @@ def _efp_finite_flags(p):
 def _density_flags(p):
     _grid_flags(p)
     p.add_argument("--mu", type=str, default=None,
-                   help="'homogeneous' or comma list for the averaged driving term")
+                   help="'homogeneous', comma list or @file for the averaged driving term")
 
 
 def _efp_thermo_flags(p):
     _grid_flags(p)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--mu-window", dest="mu_window", type=str, default=None,
-                   help="window column values (default: homogeneous zeros)")
+                   help="window columns, comma list or @file (default: homogeneous zeros)")
     p.add_argument("--samples", type=int, default=200000, help="Monte Carlo samples (n >= 4)")
     p.add_argument("--seed", type=int, default=42)
 

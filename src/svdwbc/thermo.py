@@ -15,7 +15,7 @@ import numpy as np
 
 from . import determinant
 from .algebra import _aniso
-from .bethe import REAL, SHIFTED, SpectralPoint, _p_n_deriv_x
+from .bethe import _p_n_deriv_x, _p_n_x
 from .errors import ConvergenceError, PoleError
 
 logger = logging.getLogger(__name__)
@@ -25,7 +25,7 @@ def kernel_K(n, lam, gamma):
     """K_n(lam) = (1/2pi) sin(n gamma) / [sinh(lam - i n gamma/2) sinh(lam + i n gamma/2)];
     elementwise for an array lam."""
     g = _aniso(gamma).gamma
-    lam = lam.value if isinstance(lam, SpectralPoint) else np.asarray(lam, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
     s = np.sinh(lam - 0.5j * n * g) * np.sinh(lam + 0.5j * n * g)
     if np.size(s) and np.min(np.abs(s)) < 1e-14:
         raise PoleError(f"kernel pole at lam = {lam}")
@@ -82,13 +82,6 @@ class ContourGrid:
     shifted: np.ndarray  # bool per node
 
     @property
-    def nodes(self):
-        return tuple(
-            SpectralPoint(float(xi), SHIFTED if s else REAL)
-            for xi, s in zip(self.x, self.shifted)
-        )
-
-    @property
     def values(self) -> np.ndarray:
         return self.x + 0.5j * np.pi * self.shifted
 
@@ -105,6 +98,12 @@ def contour_grid(gamma, cutoff=None, points_per_branch=256):
         cutoff = 20.0 * max(1.0, g)
     if not (np.isfinite(cutoff) and cutoff > 0) or points_per_branch < 8:
         raise ValueError("cutoff must be finite and positive and points_per_branch >= 8")
+    # the K_1 drive has mass 2(pi - gamma) on the real line, 2 p_1(cutoff) of it
+    # inside; at gamma = 0, which the density solve rejects, it is a point mass
+    tail = 1 - _p_n_x(cutoff, False, 1, g) / (np.pi - g) if g else 0.0
+    if tail > 1e-6:
+        logger.warning("cutoff %g truncates the contour: a fraction %.2e of the driving "
+                       "term lies beyond it", cutoff, tail)
     w0 = min(max(g, 1e-3), 1.0) / 2
     edges = [0.0]
     e = w0
@@ -245,13 +244,10 @@ class DensityProfile:
         return float(np.sum(self.grid.w * self.rho_p))
 
     def rho_tot_at(self, z):
-        """Nystrom interpolation of rho_tot at arbitrary points (complex or
-        SpectralPoint); exact at the grid nodes."""
+        """Nystrom interpolation of rho_tot at arbitrary complex points; exact
+        at the grid nodes."""
         g = _aniso(self.gamma).gamma
-        vals = np.array(
-            [p.value if isinstance(p, SpectralPoint) else p for p in np.atleast_1d(z)],
-            dtype=complex,
-        )
+        vals = np.atleast_1d(np.asarray(z, dtype=complex))
         out = _interpolate(vals, _drive(vals, self.mu, g), self.grid, g, self.grid.w * self.rho_p)
         if np.max(np.abs(out.imag)) < 1e-10 * (1 + np.max(np.abs(out.real))):
             out = out.real

@@ -157,7 +157,7 @@ def check_flip(states, tol=1e-10):
     so a wrong r_sign reads 2."""
     worst = 0.0
     for roots in states:
-        sign, res = bethe.flip_sign_residual(roots, roots.spec)
+        sign, res = bethe.flip_sign_residual(roots)
         worst = max(worst, res, abs(sign - roots.r_sign))
     return _record("flip_eigenvalue", worst, tol, sizes=[len(r.mu) for r in states])
 

@@ -146,10 +146,10 @@ def test_criterion_07_bethe_solver():
                 for _ in range(3):
                     lam = rng.normal() * 0.5 + 0.2j * rng.normal()
                     worst_eig = max(
-                        worst_eig, bethe.eigenvalue_residual(roots, roots.spec, lam)
+                        worst_eig, bethe.eigenvalue_residual(roots, lam)
                     )
             if 2 * N <= algebra.BRUTE_FORCE_MAX_M:
-                sign, res = bethe.flip_sign_residual(roots, roots.spec)
+                sign, res = bethe.flip_sign_residual(roots)
                 assert sign in (-1, 1)
                 worst_flip = max(worst_flip, res)
     assert worst_res < 1e-12

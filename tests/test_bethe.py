@@ -1,44 +1,93 @@
+import json
+
 import numpy as np
 import pytest
 
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
-from svdwbc.bethe import REAL, SHIFTED, SpectralPoint
+from svdwbc.bethe import SHIFTED
 from svdwbc.errors import PoleError
 
 
-class TestSpectralPoint:
-    def test_parity_and_value(self):
-        p = SpectralPoint(0.7, SHIFTED)
-        assert p.parity == -1
-        assert p.value == 0.7 + 0.5j * np.pi
-        assert SpectralPoint(0.7).parity == 1
+def _twin(gamma):
+    """The shifted-branch twin of the M = 4 ground state."""
+    return bethe.solve_bae((-0.5, 0.5), (-1, -1), homogeneous_spec(4), gamma)
 
-    def test_from_complex_roundtrip(self):
-        for p in (SpectralPoint(-1.2), SpectralPoint(0.4, SHIFTED)):
-            assert SpectralPoint.from_complex(p.value) == p
 
-    def test_off_contour_rejected(self):
-        with pytest.raises(ValueError):
-            SpectralPoint.from_complex(0.3 + 0.2j)
+class TestContourPoints:
+    """A root set is abscissae plus parities; a contour point is complex."""
+
+    def test_values_from_abscissae_and_parities(self, gamma):
+        roots = bethe.BetheRootSet((0.7, -0.2, -0.0), (-1, 0, 1), (-1, 1, 1), (0.0,) * 6, gamma)
+        assert roots.shifted.tolist() == [True, False, False]
+        want = np.array([0.7 + 0.5j * np.pi, -0.2 + 0.0, -0.0 + 0.0])
+        assert roots.values.tobytes() == want.astype(complex).tobytes()
+        real = bethe.solve_ground_state(4, gamma)
+        assert real.values.dtype == float  # an all-real set stays a real array
+        assert real.values.tobytes() == np.array([x + 0.0 for x in real.x]).tobytes()
+
+    def test_json_roundtrip_of_shifted_twin(self, gamma):
+        twin = _twin(gamma)
+        d = json.loads(twin.to_json())
+        assert [r["branch"] for r in d["roots"]] == [SHIFTED, SHIFTED]
+        back = bethe.BetheRootSet.from_json_dict(d)
+        assert back == twin
+        assert back.values.tobytes() == twin.values.tobytes()
+
+    def test_off_contour_point_rejected(self, gamma):
+        roots = bethe.solve_ground_state(4, gamma)
+        for call in (lambda z: bethe.p_n(z, 1, gamma), lambda z: bethe.p_n_deriv(z, 2, gamma),
+                     lambda z: bethe.counting_function(z, roots),
+                     lambda z: bethe.log_form_consistency(z, roots)):
+            with pytest.raises(ValueError, match="off the contour"):
+                call(0.3 + 0.2j)
+
+    def test_complex_points_on_both_branches(self, gamma, rng):
+        g = gamma.gamma
+        # one root per branch; the counting function needs no solved set
+        roots = bethe.BetheRootSet((0.4, -0.3), (-0.5, 0.5), (1, -1), (0.1, -0.2, 0.3, 0.0), gamma)
+        for _ in range(4):
+            x = rng.normal()
+            th = np.tanh(x)
+            for im, sign, cot in ((0.0, 1, 1 / np.tan(g)), (np.pi, 1, 1 / np.tan(g)),
+                                  (0.5 * np.pi, -1, np.tan(g)), (-0.5 * np.pi, -1, np.tan(g))):
+                z = x + 1j * im
+                assert bethe.p_n(z, 2, gamma) == pytest.approx(sign * 2 * np.arctan(th * cot),
+                                                               rel=1e-14, abs=1e-15)
+                h = 1e-6
+                fd = (bethe.p_n(z + h, 2, gamma) - bethe.p_n(z - h, 2, gamma)) / (2 * h)
+                assert abs(fd - bethe.p_n_deriv(z, 2, gamma)) < 1e-8
+                # the counting function from p_n at the complex differences
+                want = sum(bethe.p_n(z - m, 1, gamma) for m in roots.mu) - sum(
+                    bethe.p_n(z - lam, 2, gamma) for lam in roots.values)
+                assert abs(bethe.counting_function(z, roots) - want) < 1e-13
+
+    def test_branch_must_agree_with_parity(self, gamma):
+        d = bethe.solve_ground_state(8, gamma).to_json_dict()
+        bad_v = dict(d, v=[-1] * 4)
+        bad_branch = dict(d, roots=[dict(d["roots"][0], branch=SHIFTED), *d["roots"][1:]])
+        for bad in (bad_v, bad_branch):
+            with pytest.raises(ValueError, match="branch must agree with its parity"):
+                bethe.BetheRootSet.from_json_dict(bad)
+        assert bethe.BetheRootSet.from_json_dict(d).to_json_dict() == d
 
 
 class TestPn:
     def test_origin(self, gamma):
-        assert bethe.p_n(SpectralPoint(0.0), 1, gamma) == 0.0
+        assert bethe.p_n(0.0, 1, gamma) == 0.0
 
     def test_large_argument_limit(self, gamma):
         # tanh -> 1 gives 2 atan(cot(n gamma / 2)) = pi - n gamma
         for n in (1, 2):
-            val = bethe.p_n(SpectralPoint(40.0), n, gamma)
+            val = bethe.p_n(40.0, n, gamma)
             assert abs(val - (np.pi - n * gamma.gamma)) < 1e-12
 
     def test_odd_in_x(self, gamma, rng):
-        for branch in (REAL, SHIFTED):
+        for im in (0.0, 0.5j * np.pi):
             for _ in range(5):
                 x = rng.normal()
-                plus = bethe.p_n(SpectralPoint(x, branch), 2, gamma)
-                minus = bethe.p_n(SpectralPoint(-x, branch), 2, gamma)
+                plus = bethe.p_n(x + im, 2, gamma)
+                minus = bethe.p_n(-x + im, 2, gamma)
                 assert abs(plus + minus) < 1e-14
 
     def test_monotonicity_grid(self, gamma):
@@ -47,32 +96,29 @@ class TestPn:
         xs = np.linspace(-8, 8, 1000)
         for n in (1, 2):
             assert np.sin(n * gamma.gamma) > 0
-            real_vals = [bethe.p_n(SpectralPoint(x), n, gamma) for x in xs]
-            shift_vals = [bethe.p_n(SpectralPoint(x, SHIFTED), n, gamma) for x in xs]
+            real_vals = [bethe.p_n(x, n, gamma) for x in xs]
+            shift_vals = [bethe.p_n(x + 0.5j * np.pi, n, gamma) for x in xs]
             assert np.all(np.diff(real_vals) > 0)
             assert np.all(np.diff(shift_vals) < 0)
 
     def test_derivative_matches_difference_quotient(self, gamma, rng):
         h = 1e-6
-        for branch in (REAL, SHIFTED):
+        for im in (0.0, 0.5j * np.pi):
             x = rng.normal() * 0.8
-            fd = (
-                bethe.p_n(SpectralPoint(x + h, branch), 2, gamma)
-                - bethe.p_n(SpectralPoint(x - h, branch), 2, gamma)
-            ) / (2 * h)
-            assert abs(fd - bethe.p_n_deriv(SpectralPoint(x, branch), 2, gamma)) < 1e-8
+            fd = (bethe.p_n(x + h + im, 2, gamma) - bethe.p_n(x - h + im, 2, gamma)) / (2 * h)
+            assert abs(fd - bethe.p_n_deriv(x + im, 2, gamma)) < 1e-8
 
 
 class TestCountingFunction:
     def test_trivial_root_at_origin(self, gamma):
         roots = bethe.solve_bae((0,), (1,), homogeneous_spec(2), gamma)
-        assert roots.roots[0] == SpectralPoint(0.0, REAL)
-        assert abs(bethe.counting_function(SpectralPoint(0.0), roots)) < 1e-14
+        assert roots.x == (0.0,) and roots.parities == (1,)
+        assert abs(bethe.counting_function(0.0, roots)) < 1e-14
 
     def test_monotone_along_real_branch_for_ground_state(self, gamma):
         roots = bethe.solve_ground_state(8, gamma)
         xs = np.linspace(-3, 3, 200)
-        vals = [bethe.counting_function(SpectralPoint(x), roots) for x in xs]
+        vals = [bethe.counting_function(x, roots) for x in xs]
         assert np.all(np.diff(vals) > 0)
 
     def test_log_form_consistency(self, gamma, rng):
@@ -80,16 +126,16 @@ class TestCountingFunction:
         roots = bethe.solve_ground_state(6, gamma)
         for _ in range(10):
             x = rng.normal() * 1.5
-            branch = REAL if rng.random() < 0.5 else SHIFTED
-            assert bethe.log_form_consistency(SpectralPoint(x, branch), roots) < 1e-10
+            im = 0.0 if rng.random() < 0.5 else 0.5j * np.pi
+            assert bethe.log_form_consistency(x + im, roots) < 1e-10
 
 
 class TestSolver:
     def test_ground_state_n4(self, gamma):
         roots = bethe.solve_ground_state(8, gamma)
         assert roots.max_residual < 1e-12
-        xs = [r.x for r in roots.roots]
-        assert all(r.branch == REAL for r in roots.roots)
+        xs = roots.x
+        assert roots.parities == (1,) * 4
         assert np.allclose(xs, -np.array(xs[::-1]), atol=1e-10)  # symmetric about 0
 
     def test_translation_covariance(self, gamma):
@@ -97,7 +143,7 @@ class TestSolver:
         delta = 0.3
         shifted = bethe.solve_ground_state(6, gamma, mu=(delta,) * 6)
         assert np.allclose(
-            [r.x for r in shifted.roots], [r.x + delta for r in base.roots], atol=1e-10
+            shifted.x, np.add(base.x, delta), atol=1e-10
         )
 
     def test_quantum_number_validation(self, gamma):
@@ -117,20 +163,19 @@ class TestSolver:
         # same quantum number, opposite parity: a second, distinct solution
         r_plus = bethe.solve_bae((0,), (1,), homogeneous_spec(2), gamma)
         r_minus = bethe.solve_bae((0,), (-1,), homogeneous_spec(2), gamma)
-        assert r_minus.roots[0].branch == SHIFTED
+        assert r_minus.values[0].imag == 0.5 * np.pi
         assert r_minus.max_residual < 1e-12
-        assert r_minus.roots[0].value != r_plus.roots[0].value
+        assert r_minus.values[0] != r_plus.values[0]
 
     def test_two_solutions_per_number_set(self, gamma):
         # each admissible quantum-number set supports one solution per
         # uniform parity choice
         real = bethe.solve_bae((-0.5, 0.5), (1, 1), homogeneous_spec(4), gamma)
         shifted = bethe.solve_bae((-0.5, 0.5), (-1, -1), homogeneous_spec(4), gamma)
-        assert all(r.branch == SHIFTED for r in shifted.roots)
+        assert np.all(shifted.values.imag == 0.5 * np.pi)
         assert shifted.max_residual < 1e-12
         assert shifted.d_product_deviation() < 1e-10
-        assert not np.allclose(sorted(r.x for r in shifted.roots),
-                               sorted(r.x for r in real.roots))
+        assert not np.allclose(sorted(shifted.x), sorted(real.x))
 
     def test_inadmissible_numbers_fail_cleanly(self, gamma):
         # at half filling the real branch is exactly filled by the symmetric
@@ -151,8 +196,8 @@ class TestSolver:
         # without the per-coordinate sweep the solve is a ConvergenceError
         roots = bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
         assert roots.max_residual < 1e-12
-        assert bethe.eigenvalue_residual(roots, roots.spec, 0.4) < 1e-12
-        sign, _ = bethe.flip_sign_residual(roots, roots.spec)
+        assert bethe.eigenvalue_residual(roots, 0.4) < 1e-12
+        sign, _ = bethe.flip_sign_residual(roots)
         assert roots.r_sign == sign
 
     @pytest.mark.parametrize("M, seeded, parity", [(64, False, 1), (64, True, 1), (8, False, -1)])
@@ -209,7 +254,7 @@ class TestSystem:
 
     def test_scalar_functions_return_floats(self, gamma):
         roots = bethe.solve_ground_state(4, gamma)
-        p = SpectralPoint(0.3, SHIFTED)
+        p = 0.3 + 0.5j * np.pi
         for val in (bethe.p_n(p, 1, gamma), bethe.p_n_deriv(p, 2, gamma),
                     bethe.counting_function(p, roots)):
             assert type(val) is float
@@ -270,24 +315,24 @@ class TestEigenstateResidual:
         roots = bethe.solve_ground_state(4, gamma)
         for _ in range(10):
             lam = rng.normal() * 0.7 + 0.3j * rng.normal()
-            assert bethe.eigenvalue_residual(roots, roots.spec, lam) < 1e-9
+            assert bethe.eigenvalue_residual(roots, lam) < 1e-9
 
     def test_random_roots_fail(self, gamma, rng):
         spec = homogeneous_spec(4)
         fake = bethe.BetheRootSet(
-            (SpectralPoint(0.31), SpectralPoint(-0.93)),
+            (0.31, -0.93),
             (-0.5, 0.5),
             (1, 1),
             spec.mu,
             gamma,
             residuals=(0.0, 0.0),
         )
-        assert bethe.eigenvalue_residual(fake, spec, 0.4) > 1e-2
+        assert bethe.eigenvalue_residual(fake, 0.4) > 1e-2
 
     def test_flip_eigenvalue(self, gamma):
         for M in (4, 8):
             roots = bethe.solve_ground_state(M, gamma)
-            sign, res = bethe.flip_sign_residual(roots, roots.spec)
+            sign, res = bethe.flip_sign_residual(roots)
             assert sign in (-1, 1)
             assert res < 1e-10
             assert roots.r_sign == sign
@@ -309,7 +354,7 @@ class TestFlipSign:
         for seeded in (False, True):
             for parity in (1, -1):  # the ground state and its shifted-branch twin
                 roots = _solve(M, gamma, seeded, parity)
-                sign, res = bethe.flip_sign_residual(roots, roots.spec)
+                sign, res = bethe.flip_sign_residual(roots)
                 assert res < 1e-10
                 assert roots.r_sign == sign
 
@@ -317,9 +362,7 @@ class TestFlipSign:
     def test_gaudin_matrix_is_i_times_jacobian(self, gamma, parity):
         # the identity that puts sign <N|N> in the solver's hands
         roots = _solve(12, gamma, True, parity)
-        x = np.array([r.x for r in roots.roots])
-        shifted = np.array([r.branch == SHIFTED for r in roots.roots])
-        _, J = bethe._system(x, shifted, roots.quantum_numbers, np.real(roots.mu), gamma.gamma)
+        _, J = bethe._system(np.array(roots.x), roots.shifted, roots.quantum_numbers, np.real(roots.mu), gamma.gamma)
         phi = determinant.varphi_prime_matrix(roots)
         assert np.max(np.abs(phi - 1j * J)) < 1e-14 * np.max(np.abs(J))
 
@@ -353,5 +396,5 @@ class TestRootSymmetry:
         roots = bethe.solve_bae(
             *bethe.ground_state_numbers(3), LatticeSpec(6, mus), gamma
         )
-        xs = np.sort([r.x for r in roots.roots])
+        xs = np.sort(roots.x)
         assert np.allclose(xs, -xs[::-1], atol=1e-10)

@@ -269,6 +269,44 @@ class TestEfpThermoCommand:
         assert "cutoff" in capsys.readouterr().err
 
 
+class TestListFlags:
+    """--mu, --mu-window, --numbers and --parities share one list parser."""
+
+    @pytest.mark.parametrize("head, flag, text", [
+        (["solve-bae", "--M", "4"], "--mu", "0.1,-0.1,0.2,-0.2"),
+        (["solve-bae", "--M", "4"], "--numbers", "-0.5,0.5"),
+        (["solve-bae", "--M", "4"], "--parities", "-1,-1"),
+        (["efp-thermo", "--n", "2", "--points", "64"], "--mu-window", "-0.1,0.2"),
+        (["density", "--points", "32"], "--mu", "0.1,-0.2"),
+    ])
+    def test_file_form_matches_comma_form(self, tmp_path, head, flag, text):
+        listing = tmp_path / "values.txt"
+        listing.write_text(text.replace(",", "\n") + "\n")
+        outputs = []
+        for name, value in (("comma", text), ("file", f"@{listing}")):
+            out = tmp_path / f"{name}.out"
+            assert run([*head, f"{flag}={value}", "--out", str(out)]) == 0
+            # config echoes the flag's text; density writes the profile to --out
+            outputs.append(out.read_text() if head[0] == "density" else load(out)["results"])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-bae", "--M", "4", "--mu", "0.1,0.2,0.3"], "expected 4 inhomogeneities, got 3"),
+        (["solve-bae", "--M", "4", "--numbers", "0.5"], "expected 2 quantum numbers, got 1"),
+        (["solve-bae", "--M", "4", "--parities=1,1,-1"], "expected 2 parities, got 3"),
+        (["efp-thermo", "--n", "2", "--mu-window", "0.1"], "expected 2 window columns, got 1"),
+    ])
+    def test_wrong_count_is_bad_input(self, argv, message, capsys):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_wrong_count_in_file_is_bad_input(self, tmp_path, capsys):
+        listing = tmp_path / "numbers.txt"
+        listing.write_text("-1.5 -0.5 0.5\n")
+        assert run(["solve-bae", "--M", "4", "--numbers", f"@{listing}"]) == 2
+        assert "expected 2 quantum numbers, got 3" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -7,7 +7,6 @@ from oracles import (efp_tuple_sum, t_prime_mp, varphi_prime_fd, varphi_prime_mp
                      window_dd_rows_mp)
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import LatticeSpec, homogeneous_spec
-from svdwbc.bethe import SHIFTED, SpectralPoint
 from svdwbc.errors import PoleError
 
 
@@ -97,7 +96,7 @@ class TestSlavnov:
     def test_rejects_non_bethe_roots(self, gamma):
         spec = homogeneous_spec(4)
         fake = bethe.BetheRootSet(
-            (bethe.SpectralPoint(0.5), bethe.SpectralPoint(-0.8)),
+            (0.5, -0.8),
             (-0.5, 0.5), (1, 1), spec.mu, gamma, residuals=(0.3, 0.3),
         )
         with pytest.raises(ValueError):
@@ -171,14 +170,14 @@ class TestVarphiPrimeOracle:
     def test_shifted_branch_twin(self, gamma):
         ns, _ = bethe.ground_state_numbers(4)
         roots = bethe.solve_bae(ns, (-1,) * 4, homogeneous_spec(8), gamma)
-        assert all(r.branch == SHIFTED for r in roots.roots)
+        assert np.all(roots.values.imag == 0.5 * np.pi)
         self.assert_matches(roots)
 
     def test_far_separated_rapidities(self, gamma):
         # |Re(lam - mu)| reaches 300 on both branches: the table is centred on
         # the midrange, so nothing overflows (a RuntimeWarning fails the test)
         roots = bethe.BetheRootSet(
-            roots=(SpectralPoint(150.0), SpectralPoint(-150.0, SHIFTED), SpectralPoint(0.3)),
+            x=(150.0, -150.0, 0.3),
             quantum_numbers=(-1, 0, 1),
             parities=(1, -1, 1),
             mu=(-150.0, 150.0, 0.1, -0.2, 0.0, 0.5),
@@ -279,7 +278,7 @@ class TestShiftedBranchState:
     def test_eigenstate_property(self, gamma, rng, shifted_roots):
         for _ in range(3):
             lam = rng.normal() * 0.5 + 0.2j * rng.normal()
-            assert bethe.eigenvalue_residual(shifted_roots, shifted_roots.spec, lam) < 1e-9
+            assert bethe.eigenvalue_residual(shifted_roots, lam) < 1e-9
 
     def test_gaudin_norm(self, gamma, shifted_roots):
         norm = determinant.gaudin_norm(shifted_roots)

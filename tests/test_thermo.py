@@ -16,7 +16,6 @@ from oracles import (
 )
 from svdwbc import bethe, determinant, thermo
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
-from svdwbc.bethe import SHIFTED, SpectralPoint
 from svdwbc.errors import ConvergenceError, PoleError
 
 
@@ -48,7 +47,7 @@ class TestKernel:
         assert abs(thermo.kernel_K(1, 0.0, gamma) - expect) < 1e-14
         h = 1e-6
         fd = (
-            bethe.p_n(SpectralPoint(h), 1, gamma) - bethe.p_n(SpectralPoint(-h), 1, gamma)
+            bethe.p_n(h, 1, gamma) - bethe.p_n(-h, 1, gamma)
         ) / (2 * h)
         assert abs(thermo.kernel_K(1, 0.0, gamma) - fd / (2 * np.pi)) < 1e-9
 
@@ -63,9 +62,8 @@ class TestKernel:
         assert abs(val - (1 - 2 * gamma.gamma / np.pi)) < 1e-9
 
     def test_matches_momentum_derivative_on_both_branches(self, gamma, rng):
-        for branch in ("real", SHIFTED):
-            x = rng.normal()
-            p = SpectralPoint(x, branch)
+        for im in (0.0, 0.5 * np.pi):
+            p = rng.normal() + 1j * im
             k = thermo.kernel_K(2, p, gamma)
             assert abs(k - bethe.p_n_deriv(p, 2, gamma) / (2 * np.pi)) < 1e-13
 
@@ -124,8 +122,8 @@ class TestContourGrid:
         assert np.all(np.abs(grid06.x) <= grid06.cutoff + 1e-12)
 
     def test_node_points(self, grid06):
-        pts = grid06.nodes
-        assert any(p.branch == SHIFTED for p in pts)
+        pts = grid06.values
+        assert np.array_equal(pts.imag, np.where(grid06.shifted, 0.5 * np.pi, 0.0))
         assert len(pts) == grid06.n_nodes
 
 
@@ -166,6 +164,26 @@ class TestDensity:
     def test_shifted_branch_empty_for_ground_state(self, profile06):
         sh = profile06.rho_tot[profile06.grid.shifted]
         assert np.max(np.abs(sh)) < 1e-12
+
+    def test_rho_tot_at_complex_points_on_both_branches(self, grid06, profile06):
+        # exact at the nodes of both branches; one point reads as in an array
+        at = profile06.rho_tot_at(grid06.values)
+        assert np.max(np.abs(at - profile06.rho_tot)) < 1e-13
+        for i in (0, grid06.n_nodes - 1):  # the first real and the last shifted node
+            assert abs(profile06.rho_tot_at(grid06.values[i]) - at[i]) < 1e-15
+
+    def test_truncating_cutoff_logs_warning(self, gamma, caplog):
+        with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
+            thermo.contour_grid(gamma)
+        assert not any("truncates" in r.getMessage() for r in caplog.records)
+        total = (np.pi - gamma.gamma) / np.pi  # integral of K_1 over the real line
+        for cutoff in (0.01, 2.0):  # 2.0 is the coarse test grid: logged, not raised
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
+                thermo.contour_grid(gamma, cutoff=cutoff, points_per_branch=8)
+            (rec,) = [r for r in caplog.records if "truncates the contour" in r.getMessage()]
+            inside, _ = quad(lambda x: np.real(thermo.kernel_K(1, x, gamma)), -cutoff, cutoff)
+            assert abs(rec.args[1] - (1 - inside / total)) < 1e-12
 
     def test_coarse_grid_logs_under_resolution(self, gamma, caplog):
         # two nodes per panel; the doubled grid has four
@@ -443,7 +461,7 @@ def _h_at(lams, w, locs, gamma):
     """H at one rapidity tuple through determinant._h_tuples, with unit
     weights and the rows of the local densities `locs` at the tuple, and
     the oracle's literal form of H on the same rows."""
-    z = np.array([p.value if isinstance(p, SpectralPoint) else complex(p) for p in lams])
+    z = np.array(lams, dtype=complex)
     rows = np.array([np.atleast_1d(loc.rho_tot_at(z)) for loc in locs], dtype=complex)
     F, D = determinant._integrand_factors(z, np.asarray(w, dtype=complex), gamma.gamma)
     h = determinant._h_tuples(np.arange(len(z))[:, None], rows, F, D)[0]
@@ -453,9 +471,9 @@ def _h_at(lams, w, locs, gamma):
 class TestHFunction:
     def test_single_point_reduces_to_local_density(self, gamma, grid06, profile06):
         loc = thermo.local_densities([0.0], profile06.theta, grid06, gamma)[0]
-        lam = SpectralPoint(0.37)
+        lam = 0.37
         h, ref = _h_at([lam], [0.0], [loc], gamma)
-        assert abs(h - loc.rho_tot_at(lam.value)) < 1e-14
+        assert abs(h - loc.rho_tot_at(lam)) < 1e-14
         assert abs(h - ref) <= 1e-14 * abs(ref)
 
     def test_swap_antisymmetry_cancels(self, gamma, grid06, profile06):
@@ -465,7 +483,7 @@ class TestHFunction:
         # the full integral must be invariant under relabeling.
         w = [-0.2, 0.2]
         locs = thermo.local_densities(w, profile06.theta, grid06, gamma)
-        za, zb = SpectralPoint(0.31), SpectralPoint(-0.64)
+        za, zb = 0.31, -0.64
         (h_ab, ref_ab), (h_ba, ref_ba) = (_h_at(t, w, locs, gamma) for t in ([za, zb], [zb, za]))
         # exchanging integration labels leaves the integrand sum invariant
         assert abs(h_ab + h_ba - (h_ba + h_ab)) < 1e-16
@@ -475,7 +493,7 @@ class TestHFunction:
 
     def test_homogeneous_window_limit_finite(self, gamma, grid06, profile06):
         # H / prefactor stays finite as the window degenerates; extrapolate
-        lam = [SpectralPoint(0.4), SpectralPoint(-0.3)]
+        lam = [0.4, -0.3]
         vals = []
         eps_list = (1e-2, 1e-3, 1e-4)
         for eps in eps_list:
@@ -492,7 +510,7 @@ class TestHFunction:
         # repeated rapidities give a repeated determinant column: H = 0; the
         # denominator itself only degenerates at a spacing of i*gamma
         locs = thermo.local_densities([0.1, -0.1], profile06.theta, grid06, gamma)
-        lam = SpectralPoint(0.3)
+        lam = 0.3
         h, ref = _h_at([lam, lam], [0.1, -0.1], locs, gamma)
         assert h == 0 and abs(ref) < 1e-15
         with pytest.raises(PoleError):
@@ -718,8 +736,8 @@ class TestNodeSumOracle:
     def test_h_function_matches_oracle(self, gamma, grid06, profile06):
         w = self.WINDOW[:3]
         locs = thermo.local_densities(w, profile06.theta, grid06, gamma)
-        lams = [SpectralPoint(0.31), SpectralPoint(-0.64, SHIFTED), 0.12 + 0.2j]
-        vals = np.array([p.value if isinstance(p, SpectralPoint) else p for p in lams])
+        lams = [0.31, -0.64 + 0.5j * np.pi, 0.12 + 0.2j]
+        vals = np.array(lams)
         rows = np.array([loc.rho_tot_at(vals) for loc in locs])
         for k in (1, 2, 3):
             h, _ = _h_at(lams[:k], w[:k], locs[:k], gamma)

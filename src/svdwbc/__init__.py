@@ -39,6 +39,7 @@ from .determinant import (
     cauchy_det_check,
     d_action_check,
     efp_finite,
+    efp_profile,
     g_coefficient,
     gaudin_norm,
     neville_extrapolate,

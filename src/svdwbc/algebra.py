@@ -480,6 +480,16 @@ def correlator_pair(lams, spec, gamma):
     return ket, bra, den
 
 
+def correlator_from_pair(pair, spec, columns):
+    """The complex correlator of `columns` from the (ket, bra, den) of
+    correlator_pair, so that one pair serves many column sets; for one
+    column set correlator_bruteforce takes less memory."""
+    v, bra, den = pair
+    for k in columns:
+        v = pi_apply(k, spec, v)
+    return complex(bra @ flip_apply(v)) / den
+
+
 def correlator_bruteforce(lams, spec, gamma, columns, return_complex=False):
     """<N| R pi_{k_1} ... pi_{k_n} |N> / <N| R |N> for distinct columns.
 
@@ -489,6 +499,8 @@ def correlator_bruteforce(lams, spec, gamma, columns, return_complex=False):
     columns = list(columns)
     if len(set(columns)) != len(columns):
         raise ValueError("columns must be distinct")
+    # its own loop, not correlator_from_pair: a pair held through the
+    # projections keeps the ket alive, 2^M amplitudes more at the peak
     v, bra, den = correlator_pair(lams, spec, gamma)
     for k in columns:
         v = pi_apply(k, spec, v)

@@ -145,19 +145,27 @@ def _cmd_partition(args):
 
 
 def _cmd_efp_finite(args):
+    """One window at offset --k, or with --k all every offset of one profile;
+    the payload's efp, window_columns and bruteforce are then lists over k."""
     roots = _resolve_roots(args)
-    value = determinant.efp_finite(roots, args.k, args.n)
-    config = {
-        "gamma": args.gamma, "M": len(roots.mu), "mu": args.mu or "homogeneous",
-        "k": args.k, "n": args.n, "tol": args.tol,
-    }
+    M, n = len(roots.mu), args.n
     brute = None
-    if len(roots.mu) <= algebra.BRUTE_FORCE_MAX_M:
-        brute = algebra.correlator_bruteforce(
-            roots.values, roots.spec, roots.gamma, range(args.k + 1, args.k + args.n + 1)
-        )
-    results = {"efp": value, "window_columns": list(range(args.k + 1, args.k + args.n + 1)),
-               "bruteforce": brute}
+    if args.k == "all":
+        value = determinant.efp_profile(roots, n).tolist()
+        columns = [list(range(k + 1, k + n + 1)) for k in range(M - n + 1)]
+        if M <= algebra.BRUTE_FORCE_MAX_M:
+            pair = algebra.correlator_pair(roots.values, roots.spec, roots.gamma)
+            brute = [algebra.correlator_from_pair(pair, roots.spec, c).real for c in columns]
+    else:
+        value = determinant.efp_finite(roots, args.k, n)
+        columns = list(range(args.k + 1, args.k + n + 1))
+        if M <= algebra.BRUTE_FORCE_MAX_M:
+            brute = algebra.correlator_bruteforce(roots.values, roots.spec, roots.gamma, columns)
+    config = {
+        "gamma": args.gamma, "M": M, "mu": args.mu or "homogeneous",
+        "k": args.k, "n": n, "tol": args.tol,
+    }
+    results = {"efp": value, "window_columns": columns, "bruteforce": brute}
     payload = _payload("efp-finite", config, results)
     _emit(payload, args.out)
     return EXIT_OK
@@ -258,9 +266,20 @@ def _solve_bae_flags(p):
                    help="+-1 parities, comma list or @file (default: all +1)")
 
 
+def _offset(text):
+    """--k: an integer offset or 'all'."""
+    if text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'all', got {text!r}") from None
+
+
 def _efp_finite_flags(p):
     _lattice_flags(p)
-    p.add_argument("--k", type=int, default=0, help="window offset (columns k+1..k+n)")
+    p.add_argument("--k", type=_offset, default=0,
+                   help="window offset (columns k+1..k+n), or 'all' for every offset")
     p.add_argument("--n", type=int, default=1, help="window length")
 
 

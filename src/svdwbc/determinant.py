@@ -191,12 +191,12 @@ def d_action_check(lams, extra, spec, gamma) -> float:
 
 
 def psi_phi_rows(roots, mu_window) -> np.ndarray:
-    """The n x N block of window rows R(lam; w_i) of window_dd_rows, one
-    column at a time, multiplied by the inverse of phi', obtained from one
-    linear solve.  The complementary rows are exact Kronecker rows by
-    construction."""
-    rows = [window_dd_rows(roots.values, [w], roots.gamma.eta)[0][0] for w in mu_window]
-    rows = np.reshape(rows, (len(rows), roots.N))
+    """The n x N block of window rows R(lam; w_i) of window_dd_rows, each
+    column a one-column window of the stack, multiplied by the inverse of
+    phi', obtained from one linear solve.  The complementary rows are exact
+    Kronecker rows by construction."""
+    windows = np.reshape(mu_window, (-1, 1))
+    rows = window_dd_rows(roots.values, windows, roots.gamma.eta)[0][:, 0]
     return np.linalg.solve(varphi_prime_matrix(roots).T, rows.T).T
 
 
@@ -216,27 +216,34 @@ def window_dd_rows(lams, mu_window, eta):
     2 b^i / prod(1 - u_m b) with b = 1/a, so that no power of a overflows;
     in row 0 that is 2 + 2 u_1 b / (1 - u_1 b), and the 2, common to a_- and
     a_+, is dropped before it can cancel.
-    Returns (rows, prefactor) with rows of shape (n, len(lams)).
+    Returns (rows, prefactor) with rows of shape (n, len(lams)).  A (K, n)
+    stack of windows gives (K, n, len(lams)) rows and K prefactors, each
+    window by the same arithmetic as alone.
     """
     lams = np.asarray(lams, dtype=complex)
     w = np.asarray(mu_window, dtype=complex)
-    wbar = w.mean()
-    v = w - wbar
-    u = np.exp(2 * v)[:, None]
-    power = np.arange(len(v))[:, None]
-    rows = np.zeros((len(v), len(lams)), dtype=complex)
+    stack = np.atleast_2d(w)
+    slot = np.arange(stack.shape[-1])
+    # the sum over the count and np.nonzero give np.mean and np.triu_indices
+    # bit for bit, at about 1/2 and 1/7 of their call overhead
+    wbar = stack.sum(axis=-1, keepdims=True) / len(slot)
+    v = stack - wbar
+    u = np.exp(2 * v)[..., None]
+    power = slot[:, None]
+    rows = np.zeros(v.shape + lams.shape, dtype=complex)
     for sign in (-1, 1):  # a_- enters with +, a_+ with -
-        s = lams - wbar + sign * eta / 2
+        s = (lams - wbar + sign * eta / 2)[:, None, :]
         flip = s.real > 0
         t = np.exp(np.where(flip, -2 * s, 2 * s))  # b where flipped, else a
         fac = np.where(flip, 1 - u * t, t - u)
-        if np.min(np.abs(fac)) < 1e-14:
+        if fac.size and np.min(np.abs(fac)) < 1e-14:
             raise PoleError("window column coincides with a shifted root")
         num = np.where(flip, t**power, t)
-        num[0] = np.where(flip, u[0] * t, t)  # drop the 2 that both coths share
-        rows -= sign * 2 * num / np.cumprod(fac, axis=0)
-    l, m = np.triu_indices(len(v), 1)
-    return rows, np.prod(-2 * np.exp(v[l] + v[m]))
+        num[:, 0] = np.where(flip, u[:, :1] * t, t)[:, 0]  # drop the 2 that both coths share
+        rows -= sign * 2 * num / np.cumprod(fac, axis=1)
+    l, m = np.nonzero(slot[:, None] < slot)
+    pref = np.prod(-2 * np.exp(v[:, l] + v[:, m]), axis=-1)
+    return (rows, pref) if w.ndim == 2 else (rows[0], pref[0])
 
 
 def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
@@ -280,28 +287,43 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
 #     H(lam_1..lam_n) = det[R_i(lam_j)] prod_{l<m} 1/D(lam_l, lam_m) prod_l f_l(lam_l),
 #     D(a, b) = sinh(b - a - i gamma),
 #     f_l(lam) = prod_{m<l} sinh(lam - w_m - i gamma/2) prod_{m>l} sinh(lam - w_m + i gamma/2).
-# Every EFP sum, finite size and thermodynamic, reads H from the node tables
-# of _integrand_factors.
+# Every EFP sum, finite size and thermodynamic, reads H from two node tables:
+# the pair table of _pair_table, one per node set, and the slot table of
+# _slot_table, one per window.
 
 _CHUNK = 8192  # sampled tuples per batched evaluation of H; bounds the (n, B) stacks
 
 
-def _integrand_factors(z, w, g):
-    """Slot table F[l, p] = f_l(z_p) and pair table D[a, b] = sinh(z_b - z_a - i g)
-    over the nodes z for the window w.  D is (X - 1/X) / 2 with
-    X = e^{-i g} v_b / v_a and v = e^{z - c}, c the midrange of Re z: two outer
-    products of the node exponentials in place of P^2 complex sinh, finite
-    while Re z spans less than about 1400."""
-    slot = np.arange(len(w))
+def _slot_table(z, w, g):
+    """Slot table F[l, p] = f_l(z_p) over the nodes z for the window w; a
+    (K, n) stack of windows gives a (K, n, P) stack of tables, each window
+    by the same arithmetic as alone."""
+    w = np.asarray(w)
+    slot = np.arange(w.shape[-1])
     shift = np.where(slot[None, :] < slot[:, None], -0.5j * g, 0.5j * g)  # [l, m]
-    s = np.sinh(z[None, None, :] - w[None, :, None] + shift[:, :, None])
-    s[slot, slot] = 1.0
+    s = np.sinh(z - w[..., None, :, None] + shift[:, :, None])
+    s[..., slot, slot, :] = 1.0
+    return s.prod(axis=-2)
+
+
+def _pair_table(z, g):
+    """Pair table D[a, b] = sinh(z_b - z_a - i g) over the nodes z.  D is
+    (X - 1/X) / 2 with X = e^{-i g} v_b / v_a and v = e^{z - c}, c the
+    midrange of Re z: two outer products of the node exponentials in place
+    of P^2 complex sinh, finite while Re z spans less than about 1400."""
     v, = algebra._exp_tables(0.5 * z)  # e^{2(z/2 - c/2)} = e^{z - c}
     ph = np.exp(-0.5j * g)
     half = np.outer(0.5 * ph / v, ph * v)  # e^{z_b - z_a - i g} / 2
     # a new table, not an in-place update of `half`: the in-place form left
     # the heap so that a later 512-point density solve peaked about 1 MB higher
-    return s.prod(axis=1), half - np.outer(0.5 * v / ph, 1 / (ph * v))
+    return half - np.outer(0.5 * v / ph, 1 / (ph * v))
+
+
+def _inverse_pairs(D):
+    """E = 1/D off the diagonal and 0 on it, the pair factors of _node_sum."""
+    E = 1.0 / D
+    np.fill_diagonal(E, 0.0)
+    return E
 
 
 def _batched_det(cols):
@@ -330,8 +352,9 @@ def _batched_det(cols):
 
 def _h_tuples(idx, R, FW, D):
     """prod_l weight[a_l] * H at each node tuple a = idx[:, b] of an (n, B) index
-    stack, with rows R[i, p] = R_i(z_p), the pair table D of _integrand_factors
-    and its slot table folded with the weights, FW[l, p] = f_l(z_p) weight[p].
+    stack, with rows R[i, p] = R_i(z_p), the pair table D of _pair_table and
+    the slot table of _slot_table folded with the weights,
+    FW[l, p] = f_l(z_p) weight[p].
     A tuple with a repeated index is exactly 0 (two equal determinant columns)."""
     n, P = FW.shape
     l, m = np.triu_indices(n, 1)
@@ -344,8 +367,10 @@ def _h_tuples(idx, R, FW, D):
     return np.where(np.all(idx[l] != idx[m], axis=0), vals, 0.0)
 
 
-def _node_sum(z, weight, R, w, g):
-    """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an).
+def _node_sum(weight, R, F, E):
+    """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an),
+    from the rows R[i, p] = R_i(z_p), the window's slot table F of
+    _slot_table and the node set's inverse pair table E of _inverse_pairs.
 
     Leibniz expansion of the determinant: each permutation sigma contracts
     G_l = weight * R_sigma(l) * f_l over the complete graph of E = 1/D, last
@@ -353,12 +378,9 @@ def _node_sum(z, weight, R, w, g):
     intermediate computed once per suffix of sigma.  O(n P^n) work, P^(n-1)
     memory for P nodes; diag(E) = 0 drops repeated-index tuples exactly.
     """
-    n, P = len(w), len(z)
+    n, P = F.shape
     if P ** (n - 1) > 2**24:  # 256 MiB per complex intermediate
         raise ValueError(f"exact node sum: {P}^{n - 1} entries per intermediate exceed 2^24")
-    F, D = _integrand_factors(z, w, g)
-    E = 1.0 / D
-    np.fill_diagonal(E, 0.0)
     G = weight * R[:, None, :] * F[None, :, :]  # G[k, l] = weight * R_k * f_l
     # couple[l + 1] ties slot l to the slots after it (slot -1 is a phantom
     # with one value); kr[j] is the row-wise Khatri-Rao product of couple[:j]
@@ -412,29 +434,59 @@ def neville_extrapolate(xs, ys):
     return ys[0]
 
 
+def _efp_offsets(roots, n, ks):
+    """Complex EFP of the windows k+1..k+n at the offsets ks of one root set:
+    the node sum of the separable integrand H over the Bethe roots, with unit
+    weights and the divided-difference window rows (window_dd_rows) solved
+    against phi'^T, times the window prefactor in that basis.  phi' is built
+    and solved once against the rows of every window, and the pair table is
+    built once; the node sum runs window by window."""
+    _check_bethe(roots)
+    K, N = len(ks), roots.N
+    if n == 0:
+        return np.ones(K, dtype=complex)
+    if n > N:
+        return np.zeros(K, dtype=complex)
+    lams, g = roots.values, roots.gamma.gamma
+    windows = np.array([roots.mu[k : k + n] for k in ks], dtype=complex)
+    rows, pref = window_dd_rows(lams, windows, roots.gamma.eta)
+    rows = np.linalg.solve(varphi_prime_matrix(roots).T, rows.reshape(K * n, N).T).T
+    F = _slot_table(lams, windows, g)
+    E = _inverse_pairs(_pair_table(lams, g)) if n > 1 else None  # one slot has no pairs
+    weight = np.ones(N)
+    return np.array([p * _node_sum(weight, r, f, E)
+                     for p, r, f in zip(pref, rows.reshape(K, n, N), F)])
+
+
+def _real_parts(vals):
+    """The real parts of EFP values, with a warning when an imaginary residue
+    exceeds 1e-6 of scale (the largest such residue is logged)."""
+    bad = [v.imag for v in vals.tolist() if abs(v.imag) > 1e-6 * (1 + abs(v.real))]
+    if bad:
+        logger.warning("EFP imaginary residue %.2e exceeds 1e-6 of scale", max(bad, key=abs))
+    return vals.real
+
+
 def efp_finite(req_or_roots, k=None, n=None, return_complex=False):
-    """Finite-size EFP of columns k+1..k+n via the determinant path: the node
-    sum of the separable integrand H over the Bethe roots, with unit weights
-    and the divided-difference window rows (window_dd_rows) solved against
-    phi'^T, times the window prefactor in that basis.  Coincident columns
-    (a homogeneous window) take the same path as distinct ones.  The node
-    sum costs O(n N^n) for N roots at every window length n.
+    """Finite-size EFP of columns k+1..k+n via the determinant path: the
+    one-offset case of efp_profile.  Coincident columns (a homogeneous
+    window) take the same path as distinct ones.  The node sum costs
+    O(n N^n) for N roots at every window length n.
     """
     req = req_or_roots if isinstance(req_or_roots, EfpRequest) else EfpRequest(k, n, req_or_roots)
-    roots, k, n = req.roots, req.k, req.n
-    _check_bethe(roots)
-    window = np.array(roots.mu[k : k + n], dtype=complex)
-    if n == 0:
-        val = 1.0 + 0j
-    elif n > roots.N:
-        val = 0.0 + 0j
-    else:
-        rows, pref = window_dd_rows(roots.values, window, roots.gamma.eta)
-        rows = np.linalg.solve(varphi_prime_matrix(roots).T, rows.T).T
-        val = complex(pref * _node_sum(roots.values, np.ones(roots.N), rows, window,
-                                       roots.gamma.gamma))
-    if return_complex:
-        return val
-    if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
-        logger.warning("EFP imaginary residue %.2e exceeds 1e-6 of scale", val.imag)
-    return float(val.real)
+    vals = _efp_offsets(req.roots, req.n, [req.k])
+    return complex(vals[0]) if return_complex else float(_real_parts(vals)[0])
+
+
+def efp_profile(roots, n, return_complex=False):
+    """EFP of the windows k+1..k+n at every offset k = 0..M-n, as an array
+    indexed by k, each entry equal to efp_finite(roots, k, n).  The offsets
+    share one solve of phi'^T against all their window rows and one pair
+    table, so a profile costs one phi' factorization and M - n + 1 node
+    sums.  n = 0 gives ones and n > N zeros; n outside 0..M is a ValueError.
+    """
+    M = len(roots.mu)
+    if not 0 <= n <= M:
+        raise ValueError(f"window length must lie in 0..{M}, got n={n}")
+    vals = _efp_offsets(roots, n, range(M - n + 1))
+    return vals if return_complex else _real_parts(vals)

@@ -104,6 +104,12 @@ def contour_grid(gamma, cutoff=None, points_per_branch=256):
     if tail > 1e-6:
         logger.warning("cutoff %g truncates the contour: a fraction %.2e of the driving "
                        "term lies beyond it", cutoff, tail)
+    return _graded_grid(g, cutoff, points_per_branch)
+
+
+def _graded_grid(g, cutoff, points_per_branch):
+    """The panels of contour_grid for a checked cutoff; the grid-doubling
+    checks build their fine grid here, so the cutoff is checked once."""
     w0 = min(max(g, 1e-3), 1.0) / 2
     edges = [0.0]
     e = w0
@@ -282,7 +288,7 @@ def _driven_profiles(theta, grid, gamma, mus):
 def _doubled(theta, grid, gamma):
     """theta carried to the grid with twice the actual nodes per branch, and
     that grid: the reference of the grid-doubling checks."""
-    fine = contour_grid(gamma, grid.cutoff, grid.n_nodes)
+    fine = _graded_grid(_aniso(gamma).gamma, grid.cutoff, grid.n_nodes)
     return _transfer_theta(theta, grid, fine), fine
 
 
@@ -471,8 +477,10 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     z = grid.values[active]
     c = (theta * grid.w)[active]
     R = rho[:, active]
+    F = determinant._slot_table(z, w, gamma.gamma)
     if n <= 3:
-        return pref * determinant._node_sum(z, c, R, w, gamma.gamma), None, None
+        E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
+        return pref * determinant._node_sum(c, R, F, E), None, None
     # Monte Carlo with theta-weighted importance sampling over the nodes, by
     # |c * mean_i rho_i| over the actual rows: row i is sum_k L[i, k] R[k] with
     # L[i, k] = prod_{m<k}(u_i - u_m), u = e^{2(w - wbar)}
@@ -495,7 +503,7 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     # rng.choice(len(z), size, p=q), draw for draw: its cdf and side
     idx_rest = _search(cdf / cdf[-1], rng.random((n - 1, samples)), "right")
     idx = np.vstack([idx0, idx_rest])
-    F, D = determinant._integrand_factors(z, w, gamma.gamma)
+    D = determinant._pair_table(z, gamma.gamma)
     FW = F * (c / q)
     chunk = determinant._CHUNK
     vals = np.concatenate([
@@ -522,7 +530,10 @@ def efp_sum_finite(roots, mu_window, profile):
     lams = roots.values
     _, rows, pref = _dd_densities(w, profile.theta, profile.grid, profile.gamma, lams)
     weight = 1.0 / (len(roots.mu) * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
-    val = pref * determinant._node_sum(lams, weight, rows, w, roots.gamma.gamma)
+    g = roots.gamma.gamma
+    F = determinant._slot_table(lams, w, g)
+    E = determinant._inverse_pairs(determinant._pair_table(lams, g))
+    val = pref * determinant._node_sum(weight, rows, F, E)
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
         logger.warning("finite EFP sum imaginary residue %.2e", val.imag)
     return float(val.real)

@@ -174,6 +174,42 @@ class TestEfpFiniteCommand:
     def test_out_of_range_window(self, capsys):
         assert run(["efp-finite", "--M", "4", "--n", "3", "--k", "2"]) == 2
 
+    def test_every_offset(self, tmp_path, monkeypatch):
+        mu = "-0.4,-0.1,0.05,0.2,0.3,0.5"
+        pairs = []
+        make_pair = cli.algebra.correlator_pair
+        monkeypatch.setattr(cli.algebra, "correlator_pair",
+                            lambda *a: pairs.append(a) or make_pair(*a))
+        out = tmp_path / "all.json"
+        assert run(["efp-finite", "--M", "6", f"--mu={mu}", "--n", "2", "--k", "all",
+                    "--out", str(out)]) == 0
+        assert len(pairs) == 1
+        doc = load(out)
+        assert doc["config"]["k"] == "all"
+        res = doc["results"]
+        assert res["window_columns"] == [[k + 1, k + 2] for k in range(5)]
+        for k in range(5):
+            one = tmp_path / f"k{k}.json"
+            assert run(["efp-finite", "--M", "6", f"--mu={mu}", "--n", "2", "--k", str(k),
+                        "--out", str(one)]) == 0
+            single = load(one)["results"]
+            assert res["efp"][k] == single["efp"]
+            assert res["bruteforce"][k] == single["bruteforce"]
+            assert single["window_columns"] == res["window_columns"][k]
+
+    def test_every_offset_beyond_brute_force(self, tmp_path):
+        out = tmp_path / "all.json"
+        assert run(["efp-finite", "--M", "14", "--n", "1", "--k", "all",
+                    "--out", str(out)]) == 0
+        res = load(out)["results"]
+        assert res["bruteforce"] is None
+        assert res["efp"] == pytest.approx([0.5] * 14, abs=1e-12)
+
+    @pytest.mark.parametrize("k", ["1.5", "every", "ALL", ""])
+    def test_offset_must_be_integer_or_all(self, k, capsys):
+        assert run(["efp-finite", "--M", "4", "--n", "1", f"--k={k}"]) == 2
+        assert "expected an integer or 'all'" in capsys.readouterr().err
+
     def test_near_coincident_window_matches_bruteforce(self, tmp_path):
         # columns 1e-12 apart take the one divided-difference path, which
         # has no parameter to record

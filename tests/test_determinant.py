@@ -429,6 +429,18 @@ class TestWindowDDRows:
         with pytest.raises(PoleError):
             determinant.window_dd_rows([0.3, 0.1 + side * gamma.eta / 2], w, gamma.eta)
 
+    def test_stack_matches_single_windows(self, gamma, rng):
+        lams = np.concatenate([rng.normal(size=9), rng.normal(size=3) + 0.5j * np.pi])
+        for n in (1, 2, 3, 5, 9):
+            windows = np.sort(0.4 * rng.normal(size=(6, n)), axis=1)
+            windows[1] = windows[1, 0]  # coincident columns
+            rows, pref = determinant.window_dd_rows(lams, windows, gamma.eta)
+            assert rows.shape == (6, n, len(lams)) and pref.shape == (6,)
+            for w, r, p in zip(windows, rows, pref):
+                one_rows, one_pref = determinant.window_dd_rows(lams, w, gamma.eta)
+                assert r.tobytes() == one_rows.tobytes()
+                assert p.tobytes() == one_pref.tobytes()
+
     def test_homogeneous_prefactor(self, gamma):
         rows, pref = determinant.window_dd_rows([0.2], [0.4] * 3, gamma.eta)
         assert pref == pytest.approx(-8.0, abs=1e-15)
@@ -488,12 +500,66 @@ class TestEfpTupleOracle:
         assert abs(val.imag) < 1e-14
 
 
+class TestEfpProfile:
+    """efp_profile: every offset of one root set from one phi' solve."""
+
+    @staticmethod
+    def _per_offset(roots, n, return_complex=True):
+        return np.array([determinant.efp_finite(roots, k, n, return_complex=return_complex)
+                         for k in range(len(roots.mu) - n + 1)])
+
+    @pytest.mark.parametrize("M", range(4, 21, 2))
+    def test_bit_for_bit_with_efp_finite(self, gamma, M):
+        roots = _seeded_roots(np.random.default_rng(7000 + M), M, gamma)
+        for n in range(min(roots.N, 4) + 1):
+            prof = determinant.efp_profile(roots, n, return_complex=True)
+            assert prof.tobytes() == self._per_offset(roots, n).tobytes()
+            real = determinant.efp_profile(roots, n)
+            assert real.tobytes() == self._per_offset(roots, n, False).tobytes()
+
+    def test_shifted_branch_twin(self, gamma):
+        roots = bethe.solve_bae((-0.5, 0.5), (-1, -1), homogeneous_spec(4), gamma)
+        for n in range(3):
+            prof = determinant.efp_profile(roots, n, return_complex=True)
+            assert prof.tobytes() == self._per_offset(roots, n).tobytes()
+
+    @pytest.mark.parametrize("M", [64, 256])
+    def test_sum_rule(self, gamma, M):
+        # sum_k <pi_k> = number of down arrows on the line = N
+        roots = _seeded_roots(np.random.default_rng(M), M, gamma)
+        assert abs(determinant.efp_profile(roots, 1).sum() - M // 2) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reflection_symmetry(self, gamma, n):
+        # k <-> M - k - n on the homogeneous lattice and on a lattice whose
+        # inhomogeneities are mirror images, mu_k = -mu_{M+1-k}
+        M = 32
+        half = np.sort(0.3 * np.random.default_rng(n).normal(size=M // 2))
+        mirror = tuple(np.concatenate([-half[::-1], half]))
+        for roots in (bethe.solve_ground_state(M, gamma),
+                      bethe.solve_bae(*bethe.ground_state_numbers(M // 2),
+                                      LatticeSpec(M, mirror), gamma)):
+            prof = determinant.efp_profile(roots, n)
+            assert np.max(np.abs(prof - prof[::-1])) <= 1e-12
+
+    def test_edge_lengths(self, gamma, rng):
+        roots = _seeded_roots(rng, 6, gamma)
+        assert determinant.efp_profile(roots, 0).tolist() == [1.0] * 7
+        for n in (4, 6):
+            assert determinant.efp_profile(roots, n).tolist() == [0.0] * (7 - n)
+        for n in (-1, 7):
+            with pytest.raises(ValueError):
+                determinant.efp_profile(roots, n)
+
+
 class TestEfpProperties:
     def test_oversized_node_sum_rejected(self):
         # 6 slots over 64 nodes would hold 64^5 entries per intermediate
         z = np.linspace(-1.0, 1.0, 64).astype(complex)
+        F = determinant._slot_table(z, np.zeros(6), 0.6)
+        E = determinant._inverse_pairs(determinant._pair_table(z, 0.6))
         with pytest.raises(ValueError, match="exceed"):
-            determinant._node_sum(z, np.ones(64), np.ones((6, 64)), np.zeros(6), 0.6)
+            determinant._node_sum(np.ones(64), np.ones((6, 64)), F, E)
 
     def test_bounds_and_monotonicity_beyond_tuple_loop(self, gamma, rng):
         # n = 4 at N = 16 is 43,680 ordered tuples for the expansion
@@ -518,10 +584,37 @@ class TestTupleKernels:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @staticmethod
+    def _integrand_factors(z, w, g):
+        """The slot and pair tables as one function built them before the
+        split into _slot_table and _pair_table, kept as the reference."""
+        slot = np.arange(len(w))
+        shift = np.where(slot[None, :] < slot[:, None], -0.5j * g, 0.5j * g)
+        s = np.sinh(z[None, None, :] - w[None, :, None] + shift[:, :, None])
+        s[slot, slot] = 1.0
+        v, = algebra._exp_tables(0.5 * z)
+        ph = np.exp(-0.5j * g)
+        half = np.outer(0.5 * ph / v, ph * v)
+        return s.prod(axis=1), half - np.outer(0.5 * v / ph, 1 / (ph * v))
+
+    def test_table_builders_match_joint_builder(self, gamma, rng):
+        z = np.concatenate([rng.normal(size=10), rng.normal(size=6) + 0.5j * np.pi])
+        windows = 0.4 * rng.normal(size=(5, 4))
+        D = determinant._pair_table(z, gamma.gamma)
+        stack = determinant._slot_table(z, windows, gamma.gamma)
+        for n in range(1, 5):
+            for i, w in enumerate(windows[:, :n]):
+                F_ref, D_ref = self._integrand_factors(z, w, gamma.gamma)
+                assert determinant._slot_table(z, w, gamma.gamma).tobytes() == F_ref.tobytes()
+                assert D.tobytes() == D_ref.tobytes()
+                if n == 4:
+                    assert stack[i].tobytes() == F_ref.tobytes()
+
     def test_repeated_index_is_exactly_zero(self, gamma, rng):
         z = rng.normal(size=12)
         w = np.array([-0.5, 0.0, 0.2, 0.6])
-        F, D = determinant._integrand_factors(z, w, gamma.gamma)
+        F = determinant._slot_table(z, w, gamma.gamma)
+        D = determinant._pair_table(z, gamma.gamma)
         R = rng.normal(size=(4, 12))
         tuples = [(2, 5, 2, 7), (9, 9, 1, 0), (4, 3, 8, 4), (1, 4, 8, 6)]
         vals = determinant._h_tuples(np.array(tuples).T, R, F, D)

@@ -185,6 +185,22 @@ class TestDensity:
             inside, _ = quad(lambda x: np.real(thermo.kernel_K(1, x, gamma)), -cutoff, cutoff)
             assert abs(rec.args[1] - (1 - inside / total)) < 1e-12
 
+    def test_truncation_logged_once_per_doubling_check(self, gamma, caplog):
+        # the doubled grid of the resolution and convergence checks reuses the
+        # checked cutoff, so only the grid the caller built logs the warning
+        def truncations():
+            return [r for r in caplog.records if "truncates the contour" in r.getMessage()]
+
+        with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
+            grid = thermo.contour_grid(gamma, cutoff=0.01, points_per_branch=8)
+            theta = thermo.ground_state_theta(grid)
+            thermo.solve_density(theta, grid, gamma, check_resolution=True)
+            assert len(truncations()) == 1
+            caplog.clear()
+            grid = thermo.contour_grid(gamma, cutoff=0.01, points_per_branch=8)
+            thermo.efp_thermo(1, [0.0], theta, grid, gamma, check_convergence=True)
+            assert len(truncations()) == 1
+
     def test_coarse_grid_logs_under_resolution(self, gamma, caplog):
         # two nodes per panel; the doubled grid has four
         grid = thermo.contour_grid(gamma, points_per_branch=32)
@@ -463,7 +479,8 @@ def _h_at(lams, w, locs, gamma):
     the oracle's literal form of H on the same rows."""
     z = np.array(lams, dtype=complex)
     rows = np.array([np.atleast_1d(loc.rho_tot_at(z)) for loc in locs], dtype=complex)
-    F, D = determinant._integrand_factors(z, np.asarray(w, dtype=complex), gamma.gamma)
+    F = determinant._slot_table(z, np.asarray(w, dtype=complex), gamma.gamma)
+    D = determinant._pair_table(z, gamma.gamma)
     h = determinant._h_tuples(np.arange(len(z))[:, None], rows, F, D)[0]
     return h, efp_integrand_h(z, rows, w, gamma)
 
@@ -683,12 +700,19 @@ class TestAsmOracle:
         assert abs(val - asm_efp(4)) < 1e-7
 
 
+def _node_sum_at(z, weight, rows, w, g):
+    """determinant._node_sum over the nodes z for the window w, with its two
+    tables built here."""
+    E = determinant._inverse_pairs(determinant._pair_table(z, g))
+    return determinant._node_sum(weight, rows, determinant._slot_table(z, w, g), E)
+
+
 def _exact_efp(window, theta, grid, gamma):
     """The exact node sum that efp_thermo takes for n <= 3, at any n."""
     w = np.asarray(window, dtype=float)
     rho, _, pref = thermo._dd_densities(w, theta, grid, gamma)
     active = np.abs(theta * grid.w) > 0
-    return pref * determinant._node_sum(
+    return pref * _node_sum_at(
         grid.values[active], (theta * grid.w)[active], rho[:, active], w, gamma.gamma
     )
 
@@ -729,7 +753,7 @@ class TestNodeSumOracle:
         assert len(z) == 20
         w = np.array(self.WINDOW)
         l, m = np.triu_indices(4, 1)
-        val = determinant._node_sum(z, c, rows, w, gamma.gamma) / np.prod(np.sinh(w[l] - w[m]))
+        val = _node_sum_at(z, c, rows, w, gamma.gamma) / np.prod(np.sinh(w[l] - w[m]))
         ref = efp_node_sum(z, c, rows, self.WINDOW, gamma)
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
@@ -875,7 +899,7 @@ class TestMonteCarloStream:
 class TestPairTable:
     def test_matches_sinh_on_both_branches(self, gamma, grid06):
         z = grid06.values
-        _, D = determinant._integrand_factors(z, np.array([0.1, -0.2]), gamma.gamma)
+        D = determinant._pair_table(z, gamma.gamma)
         want = np.sinh(z[None, :] - z[:, None] - 1j * gamma.gamma)
         assert np.max(np.abs(D - want) / np.abs(want)) <= 1e-14
 

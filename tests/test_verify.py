@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svdwbc import algebra, bethe, verify
-from svdwbc.algebra import AnisotropyParam
+from svdwbc import algebra, bethe, determinant, verify
+from svdwbc.algebra import AnisotropyParam, LatticeSpec
 
 GAMMA = AnisotropyParam(0.6)
 
@@ -50,6 +50,30 @@ def test_rtt_slabs_cover_every_draw(draws):
     each = [algebra.rtt_residual(p[0] + 0.3j * p[1], p[2] + 0.3j * p[3], spec, GAMMA)
             for p in pairs]
     assert verify.check_rtt(GAMMA, seed=5, draws=draws)["residual"] == max(each)
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+def test_efp_profiles_give_the_per_window_residual(seed, monkeypatch):
+    # the worst residual over the profiles is the worst over the windows
+    # taken one at a time, each against its own brute-force correlator
+    rng = np.random.default_rng(seed)
+    each = []
+    for M in (4, 6):
+        mu = tuple(np.sort(0.3 * rng.normal(size=M)))
+        roots = bethe.solve_bae(*bethe.ground_state_numbers(M // 2), LatticeSpec(M, mu), GAMMA)
+        for n in range(1, M + 1):
+            for k in range(M - n + 1):
+                brute = algebra.correlator_bruteforce(
+                    roots.values, roots.spec, GAMMA, range(k + 1, k + n + 1), return_complex=True
+                )
+                each.append(abs(determinant.efp_finite(roots, k, n, return_complex=True) - brute))
+    profiles = []
+    profile = determinant.efp_profile
+    monkeypatch.setattr(determinant, "efp_profile",
+                        lambda roots, n, **kw: profiles.append(n) or profile(roots, n, **kw))
+    monkeypatch.setattr(determinant, "efp_finite", None)
+    assert verify.check_efp_finite(GAMMA, seed=seed)["residual"] == max(each)
+    assert profiles == list(range(5)) + list(range(7))
 
 
 def test_flip_check_catches_a_wrong_sign():

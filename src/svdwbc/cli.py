@@ -8,7 +8,6 @@ failure, 4 singular parameters.
 """
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -177,19 +176,16 @@ def _cmd_density(args):
     mu = None if args.mu in (None, "homogeneous") else _parse_list(args.mu, None, "centres")
     theta = thermo.ground_state_theta(grid)
     prof = thermo.solve_density(theta, grid, gamma, mu=mu, check_resolution=True)
-    rows = sorted(
-        zip(grid.shifted, grid.x, prof.rho_tot, prof.rho_p, prof.theta),
-        key=lambda r: (r[0], r[1] if not r[0] else -r[1]),  # traversal order
-    )
+    # traversal order: the real branch left to right, then the shifted one
+    # right to left; lexsort is stable, so equal keys keep the node order
+    order = np.lexsort((np.where(grid.shifted, -grid.x, grid.x), grid.shifted))
+    branch = np.where(grid.shifted, "shifted", "real")[order].tolist()
+    cols = [a[order].tolist() for a in (grid.x, prof.rho_tot, prof.rho_p, prof.theta)]
     out = args.out or "density.csv"
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["branch", "x", "rho_tot", "rho_p", "theta"])
-        for shifted, x, rt, rp, th in rows:
-            writer.writerow(
-                ["shifted" if shifted else "real", f"{x:.17g}", f"{rt:.17g}",
-                 f"{rp:.17g}", f"{th:.17g}"]
-            )
+        fh.write("branch,x,rho_tot,rho_p,theta\r\n" + "".join(
+            "%s,%.17g,%.17g,%.17g,%.17g\r\n" % row for row in zip(branch, *cols)
+        ))
     meta = {
         "config": {"gamma": args.gamma, "cutoff": grid.cutoff, "points": args.points,
                    "mu": args.mu or "homogeneous"},

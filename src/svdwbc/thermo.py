@@ -10,6 +10,7 @@ a multiple contour integral and as the corresponding finite sum over roots.
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,15 @@ def contour_grid(gamma, cutoff=None, points_per_branch=256):
     return _graded_grid(g, cutoff, points_per_branch)
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights of one order, computed once and
+    returned read-only, since every caller shares the cached arrays."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def _graded_grid(g, cutoff, points_per_branch):
     """The panels of contour_grid for a checked cutoff; the grid-doubling
     checks build their fine grid here, so the cutoff is checked once."""
@@ -122,7 +132,7 @@ def _graded_grid(g, cutoff, points_per_branch):
     full_edges = [-e for e in reversed(edges[1:])] + edges
     n_panels = len(full_edges) - 1
     order = max(2, points_per_branch // n_panels)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _leggauss(order)
     xs, ws = [], []
     for a, b in zip(full_edges[:-1], full_edges[1:]):
         xs.append(0.5 * (b - a) * xg + 0.5 * (a + b))
@@ -164,19 +174,34 @@ def _mirror_pairs(grid, c):
     return None
 
 
+def _block_solve(A, rhs):
+    """Solve (I + A) x = rhs for a square kernel block A, overwritten; a
+    singular block is a ConvergenceError."""
+    A[np.diag_indices_from(A)] += 1.0
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular density system: {exc}") from exc
+
+
 def _occupied_solve(K, act, rhs):
     """Solve (I + K) rho = rhs where K holds only the columns of the nodes
     marked in act (so K[act] is square): factorize that block, then fill in
     the other rows with one matrix product."""
-    A = K[act]
-    A[np.diag_indices_from(A)] += 1.0
     rho = np.empty_like(rhs)
-    try:
-        rho[act] = np.linalg.solve(A, rhs[act])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular density system: {exc}") from exc
+    rho[act] = _block_solve(K[act], rhs[act])
     rho[~act] = rhs[~act] - K[~act] @ rho[act]
     return rho
+
+
+def _mirror_tables(xr, xa, crossed, ca, g):
+    """The direct and mirror kernel tables K_2(xr - xa) ca and K_2(xr + xa) ca
+    of the even/odd split, for row abscissae xr and occupied column
+    abscissae xa > 0 with weights ca, broadcast against the crossing flags."""
+    tables = [_kernel_branch(d, crossed, 2, g) for d in (xr - xa, xr + xa)]
+    for t in tables:
+        t *= ca
+    return tables
 
 
 def _nystrom_solve(theta, grid, g, rhs):
@@ -212,10 +237,8 @@ def _nystrom_solve(theta, grid, g, rhs):
     xp, xa = x[pos[0]][:, None], x[cols]
     crossed = (np.array([[False], [True]]) ^ sh[cols])[:, None, :]
     direct, mirror = (
-        _kernel_branch(d, crossed, 2, g).reshape(pos.size, len(cols)) for d in (xp - xa, xp + xa)
+        t.reshape(pos.size, len(cols)) for t in _mirror_tables(xp, xa, crossed, c[cols], g)
     )
-    direct *= c[cols]
-    mirror *= c[cols]
     even = direct + mirror
     odd = np.subtract(direct, mirror, out=direct)
     pos, neg, act = pos.ravel(), neg.ravel(), act.ravel()
@@ -297,14 +320,42 @@ def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
     rho_tot(lam) = K_1^tot(lam) - int_C K_2(lam - lam') theta(lam') rho_tot(lam') dlam'
     on the directed contour.  theta is the Fermi weight per grid node; only
     the block of nodes with theta != 0 is factorized, and the other nodes
-    are filled in with one matrix-vector product."""
+    are filled in with one matrix-vector product.  check_resolution logs a
+    warning when rho_tot(0) moves by more than 1e-6 on the grid with twice
+    the nodes."""
     prof = _driven_profiles(theta, grid, gamma, [tuple(mu) if mu is not None else None])[0]
     if check_resolution:
-        ref = solve_density(*_doubled(prof.theta, grid, prof.gamma), prof.gamma, mu)
-        d0 = abs(prof.rho_tot_at(0.0) - ref.rho_tot_at(0.0))
+        ref = _rho_tot_zero(*_doubled(prof.theta, grid, prof.gamma), prof.gamma, prof.mu)
+        d0 = abs(prof.rho_tot_at(0.0) - ref)
         if d0 > 1e-6:
             logger.warning("grid under-resolved: rho_tot(0) moves by %.2e on doubling", d0)
     return prof
+
+
+def _rho_tot_zero(theta, grid, gamma, mu):
+    """rho_tot(0) of solve_density(theta, grid, gamma, mu), the one value the
+    grid-doubling check reads: drive(0) - sum_q K_2(x_q) c_q rho_q over the
+    occupied nodes, c = theta w.  When the system splits into mirror halves
+    (_nystrom_solve) the odd half cancels in that sum, K_2 being even, so
+    only the even block over the occupied nodes x_j > 0 is built and
+    factorized: rho_tot(0) = drive(0) - 2 sum_j K_2(x_j) c_j e_j.  Any other
+    theta or grid takes the full solve."""
+    g = _aniso(gamma).gamma
+    c = theta * grid.w
+    pairs = _mirror_pairs(grid, c)
+    if pairs is None:
+        return solve_density(theta, grid, gamma, mu).rho_tot_at(0.0)
+    pos, neg = pairs
+    act = c[pos] != 0
+    cols = pos[act]
+    xa, sa, ca = grid.x[cols], grid.shifted[cols], c[cols]
+    even, mirror = _mirror_tables(xa[:, None], xa, sa[:, None] ^ sa, ca, g)
+    even += mirror
+    centres = None if mu is None else _real_points(mu, "driving centres")
+    rhs = np.real(_drive(grid.values[np.concatenate([cols, neg[act]])], centres, g))
+    e = _block_solve(even, 0.5 * (rhs[: len(cols)] + rhs[len(cols) :]))
+    drive0 = np.real(_drive(np.zeros(1), centres, g))[0]
+    return drive0 - 2 * (_kernel_branch(-xa, sa, 2, g) * ca) @ e
 
 
 def _transfer_theta(theta, grid, fine):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from svdwbc import cli
+from svdwbc import cli, thermo
+from svdwbc.algebra import AnisotropyParam
 
 
 def run(argv):
@@ -237,6 +239,26 @@ class TestDensityCommand:
         assert branches == {"real", "shifted"}
         sidecar = load(tmp_path / "dens.csv.meta.json")
         assert sidecar["config"]["points"] == 256
+
+    @pytest.mark.parametrize("mu", [None, "0.3,-0.1,0.5"])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, mu):
+        flags = ["--points", "64"] + (["--mu", mu] if mu else [])
+        out = tmp_path / "d.csv"
+        assert run(["density", *flags, "--out", str(out)]) == 0
+        gamma = AnisotropyParam(0.6)
+        grid = thermo.contour_grid(gamma, None, 64)
+        prof = thermo.solve_density(thermo.ground_state_theta(grid), grid, gamma,
+                                    mu=mu and [float(v) for v in mu.split(",")])
+        rows = sorted(
+            zip(grid.shifted, grid.x, prof.rho_tot, prof.rho_p, prof.theta),
+            key=lambda r: (r[0], r[1] if not r[0] else -r[1]),
+        )
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["branch", "x", "rho_tot", "rho_p", "theta"])
+        for shifted, *vals in rows:
+            writer.writerow(["shifted" if shifted else "real", *(f"{v:.17g}" for v in vals)])
+        assert out.read_bytes() == ref.getvalue().encode()
 
     def test_gamma_zero_rejected(self, tmp_path, capsys):
         # the branch kernels are 0/0 at coincident abscissae when gamma = 0

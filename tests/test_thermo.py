@@ -350,7 +350,66 @@ class TestMirrorSplit:
         fine = thermo.contour_grid(gamma, grid.cutoff, grid.n_nodes)
         thermo.solve_density(thermo.ground_state_theta(grid), grid, gamma, check_resolution=True)
         P, P_fine = np.count_nonzero(~grid.shifted), np.count_nonzero(~fine.shifted)
-        assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)] * 2
+        # the coarse solve factorizes both halves, the check only the even one
+        assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)]
+
+
+class TestRhoTotZero:
+    """The grid-doubling check's rho_tot(0) from the even occupied half."""
+
+    @staticmethod
+    def _both(theta, grid, gamma, mu=None):
+        full = thermo.solve_density(theta, grid, gamma, mu).rho_tot_at(0.0)
+        return thermo._rho_tot_zero(theta, grid, gamma, mu), full
+
+    @pytest.mark.parametrize("g", [0.3, 0.6, np.pi / 3, 1.2])
+    def test_ground_state_on_the_doubled_grid(self, g):
+        gamma = AnisotropyParam(g)
+        grid = thermo.contour_grid(gamma, points_per_branch=64)
+        got, full = self._both(*thermo._doubled(thermo.ground_state_theta(grid), grid, gamma),
+                               gamma)
+        assert abs(got - full) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["ground", "shifted", "mirrored"])
+    @pytest.mark.parametrize("mu", [None, (0.3, -0.1, 0.5)])
+    def test_symmetric_weights_and_uneven_drives(self, gamma, kind, mu, factored):
+        grid = thermo.contour_grid(gamma, points_per_branch=64)
+        theta = _thetas(grid)[kind]
+        got, full = self._both(theta, grid, gamma, mu)
+        assert abs(got - full) <= 1e-15
+        P = np.count_nonzero(theta * grid.w)
+        assert factored == [(P // 2, P // 2)] + [(P // 2, P // 2)] * 2
+
+    def test_off_the_mirror_takes_the_full_solve(self, gamma, factored):
+        base = thermo.contour_grid(gamma, points_per_branch=32)
+        x = np.where(base.shifted, base.x + 1e-3, base.x)
+        grid = thermo.ContourGrid(base.cutoff, 32, x, base.w, base.shifted)
+        theta = thermo.ground_state_theta(grid)
+        got, full = self._both(theta, grid, gamma, (0.3, -0.1))
+        assert got == full
+        P = np.count_nonzero(theta * grid.w)
+        assert factored == [(P, P)] * 2
+
+    def test_singular_even_block_is_a_convergence_error(self, gamma, monkeypatch):
+        grid = thermo.contour_grid(gamma, points_per_branch=32)
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError, match="singular density system"):
+            thermo._rho_tot_zero(thermo.ground_state_theta(grid), grid, gamma, None)
+
+
+class TestLegGauss:
+    @pytest.mark.parametrize("order", [2, 5, 32, 64])
+    def test_cached_rule_is_read_only_legendre(self, order):
+        xg, wg = thermo._leggauss(order)
+        ref = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(xg, ref[0]) and np.array_equal(wg, ref[1])
+        assert not xg.flags.writeable and not wg.flags.writeable
+        assert thermo._leggauss(order)[0] is xg
+        with pytest.raises(ValueError):
+            xg[0] = 0.0
 
 
 class TestTransferTheta:

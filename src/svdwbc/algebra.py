@@ -90,12 +90,12 @@ class LatticeSpec:
     def __post_init__(self):
         if self.M < 0 or self.M % 2 != 0:
             raise ValueError(f"lattice size M must be even and >= 0, got {self.M}")
-        mu = tuple(complex(m) for m in (self.mu if len(self.mu) else [0.0] * self.M))
+        mu = np.asarray(self.mu if len(self.mu) else [0.0] * self.M, dtype=complex).ravel()
         if len(mu) != self.M:
             raise ValueError(f"expected {self.M} inhomogeneities, got {len(mu)}")
-        if any(not np.isfinite(m.real) or not np.isfinite(m.imag) for m in mu):
+        if not np.isfinite(mu).all():
             raise ValueError("inhomogeneities must be finite")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", tuple(mu.tolist()))
 
     @property
     def N(self) -> int:

@@ -4,7 +4,8 @@ Roots live on the directed contour made of the real axis and the line
 Im(lam) = pi/2; a root is stored as a real abscissa plus its parity
 v = 1 - (4/pi) Im(lam) in {+1, -1}, which names the branch.  The logarithmic
 equations counting(lam_i) = 2 pi n_i are solved by a damped Newton iteration
-with analytic Jacobian, with a per-coordinate fallback sweep.
+with analytic Jacobian from the thermodynamic root positions, with a
+per-coordinate fallback sweep.
 """
 
 import json
@@ -211,6 +212,56 @@ def _system(x, shifted, n_target, mu, g):
     return F, J
 
 
+def _start(n_i, shifted, mu, g):
+    """Newton's starting abscissae.
+
+    A real-branch root starts where the integrated ground-state density
+    rho(x) = (1/M) sum_k 1 / (2 gamma cosh(pi (x - mu_k) / gamma)) reaches its
+    quantum number, (1/M) sum_k gd(pi (x - mu_k) / gamma) = 2 pi n / M with
+    gd(u) = 2 atan(e^u) - pi/2.  At equal mu this is the closed form
+    x = mu + (gamma/pi) artanh(sin(2 pi n / M)); otherwise a bracketed Newton
+    iteration on these monotone scalar equations runs from the closed form
+    shifted by mean(mu) until its steps fall below 1e-3, under the largest
+    distance (about 8e-3, at the edges) from these positions to the
+    finite-size roots: a tighter start saves no Newton step of the Bethe
+    solve.  Shifted-branch roots, whose counting function decreases and
+    whose edges spread like log M, start on the line 2 gamma n / M + mean(mu).
+    """
+    M = len(mu)
+    n = np.asarray(n_i, dtype=float)
+    centre = float(np.mean(mu)) if M else 0.0
+    x = 2 * g * n / M + centre
+    real = ~shifted
+    if not real.any():
+        return x
+    # a number past the edge of the real branch has no root: clip its target
+    edge = np.nextafter(1.0, 0.0)
+    y = np.clip(np.sin(np.clip(2 * np.pi * n[real] / M, -np.pi / 2, np.pi / 2)), -edge, edge)
+    closed = (g / np.pi) * np.arctanh(y)
+    lo, hi = closed + mu.min(), closed + mu.max()  # gd is increasing in x - mu_k
+    xr = closed + centre
+    if mu.max() > mu.min():
+        # sum_k atan(e^{u_k}) = M (asin(y) + pi/2) / 2, u_k = c (x - mu_k)
+        c, target = np.pi / g, M * (np.arcsin(y) + np.pi / 2) / 2
+        cmu = c * mu
+        for _ in range(200):
+            w = np.subtract.outer(c * xr, cmu)
+            np.exp(np.clip(w, -700.0, 700.0, out=w), out=w)  # e^u, finite
+            F = np.arctan(w).sum(axis=1) - target
+            dF = c * (1 / (w + 1 / w)).sum(axis=1)  # (c/2) sum_k sech(u_k) > 0
+            hi, lo = np.where(F > 0, xr, hi), np.where(F < 0, xr, lo)
+            new = xr - F / dF
+            out = (new < lo) | (new > hi)
+            if out.any():  # bisect where Newton leaves the bracket
+                new = np.where(out, 0.5 * (lo + hi), new)
+            done = np.max(np.abs(new - xr)) <= 1e-3
+            xr = new
+            if done:
+                break
+    x[real] = xr
+    return x
+
+
 def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     """Solve the logarithmic Bethe equations for quantum numbers n_i with
     parities v_i.  Returns a BetheRootSet with per-root residuals and the
@@ -222,14 +273,13 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     gamma = _aniso(gamma)
     if gamma.gamma == 0:
         raise ValueError("the logarithmic Bethe equations degenerate at gamma = 0")
-    if isinstance(spec, LatticeSpec):
-        mu_c = spec.mu
-    else:
-        mu_c = tuple(complex(m) for m in spec)
-        spec = LatticeSpec(len(mu_c), mu_c)
-    if any(abs(m.imag) > 1e-12 for m in mu_c):
+    if not isinstance(spec, LatticeSpec):
+        mu = tuple(spec)
+        spec = LatticeSpec(len(mu), mu)
+    mu = np.array(spec.mu)
+    if np.any(np.abs(mu.imag) > 1e-12):
         raise ValueError("the log-form solver requires real inhomogeneities")
-    mu = np.array([m.real for m in mu_c])
+    mu = mu.real.copy()
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_i = tuple(n_i)
@@ -238,9 +288,8 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     if N != spec.N:
         raise ValueError(f"expected N = {spec.N} quantum numbers, got {N}")
     g = gamma.gamma
-    shifted = np.array([v == -1 for v in v_i], dtype=bool)
-    # linearized counting function, recentred on the mean inhomogeneity
-    x = np.array([2 * g * n / spec.M for n in n_i]) + float(np.mean(mu)) if N else np.empty(0)
+    shifted = np.array(v_i) == -1
+    x = _start(n_i, shifted, mu, g)
     # roots beyond this box are numerically indistinguishable from infinity;
     # clamping keeps inadmissible quantum numbers from overflowing
     box = 50.0 + (np.max(np.abs(mu)) if spec.M else 0.0)
@@ -298,9 +347,9 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
         x=tuple(x.tolist()),
         quantum_numbers=n_i,
         parities=v_i,
-        mu=mu_c,
+        mu=spec.mu,
         gamma=gamma,
-        residuals=tuple(float(abs(f)) for f in F),
+        residuals=tuple(np.abs(F).tolist()),
     )
     dev = roots.d_product_deviation()
     if not dev <= 1e-8:

@@ -9,6 +9,23 @@ from svdwbc.bethe import SHIFTED
 from svdwbc.errors import PoleError
 
 
+_FALLBACK_LATTICES = [(4, 0.3, (-1.0, 0.3, 1.0, 2.2)),
+                      (6, 0.6, (-1.9, -0.7, 1.2, 1.3, 1.4, 2.3))]
+
+
+def _record_points(monkeypatch):
+    """Record the abscissae of every _system evaluation, as bytes."""
+    points = []
+    system = bethe._system
+
+    def recording(x, *args):
+        points.append(x.tobytes())
+        return system(x, *args)
+
+    monkeypatch.setattr(bethe, "_system", recording)
+    return points
+
+
 def _twin(gamma):
     """The shifted-branch twin of the M = 4 ground state."""
     return bethe.solve_bae((-0.5, 0.5), (-1, -1), homogeneous_spec(4), gamma)
@@ -187,36 +204,70 @@ class TestSolver:
             bethe.solve_bae(ns[:-1] + (ns[-1] + 1,), vs, homogeneous_spec(8), gamma)
         assert err.value.best_residual > 0.1
 
-    @pytest.mark.parametrize("M, g, mu", [
-        (4, 0.3, (-1.0, 0.3, 1.0, 2.2)),
-        (6, 0.6, (-1.9, -0.7, 1.2, 1.3, 1.4, 2.3)),
-    ])
-    def test_fallback_sweep_solves_wide_ground_states(self, M, g, mu):
-        # damped Newton stalls on these wide inhomogeneity spreads, and
-        # without the per-coordinate sweep the solve is a ConvergenceError
+    @pytest.mark.parametrize("M, g, mu", _FALLBACK_LATTICES)
+    def test_fallback_sweep_solves_wide_ground_states(self, monkeypatch, M, g, mu):
+        # from the linear start damped Newton stalls on these wide spreads
+        # (47 and 108 evaluations with the sweep); the thermodynamic start
+        # solves them by plain Newton
+        points = _record_points(monkeypatch)
         roots = bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
+        assert len(points) <= 5
         assert roots.max_residual < 1e-12
         assert bethe.eigenvalue_residual(roots, 0.4) < 1e-12
         sign, _ = bethe.flip_sign_residual(roots)
         assert roots.r_sign == sign
 
+    def test_fallback_sweep_rescues_a_stalled_start(self, monkeypatch):
+        # the linear start stalls damped Newton on the M = 6 lattice, and
+        # without the per-coordinate sweep the solve is a ConvergenceError
+        M, g, mu = _FALLBACK_LATTICES[1]
+        def linear(n_i, shifted, mu, g):
+            return 2 * g * np.asarray(n_i) / len(mu) + np.mean(mu)
+
+        monkeypatch.setattr(bethe, "_start", linear)
+        points = _record_points(monkeypatch)
+        roots = bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
+        assert roots.max_residual < 1e-12
+        xs = [np.frombuffer(p) for p in points]
+        moved = [np.count_nonzero(a != b) for a, b in zip(xs, xs[1:])]
+        assert moved.count(1) > 3  # the sweep moves one coordinate at a time
+
     @pytest.mark.parametrize("M, seeded, parity", [(64, False, 1), (64, True, 1), (8, False, -1)])
     def test_each_point_evaluated_once(self, gamma, rng, monkeypatch, M, seeded, parity):
         # the accepted backtracking trial's residual and Jacobian carry over
         # to the next iteration and to the returned residuals
-        points = []
-        system = bethe._system
-
-        def recording(x, *args):
-            points.append(x.tobytes())
-            return system(x, *args)
-
-        monkeypatch.setattr(bethe, "_system", recording)
+        points = _record_points(monkeypatch)
         mu = np.sort(0.3 * rng.normal(size=M)) if seeded else np.zeros(M)
         ns, _ = bethe.ground_state_numbers(M // 2)
         roots = bethe.solve_bae(ns, (parity,) * (M // 2), LatticeSpec(M, tuple(mu)), gamma)
         assert roots.max_residual < 1e-12
         assert len(points) == len(set(points))
+
+    @pytest.mark.parametrize("M, seeded, parity, budget", [
+        (64, True, 1, 5), (96, True, 1, 5), (128, True, 1, 5), (128, False, 1, 5),
+        # the shifted-branch twin keeps the linear start and its counts
+        (8, False, -1, 7), (16, False, -1, 8), (32, False, -1, 9), (64, False, -1, 10),
+        (8, True, -1, 7), (16, True, -1, 8), (32, True, -1, 9), (64, True, -1, 10),
+    ])
+    def test_evaluation_budget(self, gamma, monkeypatch, M, seeded, parity, budget):
+        points = _record_points(monkeypatch)
+        roots = _solve(M, gamma, seeded, parity)
+        assert roots.max_residual < 1e-12
+        assert len(points) <= budget
+
+    @pytest.mark.parametrize("M, g, mu", [
+        # two clusters at -L and +L around four centre columns at 0
+        *((32, np.pi / 3, (-L,) * 14 + (0.0,) * 4 + (L,) * 14) for L in (3.0, 4.0)),
+        # the quantiles of U(-3, 3)
+        *((M, 0.6, tuple(-3 + 6 * (np.arange(M) + 0.5) / M)) for M in (64, 128)),
+    ])
+    def test_wide_backgrounds_solve(self, monkeypatch, M, g, mu):
+        # from the linear start each of these is a ConvergenceError
+        points = _record_points(monkeypatch)
+        roots = bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
+        assert len(points) <= 6
+        assert roots.max_residual < 1e-12
+        assert roots.d_product_deviation() < 1e-8
 
     @pytest.mark.parametrize("parities, pair", [((1, 1, 1, 1), "0 and 2"),
                                                 ((1, 1, -1, 1), "1 and 3")])

@@ -381,26 +381,34 @@ def rtt_residual(lam, mu, spec, gamma):
     left; the exchange of arguments on the right side is forced by requiring
     the residual to vanish.  lam and mu broadcast against each other: arrays
     give one residual per pair from one sweep, scalars give a float.
+
+    Both tensor products of every pair come from one batched matmul: the
+    blocks T[s, (i,k,a), b] of lam_s (mu_s) against T[s, b, (j,l,c)] of mu_s
+    (lam_s), permuted to X[s, (i,j), (a,c), (k,l)], where Rcheck acts on the
+    first auxiliary pair through a matmul from the left and on the second
+    through a matmul from the right.
     """
     gamma = _aniso(gamma)
     _require_dense(spec)
     lam, mu = np.broadcast_arrays(lam, mu)
     shape, lam, mu = lam.shape, lam.ravel(), mu.ravel()
     S, dim = len(lam), spec.dim
+    # T[r, c, s, a, b]: block (r, c) of the monodromy at rapidity s of (lam, mu)
     T = _all_blocks(np.concatenate([lam, mu]), spec, gamma, np.eye(dim))
-    Ta, Tb = T[:, :, :S], T[:, :, S:]
-    # X_lm[s, (i,j), (k,l)] = T(lam_s)[i,k] T(mu_s)[j,l]
-    X_lm = np.einsum("iksab,jlsbc->sijklac", Ta, Tb).reshape(S, 4, 4, dim, dim)
-    X_ml = np.einsum("iksab,jlsbc->sijklac", Tb, Ta).reshape(S, 4, 4, dim, dim)
+    # X[s] = T(lam_s) x T(mu_s) for s < S and T(mu_s) x T(lam_s) after
+    X = T.transpose(2, 0, 1, 3, 4).reshape(2 * S, 4 * dim, dim) @ np.roll(
+        T.transpose(2, 3, 0, 1, 4).reshape(2 * S, dim, 4 * dim), S, axis=0)
+    del T  # freed before the permuted copy: a slab's peak memory sets _RTT_SLAB in verify
+    X = X.reshape(2 * S, 2, 2, dim, 2, 2, dim).transpose(0, 1, 4, 3, 6, 2, 5)
+    X = X.reshape(2 * S, 4, dim * dim * 4)
     P = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
             P[2 * j + i, 2 * i + j] = 1.0
     R = P @ l_matrix(lam - mu + gamma.eta / 2, gamma)
-    lhs = np.einsum("spq,sqrab->sprab", R, X_lm)
-    lhs -= np.einsum("spqab,sqr->sprab", X_ml, R)
-    axes = (1, 2, 3, 4)
-    res = (np.max(np.abs(lhs), axis=axes) / np.max(np.abs(X_lm), axis=axes)).reshape(shape)
+    lhs = R @ X[:S]
+    lhs -= (X[S:].reshape(S, -1, 4) @ R).reshape(lhs.shape)
+    res = (np.max(np.abs(lhs), axis=(1, 2)) / np.max(np.abs(X[:S]), axis=(1, 2))).reshape(shape)
     return float(res) if res.ndim == 0 else res
 
 

@@ -9,7 +9,7 @@ per-coordinate fallback sweep.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -343,6 +343,7 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
             f"roots {i} and {j} collided at x = {x[i]:.6g}: quantum numbers are not admissible"
         )
 
+    sign = np.linalg.slogdet(J)[0]
     roots = BetheRootSet(
         x=tuple(x.tolist()),
         quantum_numbers=n_i,
@@ -350,15 +351,13 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
         mu=spec.mu,
         gamma=gamma,
         residuals=tuple(np.abs(F).tolist()),
+        r_sign=int((-1) ** N * sign) if sign else None,  # unset for a singular Jacobian
     )
     dev = roots.d_product_deviation()
     if not dev <= 1e-8:
         raise ConvergenceError(
             f"solution violates prod d(lam_j) = 1 by {dev:.2e}", best_residual=dev
         )
-    sign = np.linalg.slogdet(J)[0]
-    if sign:  # a singular Jacobian leaves r_sign unset
-        roots = replace(roots, r_sign=int((-1) ** N * sign))
     return roots
 
 
@@ -389,7 +388,11 @@ def eigenvalue_residual(roots, lam):
 
 def flip_sign_residual(roots):
     """(sign, residual) of R|N> = sign |N>."""
-    psi = algebra.bethe_state(roots.values, roots.spec, roots.gamma)
+    return _flip_sign(algebra.bethe_state(roots.values, roots.spec, roots.gamma))
+
+
+def _flip_sign(psi):
+    """(sign, residual) of R psi = sign psi for a brute-force Bethe state psi."""
     flipped = algebra.flip_apply(psi)
     i0 = int(np.argmax(np.abs(psi)))
     s = flipped[i0] / psi[i0]

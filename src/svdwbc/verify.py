@@ -4,10 +4,13 @@ Each check returns a record with the measured residual and the tolerance it
 is held to; the battery is the backbone of the `verify` CLI command.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import algebra, bethe, determinant
 from .algebra import LatticeSpec
+from .bethe import BetheRootSet
 
 
 def _record(name, residual, tol, **extra):
@@ -21,10 +24,27 @@ def _record(name, residual, tol, **extra):
     return rec
 
 
-# draws per batched rtt_residual call.  It bounds the (draws, 4, 4, 4, 4)
-# stacks (about 20 KiB per draw): 100 draws in one call raise the process's
-# peak RSS by about 1.5 MB, slabs of 8 leave it where the per-draw loop had it
-_RTT_SLAB = 8
+class BetheVectors(NamedTuple):
+    """A solved root set with its brute-force ket |N> and dual state <N|."""
+
+    roots: BetheRootSet
+    ket: np.ndarray
+    bra: np.ndarray
+
+
+def bethe_vectors(roots):
+    """The BetheVectors of a root set: the states that the slavnov, gaudin,
+    flip and partition checks read, built once for all of them."""
+    lams, spec, gamma = roots.values, roots.spec, roots.gamma
+    return BetheVectors(roots, algebra.bethe_state(lams, spec, gamma),
+                        algebra.dual_state(lams, spec, gamma))
+
+
+# draws per batched rtt_residual call.  It bounds the call's products and
+# their permuted copies, about 23 KiB per draw: slabs of 13 stay below the
+# stacked monodromy of check_commutation, while slabs of 15 or 25 raise the
+# oracle's peak RSS over a fixed number of passes by 0.1 or 0.3 MB
+_RTT_SLAB = 13
 
 
 def check_rtt(gamma, seed=42, draws=100, tol=1e-12):
@@ -42,18 +62,20 @@ def check_rtt(gamma, seed=42, draws=100, tol=1e-12):
 
 
 def check_commutation(gamma, M=4, seed=42, draws=5, tol=1e-12):
-    """[B(lam), B(mu)] = 0 and [T(lam), T(mu)] = 0 as relative max-norms."""
+    """[B(lam), B(mu)] = 0 and [T(lam), T(mu)] = 0 as relative max-norms.
+    The monodromy matrices of every (lam, mu) draw come from one sweep."""
     rng = np.random.default_rng(seed)
     spec = LatticeSpec(M, tuple(0.2 * rng.normal(size=M)))
+    z = rng.normal(size=(draws, 4))  # (Re lam, Im lam, Re mu, Im mu) per draw
+    lam_mu = z[:, 0::2] + 0.3j * z[:, 1::2]
+    A, B, _, D = algebra.monodromy(lam_mu.ravel(), spec, gamma)
     worst = 0.0
-    for _ in range(draws):
-        lam = rng.normal() + 0.3j * rng.normal()
-        mu = rng.normal() + 0.3j * rng.normal()
-        A, B, _, D = algebra.monodromy(np.array([lam, mu]), spec, gamma)
-        T = A + D
-        for X, Y in (B, T):
-            scale = max(np.max(np.abs(X @ Y)), 1e-300)
-            worst = max(worst, np.max(np.abs(X @ Y - Y @ X)) / scale)
+    for ops in (B, A + D):
+        ops = ops.reshape(draws, 2, spec.dim, spec.dim)
+        X, Y = ops[:, 0], ops[:, 1]
+        XY = X @ Y
+        scale = np.maximum(np.max(np.abs(XY), axis=(1, 2)), 1e-300)
+        worst = max(worst, np.max(np.max(np.abs(XY - Y @ X), axis=(1, 2)) / scale))
     return _record("operator_commutation", worst, tol, M=M, draws=draws)
 
 
@@ -71,37 +93,34 @@ def check_qism(gamma, sizes=(2, 4), seed=42, tol=1e-10):
 
 def check_slavnov(states, seed=42, draws=20, tol=1e-8):
     """Scalar-product determinant against direct operator application, for
-    each solved root set of `states`: one stacked C-sweep per root index."""
+    the BetheVectors `states`: one stacked C-sweep per root index."""
     rng = np.random.default_rng(seed)
 
-    def one(roots):
+    def one(state):
+        roots = state.roots
         N = roots.N
         xi = np.array([
             rng.normal(size=N) * 0.8 + 1j * rng.normal(size=N) * 0.3 for _ in range(draws)
         ])
-        v = algebra.bethe_state(roots.values, roots.spec, roots.gamma)
         # one dot per row, as a single draw pairs them, so each value is the
         # same floating-point number as in a draw-by-draw loop
-        brute = np.array([u @ v for u in algebra.dual_state(xi, roots.spec, roots.gamma)])
+        brute = np.array([u @ state.ket for u in algebra.dual_state(xi, roots.spec, roots.gamma)])
         det_val = determinant.slavnov_scalar_product(xi, roots)
         return np.max(np.abs(det_val - brute) / np.abs(brute))
 
     worst = max(map(one, states))
-    cases = [[r.N, len(r.mu)] for r in states]
+    cases = [[s.roots.N, len(s.roots.mu)] for s in states]
     return _record("slavnov_vs_bruteforce", worst, tol, cases=cases, draws=draws)
 
 
 def check_gaudin(states, tol=1e-8):
-    """Norm determinant against the brute-force pairing."""
+    """Norm determinant against the brute-force pairing, for the BetheVectors
+    `states`."""
     worst = 0.0
-    for roots in states:
-        spec = roots.spec
-        brute = complex(
-            algebra.dual_state(roots.values, spec, roots.gamma)
-            @ algebra.bethe_state(roots.values, spec, roots.gamma)
-        )
+    for roots, ket, bra in states:
+        brute = complex(bra @ ket)
         worst = max(worst, abs(determinant.gaudin_norm(roots) - brute) / abs(brute))
-    return _record("gaudin_vs_bruteforce", worst, tol, sizes=[len(r.mu) for r in states])
+    return _record("gaudin_vs_bruteforce", worst, tol, sizes=[len(s.roots.mu) for s in states])
 
 
 def check_gaudin_specialization(roots, eps=(1e-3, 1e-4, 1e-5), tol=1e-6):
@@ -155,30 +174,32 @@ def check_efp_finite(gamma, sizes=(4, 6), seed=42, tol=1e-8):
 
 
 def check_flip(states, tol=1e-10):
-    """R|N> = r_sign |N> on the brute-force Bethe states: the residual is
-    the larger of the eigenvector residual and |brute-force sign - r_sign|,
-    so a wrong r_sign reads 2."""
+    """R|N> = r_sign |N> on the kets of the BetheVectors `states`: the
+    residual is the larger of the eigenvector residual and
+    |brute-force sign - r_sign|, so a wrong r_sign reads 2."""
     worst = 0.0
-    for roots in states:
-        sign, res = bethe.flip_sign_residual(roots)
+    for roots, ket, _ in states:
+        sign, res = bethe._flip_sign(ket)
         worst = max(worst, res, abs(sign - roots.r_sign))
-    return _record("flip_eigenvalue", worst, tol, sizes=[len(r.mu) for r in states])
+    return _record("flip_eigenvalue", worst, tol, sizes=[len(s.roots.mu) for s in states])
 
 
 def check_partition(states, tol=1e-10):
-    """Z = <N|R|N> against flip-sign times the norm determinant."""
+    """Z = <N|R|N> against flip-sign times the norm determinant, for the
+    BetheVectors `states`."""
     worst = 0.0
-    for roots in states:
-        z = algebra.partition_bruteforce(roots.values, roots.spec, roots.gamma)
+    for roots, ket, bra in states:
+        z = complex(bra @ algebra.flip_apply(ket))  # as partition_bruteforce pairs them
         ref = roots.r_sign * determinant.gaudin_norm(roots)
         worst = max(worst, abs(z - ref) / abs(ref))
-    return _record("partition_vs_norm", worst, tol, sizes=[len(r.mu) for r in states])
+    return _record("partition_vs_norm", worst, tol, sizes=[len(s.roots.mu) for s in states])
 
 
 def run_battery(gamma, M=4, seed=42, draws=100, tol=None):
     """Full cross-check battery; per-check default tolerances unless a global
-    override is given.  Each homogeneous ground state is solved once and
-    handed to every check that uses it.  Returns the list of check records."""
+    override is given.  Each homogeneous ground state is solved once, and it
+    and its ket and dual state are handed to every check that uses them; they
+    live for this call only.  Returns the list of check records."""
     if M % 2 != 0 or M < 2:
         raise ValueError(f"verification requires even M >= 2, got {M}")
     if M > 6:
@@ -186,15 +207,16 @@ def run_battery(gamma, M=4, seed=42, draws=100, tol=None):
     if draws < 1:
         raise ValueError(f"verification needs at least one random draw, got draws = {draws}")
     ov = (lambda t: t) if tol is None else (lambda t: tol)
-    ground = {m: bethe.solve_ground_state(m, gamma) for m in (2, 4, 6) if m <= max(M, 4)}
+    ground = {m: bethe_vectors(bethe.solve_ground_state(m, gamma))
+              for m in (2, 4, 6) if m <= max(M, 4)}
     states = list(ground.values())
     checks = [
         check_rtt(gamma, seed=seed, draws=draws, tol=ov(1e-12)),
         check_commutation(gamma, M=min(M, 4), seed=seed, tol=ov(1e-12)),
         check_qism(gamma, sizes=tuple(m for m in (2, 4) if m <= M), seed=seed, tol=ov(1e-10)),
-        check_slavnov([r for m, r in ground.items() if m <= M], seed=seed, tol=ov(1e-8)),
+        check_slavnov([v for m, v in ground.items() if m <= M], seed=seed, tol=ov(1e-8)),
         check_gaudin(states, tol=ov(1e-8)),
-        check_gaudin_specialization(ground[M], tol=ov(1e-6)),
+        check_gaudin_specialization(ground[M].roots, tol=ov(1e-6)),
         check_d_action(gamma, seed=seed, tol=ov(1e-9)),
         check_efp_finite(gamma, sizes=tuple(m for m in (4, 6) if m <= M) or (4,), seed=seed, tol=ov(1e-8)),
         check_flip(states, tol=ov(1e-10)),

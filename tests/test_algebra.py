@@ -251,6 +251,15 @@ class TestRTT:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert np.max(got) < 1e-12
 
+    def test_batched_equals_per_draw_at_M4(self, gamma, rng):
+        # a draw's residual does not depend on the batch it is taken in
+        spec = LatticeSpec(4, tuple(0.2 * rng.normal(size=4)))
+        lam = rng.normal(size=6) + 0.3j * rng.normal(size=6)
+        mu = rng.normal(size=6) + 0.3j * rng.normal(size=6)
+        got = algebra.rtt_residual(lam, mu, spec, gamma)
+        assert got.tolist() == [algebra.rtt_residual(a, b, spec, gamma) for a, b in zip(lam, mu)]
+        assert np.max(got) < 1e-12
+
     def test_stacked_monodromy_matches_scalar_calls(self, gamma, rng):
         spec = LatticeSpec(4, tuple(0.2 * rng.normal(size=4)))
         lams = rng.normal(size=3) + 0.3j * rng.normal(size=3)

@@ -41,7 +41,7 @@ def test_record_shapes_unchanged():
     assert checks["rtt_intertwining"]["draws"] == 3
 
 
-@pytest.mark.parametrize("draws", [1, verify._RTT_SLAB, verify._RTT_SLAB + 1, 40])
+@pytest.mark.parametrize("draws", [1, 8, 9, verify._RTT_SLAB, verify._RTT_SLAB + 1, 40])
 def test_rtt_slabs_cover_every_draw(draws):
     # the worst residual over slabs is the worst over the draws taken one at a time
     rng = np.random.default_rng(5)
@@ -78,8 +78,100 @@ def test_efp_profiles_give_the_per_window_residual(seed, monkeypatch):
 
 def test_flip_check_catches_a_wrong_sign():
     states = [bethe.solve_ground_state(m, GAMMA) for m in (2, 4, 6)]
-    assert verify.check_flip(states)["passed"]
+    assert verify.check_flip([verify.bethe_vectors(r) for r in states])["passed"]
     states[1] = replace(states[1], r_sign=-states[1].r_sign)
-    rec = verify.check_flip(states)
+    rec = verify.check_flip([verify.bethe_vectors(r) for r in states])
     assert not rec["passed"]
     assert rec["residual"] == 2.0
+
+
+def _swap_bc(l_matrix):
+    def mutant(lam, gamma):
+        out = l_matrix(lam, gamma)
+        out[..., [1, 2, 1, 2], [1, 2, 2, 1]] = out[..., [1, 2, 1, 2], [2, 1, 1, 2]]
+        return out
+    return mutant
+
+
+def _shift_argument(l_matrix):
+    # Rcheck(lam - mu) read at lam - mu - eta/2 instead of lam - mu + eta/2
+    return lambda lam, gamma: l_matrix(lam - algebra._aniso(gamma).eta, gamma)
+
+
+def _transpose_aux(all_blocks):
+    # block (c, r) of the monodromy matrix in place of block (r, c)
+    return lambda *args: all_blocks(*args).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("l_matrix", _swap_bc), ("l_matrix", _shift_argument), ("_all_blocks", _transpose_aux),
+])
+def test_rtt_check_catches_a_wrong_relation(name, mutate, monkeypatch):
+    assert verify.check_rtt(GAMMA, seed=977)["passed"]
+    monkeypatch.setattr(algebra, name, mutate(getattr(algebra, name)))
+    rec = verify.check_rtt(GAMMA, seed=977)
+    assert not rec["passed"]
+    assert rec["residual"] > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("M", [2, 4])
+def test_commutation_equals_the_per_draw_loop(M, seed):
+    # one stacked monodromy call gives the residual of one call per draw
+    rng = np.random.default_rng(seed)
+    spec = LatticeSpec(M, tuple(0.2 * rng.normal(size=M)))
+    worst = 0.0
+    for _ in range(5):
+        lam = rng.normal() + 0.3j * rng.normal()
+        mu = rng.normal() + 0.3j * rng.normal()
+        A, B, _, D = algebra.monodromy(np.array([lam, mu]), spec, GAMMA)
+        T = A + D
+        for X, Y in (B, T):
+            scale = max(np.max(np.abs(X @ Y)), 1e-300)
+            worst = max(worst, np.max(np.abs(X @ Y - Y @ X)) / scale)
+    assert verify.check_commutation(GAMMA, M=M, seed=seed)["residual"] == worst
+
+
+@pytest.mark.parametrize("seed", [3, 977])
+@pytest.mark.parametrize("M", [4, 6])
+def test_shared_states_change_no_residual(M, seed):
+    # the battery's shared kets and bras give each check's residual on its
+    # own, and the residual of a check that builds every state itself
+    rec = {c["check"]: c["residual"] for c in verify.run_battery(GAMMA, M=M, seed=seed, draws=1)}
+    roots = [bethe.solve_ground_state(m, GAMMA) for m in (2, 4, 6) if m <= M]
+    alone = [verify.bethe_vectors(r) for r in roots]
+    assert rec["slavnov_vs_bruteforce"] == verify.check_slavnov(alone, seed=seed)["residual"]
+    assert rec["gaudin_vs_bruteforce"] == verify.check_gaudin(alone)["residual"]
+    assert rec["flip_eigenvalue"] == verify.check_flip(alone)["residual"]
+    assert rec["partition_vs_norm"] == verify.check_partition(alone[-2:])["residual"]
+
+    def gaudin(r):
+        brute = complex(algebra.dual_state(r.values, r.spec, GAMMA)
+                        @ algebra.bethe_state(r.values, r.spec, GAMMA))
+        return abs(determinant.gaudin_norm(r) - brute) / abs(brute)
+
+    def flip(r):
+        sign, res = bethe.flip_sign_residual(r)
+        return max(res, abs(sign - r.r_sign))
+
+    def partition(r):
+        ref = r.r_sign * determinant.gaudin_norm(r)
+        return abs(algebra.partition_bruteforce(r.values, r.spec, GAMMA) - ref) / abs(ref)
+
+    assert rec["gaudin_vs_bruteforce"] == max(map(gaudin, roots))
+    assert rec["flip_eigenvalue"] == max(0.0, *map(flip, roots))
+    assert rec["partition_vs_norm"] == max(map(partition, roots[-2:]))
+
+
+def test_battery_builds_one_ket_and_bra_per_ground_state(monkeypatch):
+    # the ground states are the battery's only single states on a homogeneous lattice
+    built = []
+    for name in ("bethe_state", "dual_state"):
+        def counting(lams, spec, gamma, _build=getattr(algebra, name), _name=name):
+            if np.ndim(lams) == 1 and not any(spec.mu):
+                built.append((_name, spec.M))
+            return _build(lams, spec, gamma)
+        monkeypatch.setattr(algebra, name, counting)
+    verify.run_battery(GAMMA, M=6, draws=3)
+    assert sorted(built) == [(name, m) for name in ("bethe_state", "dual_state")
+                             for m in (2, 4, 6)]

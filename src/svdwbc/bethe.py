@@ -9,6 +9,7 @@ per-coordinate fallback sweep.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,19 @@ def _p_n_x(x, crossed, n, g):
     )
 
 
-def _p_n_deriv_x(x, crossed, n, g):
-    """p_n' = 2 pi K_n at abscissa differences x, the one definition of the
-    branch kernel.  Vectorized in x/crossed."""
-    s = np.sin(n * g)
-    sh2 = np.sinh(np.minimum(np.abs(x), 300.0)) ** 2  # underflows to 0 well before 300
-    return np.where(crossed, -s, s) / (
-        sh2 + np.where(crossed, np.cos(n * g / 2) ** 2, np.sin(n * g / 2) ** 2)
-    )
+def _p_n_deriv_x(x, crossed, n, g, scale=1.0):
+    """p_n' = 2 pi K_n at abscissa differences x, times scale: the one
+    definition of the branch kernel.  Vectorized in x/crossed/scale, where
+    scale must not widen the shape of x and crossed.  The flag and the scale
+    act through their own broadcast shapes, so a table over x costs its
+    sinh, the square, the shift and one division, the temporaries updated
+    in place.  Where sinh(x)^2 overflows the kernel is num/inf = 0, below
+    the double range anyway."""
+    s = math.sin(n * g)  # scalar constants by math: numpy's scalar call costs 0.4 us
+    num = np.where(crossed, -s * scale, s * scale)
+    with np.errstate(over="ignore"):
+        t = np.sinh(x) ** 2 + np.where(crossed, math.cos(n * g / 2) ** 2, math.sin(n * g / 2) ** 2)
+    return np.divide(num, t, out=t) if isinstance(t, np.ndarray) else num / t
 
 
 def p_n_deriv(lam, n, gamma):
@@ -289,6 +295,16 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
         raise ValueError(f"expected N = {spec.N} quantum numbers, got {N}")
     g = gamma.gamma
     shifted = np.array(v_i) == -1
+    if N and -1 not in v_i:
+        # on the real branch the counting function runs between the limits
+        # -+[M (pi - gamma) - (N - 1)(pi - 2 gamma)] at x -> -+inf, whatever mu
+        edge = spec.M * (np.pi - g) - (N - 1) * (np.pi - 2 * g)
+        far = max(n_i, key=abs)
+        if 2 * np.pi * abs(far) >= edge:
+            raise ValueError(
+                f"quantum number {far} is not admissible: real-branch roots need "
+                f"2 pi |n| < M (pi - gamma) - (N - 1)(pi - 2 gamma) = {edge:.6g}"
+            )
     x = _start(n_i, shifted, mu, g)
     # roots beyond this box are numerically indistinguishable from infinity;
     # clamping keeps inadmissible quantum numbers from overflowing

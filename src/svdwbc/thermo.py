@@ -33,11 +33,11 @@ def kernel_K(n, lam, gamma):
     return np.sin(n * g) / (2 * np.pi * s)
 
 
-def _kernel_branch(x, crossed, n, g):
-    """Real-valued K_n = p_n' / 2pi at a contour difference with abscissa x;
-    crossed marks an Im = pi/2 offset between the two points.  Vectorized in
-    x/crossed."""
-    return _p_n_deriv_x(x, crossed, n, g) / (2 * np.pi)
+def _kernel_branch(x, crossed, n, g, c=1.0):
+    """Real-valued K_n = p_n' / 2pi at a contour difference with abscissa x,
+    times the column weights c; crossed marks an Im = pi/2 offset between the
+    two points.  Vectorized in x/crossed/c."""
+    return _p_n_deriv_x(x, crossed, n, g, c / (2 * np.pi))
 
 
 def _kernel_at(n, z, nodes, g):
@@ -197,11 +197,9 @@ def _occupied_solve(K, act, rhs):
 def _mirror_tables(xr, xa, crossed, ca, g):
     """The direct and mirror kernel tables K_2(xr - xa) ca and K_2(xr + xa) ca
     of the even/odd split, for row abscissae xr and occupied column
-    abscissae xa > 0 with weights ca, broadcast against the crossing flags."""
-    tables = [_kernel_branch(d, crossed, 2, g) for d in (xr - xa, xr + xa)]
-    for t in tables:
-        t *= ca
-    return tables
+    abscissae xa > 0 with weights ca, broadcast against the crossing flags.
+    Each difference table is released before the next one is made."""
+    return _kernel_branch(xr - xa, crossed, 2, g, ca), _kernel_branch(xr + xa, crossed, 2, g, ca)
 
 
 def _nystrom_solve(theta, grid, g, rhs):
@@ -226,8 +224,7 @@ def _nystrom_solve(theta, grid, g, rhs):
     pairs = _mirror_pairs(grid, c)
     if pairs is None:
         act = c != 0
-        K = _kernel_branch(x[:, None] - x[act][None, :], sh[:, None] ^ sh[act][None, :], 2, g)
-        K *= c[act]
+        K = _kernel_branch(x[:, None] - x[act], sh[:, None] ^ sh[act], 2, g, c[act])
         return _occupied_solve(K, act, rhs)
     pos, neg = pairs
     act = c[pos] != 0
@@ -349,13 +346,15 @@ def _rho_tot_zero(theta, grid, gamma, mu):
     act = c[pos] != 0
     cols = pos[act]
     xa, sa, ca = grid.x[cols], grid.shifted[cols], c[cols]
-    even, mirror = _mirror_tables(xa[:, None], xa, sa[:, None] ^ sa, ca, g)
+    # nodes on one branch never cross: a scalar flag, not a full-size one
+    crossed = sa[:, None] ^ sa if sa.any() and not sa.all() else False
+    even, mirror = _mirror_tables(xa[:, None], xa, crossed, ca, g)
     even += mirror
     centres = None if mu is None else _real_points(mu, "driving centres")
     rhs = np.real(_drive(grid.values[np.concatenate([cols, neg[act]])], centres, g))
     e = _block_solve(even, 0.5 * (rhs[: len(cols)] + rhs[len(cols) :]))
     drive0 = np.real(_drive(np.zeros(1), centres, g))[0]
-    return drive0 - 2 * (_kernel_branch(-xa, sa, 2, g) * ca) @ e
+    return drive0 - 2 * _kernel_branch(-xa, sa, 2, g, ca) @ e
 
 
 def _transfer_theta(theta, grid, fine):

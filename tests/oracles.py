@@ -18,7 +18,10 @@ oracle runs the recursive definition on the sinh form of the window rows
 in 60-digit arithmetic, where the package uses a closed form in
 u = e^{2w}.  The phi' and t' oracles evaluate each entry's coth formula in
 40-digit arithmetic, where the package reads all entries from one table of
-e^{2z}.  The alternating-sign-matrix oracle is the closed-form XXZ EFP
+e^{2z}.  The kernel oracle evaluates K_n from its complex sinh product,
+with the pi/2 offset of a crossing difference exact, in 30-digit
+arithmetic, where the package takes a real branch form.  The
+alternating-sign-matrix oracle is the closed-form XXZ EFP
 at Delta = 1/2 in exact integers.
 """
 
@@ -183,6 +186,22 @@ def varphi_prime_mp(roots, dps=40):
                 diag[i] += pair
                 diag[j] += pair
         out[np.diag_indices(N)] = [complex(d) for d in diag]
+    return out
+
+
+def kernel_mp(n, x, crossed, g, dps=30):
+    """K_n(x + i pi/2 crossed) = sin(n g) / (2 pi sinh(lam - i n g/2)
+    sinh(lam + i n g/2)) in `dps`-digit arithmetic, elementwise over the
+    real abscissae x and crossing flags, as a float array."""
+    x, crossed = np.broadcast_arrays(np.asarray(x, dtype=float), crossed)
+    out = np.empty(x.shape)
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(n) * mpmath.mpf(g) / 2
+        for i in np.ndindex(x.shape):
+            lam = mpmath.mpf(x[i]) + (mpmath.j * mpmath.pi / 2 if crossed[i] else 0)
+            k = mpmath.sin(2 * a) / (2 * mpmath.pi * mpmath.sinh(lam - mpmath.j * a)
+                                     * mpmath.sinh(lam + mpmath.j * a))
+            out[i] = float(mpmath.re(k))
     return out
 
 

@@ -196,13 +196,13 @@ class TestSolver:
 
     def test_inadmissible_numbers_fail_cleanly(self, gamma):
         # at half filling the real branch is exactly filled by the symmetric
-        # set; pushing a number past the edge has no root to converge to
-        from svdwbc.errors import ConvergenceError
-
+        # set; a number pushed past the edge of the counting function has no
+        # root, and it is rejected before Newton starts
         ns, vs = bethe.ground_state_numbers(4)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ValueError, match=r"2 pi \|n\| < M \(pi - gamma\)") as err:
             bethe.solve_bae(ns[:-1] + (ns[-1] + 1,), vs, homogeneous_spec(8), gamma)
-        assert err.value.best_residual > 0.1
+        edge = 8 * (np.pi - gamma.gamma) - 3 * (np.pi - 2 * gamma.gamma)
+        assert f"= {edge:.6g}" in str(err.value)
 
     @pytest.mark.parametrize("M, g, mu", _FALLBACK_LATTICES)
     def test_fallback_sweep_solves_wide_ground_states(self, monkeypatch, M, g, mu):

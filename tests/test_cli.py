@@ -139,8 +139,9 @@ class TestSolveBae:
 
     def test_inadmissible_numbers_exit_code(self, capsys):
         code = run(["solve-bae", "--M", "8", "--numbers=-1.5,-0.5,0.5,2.5"])
-        assert code == 3
-        assert "convergence" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "2.5 is not admissible" in err
 
 
     @pytest.mark.parametrize("command", ["solve-bae", "partition", "efp-finite"])

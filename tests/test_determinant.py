@@ -517,6 +517,13 @@ class TestEfpProfile:
             real = determinant.efp_profile(roots, n)
             assert real.tobytes() == self._per_offset(roots, n, False).tobytes()
 
+    def test_n3_bit_for_bit_at_m64(self, gamma):
+        # the n = 3 symmetric first product beyond the sizes above (M = 12
+        # is among them); n = 4 at M = 64 would take seconds
+        roots = _seeded_roots(np.random.default_rng(3164), 64, gamma)
+        prof = determinant.efp_profile(roots, 3, return_complex=True)
+        assert prof.tobytes() == self._per_offset(roots, 3).tobytes()
+
     def test_shifted_branch_twin(self, gamma):
         roots = bethe.solve_bae((-0.5, 0.5), (-1, -1), homogeneous_spec(4), gamma)
         for n in range(3):

@@ -11,6 +11,7 @@ from oracles import (
     efp_node_sum,
     efp_tuple_sum,
     ground_state_density_closed_form,
+    kernel_mp,
     nystrom_dense,
     transfer_theta_argmin,
 )
@@ -81,6 +82,62 @@ class TestKernel:
                 cross = thermo._kernel_branch(x, True, n, gamma.gamma)
                 assert np.all(np.isfinite(same)) and np.all(same >= 0)
                 assert np.all(np.isfinite(cross)) and np.all(cross <= 0)
+
+    KERNEL_GAMMAS = [0.05, 0.3, 0.6, np.pi / 3, 1.2, 1.5]
+    X = np.concatenate([[0.0, 1e-3, -0.02], np.linspace(-30.0, 30.0, 25)])
+
+    @pytest.mark.parametrize("g", KERNEL_GAMMAS)
+    def test_branch_kernel_matches_mp_reference(self, g):
+        for n in (1, 2):
+            for crossed in (False, True):
+                ref = kernel_mp(n, self.X, crossed, g)
+                got = thermo._kernel_branch(self.X, crossed, n, g)
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+                # the complex kernel agrees away from the branch form too
+                lam = self.X[:5] + (0.5j * np.pi if crossed else 0.0)
+                cplx = thermo.kernel_K(n, lam, g)
+                assert np.max(np.abs(got[:5] - cplx) / np.abs(ref[:5])) <= 1e-14
+
+    @pytest.mark.parametrize("g", KERNEL_GAMMAS)
+    def test_mirror_tables_match_mp_reference(self, g, rng):
+        xr = np.sort(rng.uniform(0.0, 12.0, 7))[:, None]
+        xa = np.sort(rng.uniform(0.0, 12.0, 9))
+        ca = rng.normal(size=9)
+        col = rng.random(9) < 0.5
+        # the flag shapes of the callers: per row branch and column, one per
+        # entry, and one for nodes that all lie on one branch
+        flags = [(np.array([[False], [True]]) ^ col)[:, None, :],
+                 rng.random((7, 9)) < 0.5, False, True]
+        for crossed in flags:
+            direct, mirror = thermo._mirror_tables(xr, xa, crossed, ca, g)
+            for table, d in ((direct, xr - xa), (mirror, xr + xa)):
+                ref = kernel_mp(2, *np.broadcast_arrays(d, crossed), g) * ca
+                assert table.shape == ref.shape
+                assert np.max(np.abs(table - ref) / np.abs(ref)) <= 1e-14
+
+    def test_tables_beyond_the_sinh_range(self, gamma):
+        # a cutoff of 400 puts |x +- x'| up to 800 on the grid: sinh overflows
+        # past 710, where the kernel is exactly 0, and no warning escapes
+        grid = thermo.contour_grid(gamma, cutoff=400.0, points_per_branch=128)
+        g = gamma.gamma
+        x = grid.x[(grid.x > 0) & ~grid.shifted]
+        c = grid.w[(grid.x > 0) & ~grid.shifted]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            flags = (np.array([[False], [True]]) ^ np.zeros(len(x), bool))[:, None, :]
+            tables = thermo._mirror_tables(x[:, None], x, flags, c, g)
+            for table, d in zip(tables, (x[:, None] - x, x[:, None] + x)):
+                d = np.broadcast_to(np.abs(d), table.shape)
+                assert np.all(np.isfinite(table))
+                assert np.all(table[d > 710.5] == 0.0)
+                assert np.all(table[d < 300] != 0.0)
+            assert np.any(x[:, None] + x > 710.5)  # the mirror table overflows
+            theta = thermo.ground_state_theta(grid)
+            prof = thermo.solve_density(theta, grid, gamma, check_resolution=True)
+            assert abs(prof.filling() - 0.5) < 1e-6
+            # an off-mirror Fermi weight takes the full occupied block
+            skew = np.where(grid.shifted, 0.0, 1.0 / (1.0 + np.exp(-grid.x)))
+            assert np.all(np.isfinite(thermo.solve_density(skew, grid, gamma).rho_tot))
 
 
 class TestK1Tot:
@@ -815,6 +872,23 @@ class TestNodeSumOracle:
         val = _node_sum_at(z, c, rows, w, gamma.gamma) / np.prod(np.sinh(w[l] - w[m]))
         ref = efp_node_sum(z, c, rows, self.WINDOW, gamma)
         assert abs(val - ref) <= 1e-12 * abs(ref)
+
+    def test_n3_symmetric_product_any_weights(self, gamma, coarse_grid):
+        # the n = 3 first elimination is S S^T with S = E diag(sqrt(weight g)):
+        # zero, negative and complex weights take every branch of the root
+        x = coarse_grid.x
+        theta = np.where(coarse_grid.shifted, 0.3 * (np.abs(x) < 0.3), 1.0 / (1.0 + x**2))
+        w = np.array(self.WINDOW[:3])
+        z, c, rows = _oracle_inputs(w, theta, coarse_grid, gamma)
+        mixed = c.astype(complex)
+        mixed[::4] = 0.0
+        mixed[1::4] *= -1.0
+        mixed[2::4] *= np.exp(2.5j)
+        l, m = np.triu_indices(3, 1)
+        for weight in (mixed, -c, c * np.exp(-1.0j * np.arange(len(c)))):
+            val = _node_sum_at(z, weight, rows, w, gamma.gamma) / np.prod(np.sinh(w[l] - w[m]))
+            ref = efp_node_sum(z, weight, rows, w, gamma)
+            assert abs(val - ref) <= 1e-12 * abs(ref)
 
     def test_h_function_matches_oracle(self, gamma, grid06, profile06):
         w = self.WINDOW[:3]

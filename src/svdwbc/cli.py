@@ -8,6 +8,7 @@ failure, 4 singular parameters.
 """
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -313,14 +314,24 @@ def build_parser(command=None):
     """The argument parser.  For a known `command` only that subcommand's
     parser is built; otherwise (no command, --help, a misspelling) all of
     them, so the top-level help and the invalid-choice message list every
-    subcommand.  The top-level usage reads the same either way."""
+    subcommand.  The top-level usage reads the same either way.  Each of
+    these seven parsers is built once per process and then shared, so a
+    caller must not change the parser it is given."""
+    return _parser(command if command in _SUBCOMMANDS else None)
+
+
+@functools.cache
+def _parser(command):
+    """build_parser for a known subcommand name, or None for all of them.
+    Argparse looks up stdout, stderr and the terminal width when it prints,
+    not when it is built, so a shared parser prints what a new one would."""
     parser = argparse.ArgumentParser(
         prog="svdwbc",
         description="Six-vertex model with domain wall boundaries: "
                     "verification suite, Bethe solver, densities and "
                     "emptiness formation probabilities.",
     )
-    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    names = [command] if command else list(_SUBCOMMANDS)
     # one subparser would shrink the usage's {choices}; an explicit metavar
     # keeps it, and is left unset otherwise because argparse then names the
     # argument by it in the invalid-choice message

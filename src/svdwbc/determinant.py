@@ -393,23 +393,32 @@ def _node_sum(weight, R, F, E):
     kr = [np.ones((1, P))]
     for c in couple[:-1]:
         kr.append((kr[-1][:, None, :] * c).reshape(-1, P))
+    return _eliminate(n - 1, np.ones(1), list(range(n)), G, kr, couple[-1])
 
-    def first(g):  # V_{n-1}: the first elimination, with weights g in slot n - 1
-        if n == 3:  # kr[2] = couple[2] = E; a negative weight takes the root i sqrt|g|
-            S = E * np.sqrt(g + 0j)
-            return S @ S.T
-        return (kr[-1] * g) @ couple[-1].T
 
-    def eliminate(m, V, left):  # V = V_{m+1}; the rows `left` go to slots 0..m
-        if not left:
-            return V.item()
-        return sum((-1) ** (len(left) - 1 - j) * eliminate(
-            m - 1,
-            first(G[k, m]) if m == n - 1 else (kr[m + 1] * V.reshape(-1, P)) @ G[k, m],
-            left[:j] + left[j + 1:],
-        ) for j, k in enumerate(left))
+def _first_elimination(g, kr, last):
+    """V_{n-1} of _node_sum: the first elimination, with weights g in slot
+    n - 1 and last = couple[n - 1]."""
+    if len(kr) == 3:  # kr[2] = last = E; a negative weight takes the root i sqrt|g|
+        S = last * np.sqrt(g + 0j)
+        return S @ S.T
+    return (kr[-1] * g) @ last.T
 
-    return eliminate(n - 1, np.ones(1), list(range(n)))
+
+def _eliminate(m, V, left, G, kr, last):
+    """The recursion of _node_sum: V = V_{m+1}, and the rows `left` go to
+    slots 0..m.  It takes its tables as arguments and holds no reference
+    to itself: a nested recursive function would sit in a reference cycle
+    with G and kr, which then wait for the cyclic collector."""
+    if not left:
+        return V.item()
+    n, P = len(kr), G.shape[-1]
+    return sum((-1) ** (len(left) - 1 - j) * _eliminate(
+        m - 1,
+        _first_elimination(G[k, m], kr, last) if m == n - 1
+        else (kr[m + 1] * V.reshape(-1, P)) @ G[k, m],
+        left[:j] + left[j + 1:], G, kr, last,
+    ) for j, k in enumerate(left))
 
 
 @dataclass(frozen=True)

@@ -445,8 +445,11 @@ def efp_thermo(
     with theta != 0.  Above n = 3 it is a stratified Monte Carlo estimate of
     mc_samples >= 32 draws, at least one per stratum, evaluated in batches of
     index tuples.  A grid whose sinh tables would overflow,
-    max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700, is a ValueError.
+    max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700, is a ValueError, and so
+    is a window length n < 0.
     """
+    if n < 0:
+        raise ValueError(f"window length must be >= 0, got n = {n}")
     gamma = _aniso(gamma)
     if n == 0:
         return EfpResult(1.0, 0.0, 0, (), grid.cutoff, grid.points_per_branch)

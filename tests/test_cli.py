@@ -327,6 +327,11 @@ class TestEfpThermoCommand:
         assert run(["efp-thermo", "--n", "2", "--cutoff", "400"]) == 2
         assert "cutoff" in capsys.readouterr().err
 
+    def test_negative_window_length_is_bad_input(self, capsys):
+        assert run(["efp-thermo", "--n", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: window length must be >= 0, got n = -1\n")
+
 
 class TestListFlags:
     """--mu, --mu-window, --numbers and --parities share one list parser."""
@@ -443,11 +448,20 @@ class TestParserPerCommand:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-        assert run(["efp-finite", "--M", "4", "--n", "1", "--out", str(tmp_path / "e.json")]) == 0
+        cli._parser.cache_clear()  # earlier tests have built and kept parsers
+        argv = ["efp-finite", "--M", "4", "--n", "1", "--out", str(tmp_path / "e.json")]
+        assert run(argv) == 0
         assert built == ["efp-finite"]
         built.clear()
+        assert run(argv) == 0
+        assert built == []  # the second run shares the first run's parser
         assert run(["--help"]) == 0
         assert built == COMMANDS
+        built.clear()
+        assert [run(["frobnicate"]), run(["--bogus"]), run(["--help"])] == [2, 2, 0]
+        assert built == []
+        full = cli.build_parser()
+        assert all(cli.build_parser(word) is full for word in ("frobnicate", "--bogus", "--help"))
 
     @staticmethod
     def _full_parser_output(argv, capsys):
@@ -461,6 +475,42 @@ class TestParserPerCommand:
         code, full = self._full_parser_output([command, *tail], capsys)
         assert run([command, *tail]) == code
         assert capsys.readouterr() == full
+
+
+class TestRepeatedCalls:
+    """main called twice in one process, on the shared parsers."""
+
+    ARGV = {
+        "verify": ["verify", "--M", "2", "--draws", "3", "--seed", "5"],
+        "solve-bae": ["solve-bae", "--M", "6", "--mu", "0.1,-0.2,0.3,0,0.05,-0.1"],
+        "partition": ["partition", "--M", "4", "--gamma", "0.9"],
+        "efp-finite": ["efp-finite", "--M", "8", "--n", "2", "--k", "all"],
+        "density": ["density", "--points", "32"],
+        "efp-thermo": ["efp-thermo", "--n", "2", "--points", "32"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_second_call_prints_the_same(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for _ in range(2):
+            assert run(self.ARGV[command]) == 0
+            out, err = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            out, stamps = re.subn(r'"created": "[^"]*"', '"created": ""', out)
+            assert stamps == (command != "density")  # density prints no timestamp
+            outputs.append((out, err, files))
+        assert outputs[0] == outputs[1]
+
+    def test_flags_beat_the_config_on_the_shared_parser(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 0.9\nM = 4\n")
+        gammas = []
+        for argv in (["--config", str(cfg)], ["--config", str(cfg), "--gamma", "0.5"],
+                     ["--config", str(cfg)], ["--M", "4"]):
+            assert run(["partition", *argv]) == 0
+            gammas.append(json.loads(capsys.readouterr().out)["config"]["gamma"])
+        assert gammas == [0.9, 0.5, 0.9, 0.6]
 
 
 class TestUnknownFlags:

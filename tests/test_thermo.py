@@ -1,3 +1,4 @@
+import gc
 import logging
 import warnings
 
@@ -785,6 +786,11 @@ class TestEfpThermo:
         res = thermo.efp_thermo(0, [], thermo.ground_state_theta(grid06), grid06, gamma)
         assert res.value == 1.0
 
+    def test_negative_window_length_rejected(self, gamma, grid06):
+        theta = thermo.ground_state_theta(grid06)
+        with pytest.raises(ValueError, match="^window length must be >= 0, got n = -1$"):
+            thermo.efp_thermo(-1, [], theta, grid06, gamma)
+
 
 class TestAsmOracle:
     """Homogeneous windows at gamma = pi/3 against P(n) = A_n / 2^{n^2}."""
@@ -1083,3 +1089,34 @@ class TestEfpSumFinite:
     def test_n0(self, gamma, profile06):
         roots = bethe.solve_ground_state(4, gamma)
         assert thermo.efp_sum_finite(roots, [], profile=profile06) == 1.0
+
+
+class TestNodeSumGarbage:
+    """A node sum leaves no reference cycle behind, so its P^(n-1) tables are
+    freed when the call returns, not when the cyclic collector next runs."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        gamma = AnisotropyParam(0.6)
+        grid = thermo.contour_grid(gamma, points_per_branch=32)
+        theta = thermo.ground_state_theta(grid)
+        mus = tuple(np.linspace(-0.3, 0.3, 12))
+        roots = bethe.solve_bae(*bethe.ground_state_numbers(6), LatticeSpec(12, mus), gamma)
+        return {
+            "efp_thermo n=2": lambda: thermo.efp_thermo(2, [0.0, 0.0], theta, grid, gamma),
+            "efp_thermo n=3": lambda: thermo.efp_thermo(3, [0.0, 0.1, 0.2], theta, grid, gamma),
+            "efp_finite n=3": lambda: determinant.efp_finite(roots, 4, 3),
+            "efp_profile n=2": lambda: determinant.efp_profile(roots, 2),
+        }
+
+    @pytest.mark.parametrize("name", ["efp_thermo n=2", "efp_thermo n=3",
+                                      "efp_finite n=3", "efp_profile n=2"])
+    def test_no_cycle_left(self, calls, name):
+        calls[name]()  # first-use caches are not the call's garbage
+        gc.collect()
+        gc.disable()
+        try:
+            calls[name]()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -10,7 +10,7 @@ per-coordinate fallback sweep.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +49,13 @@ def p_n(lam, n, gamma):
 
 def _p_n_x(x, crossed, n, g):
     """p_n at abscissa differences x; crossed marks an Im = pi/2 offset.
-    Vectorized in x/crossed."""
-    th = np.tanh(x)
-    return np.where(
-        crossed, -2.0 * np.arctan(th * np.tan(n * g / 2)), 2.0 * np.arctan(th / np.tan(n * g / 2))
-    )
+    Vectorized in x/crossed.  Both branches are 2 atan(tanh(x) kappa), with
+    kappa = cot(n g/2) on the real branch and -tan(n g/2) on the shifted one,
+    since -2 atan(t tan a) = 2 atan(-t tan a): one arctan per entry, and
+    kappa taken at the broadcast shape of the flag alone."""
+    t = math.tan(n * g / 2)
+    cot = 1 / t if t else math.inf
+    return 2.0 * np.arctan(np.tanh(x) * np.where(crossed, -t, cot))
 
 
 def _p_n_deriv_x(x, crossed, n, g, scale=1.0):
@@ -76,19 +78,18 @@ def p_n_deriv(lam, n, gamma):
     return float(_p_n_deriv_x(*_on_contour(lam), n, _aniso(gamma).gamma))
 
 
-def _counting_raw(x, shifted, root_x, root_shifted, mu, g):
-    """Counting values at the contour points x (branch flags `shifted`)
-    against explicit root arrays and real inhomogeneities mu."""
-    x = np.asarray(x, dtype=float)[..., None]
-    shifted = np.asarray(shifted)[..., None]
-    columns = _p_n_x(x - mu, shifted, 1, g).sum(axis=-1)
-    return columns - _p_n_x(x - root_x, shifted != root_shifted, 2, g).sum(axis=-1)
+def _counting_tables(dm, cm, dx, cx, g):
+    """sum_k p_1 - sum_j p_2 over the last axis of the difference tables
+    against the inhomogeneities (dm) and the roots (dx), whose crossing
+    flags are cm and cx."""
+    return _p_n_x(dm, cm, 1, g).sum(axis=-1) - _p_n_x(dx, cx, 2, g).sum(axis=-1)
 
 
 def counting_function(lam, roots) -> float:
     """sum_k p_1(lam - mu_k) - sum_j p_2(lam - lam_j) along the contour."""
-    return float(_counting_raw(*_on_contour(lam), np.array(roots.x), roots.shifted,
-                               np.real(roots.mu), roots.gamma.gamma))
+    x, shifted = _on_contour(lam)
+    return float(_counting_tables(x - np.real(roots.mu), shifted, x - np.array(roots.x),
+                                  shifted != roots.shifted, roots.gamma.gamma))
 
 
 def log_form_consistency(lam, roots) -> float:
@@ -115,6 +116,10 @@ class BetheRootSet:
     gamma: AnisotropyParam
     residuals: tuple = ()
     r_sign: int | None = None
+    # phi' of determinant.varphi_prime_matrix, built on first use and shared
+    # read-only by the determinant formulas; not an __init__ argument, so a
+    # dataclasses.replace copy starts without it and builds its own
+    _phi_prime: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = len(self.x)
@@ -128,8 +133,8 @@ class BetheRootSet:
                 raise ValueError(f"duplicate quantum number {n} with parity {v}")
             seen.add((n, v))
         half = len(self.mu) // 2
+        want_int = half % 2 == 1  # integers for N odd, half-integers for N even
         for n in self.quantum_numbers:
-            want_int = half % 2 == 1  # integers for N odd, half-integers for N even
             twice = round(2 * n)
             if abs(2 * n - twice) > 1e-12 or (twice % 2 == 0) != want_int:
                 kind = "integers" if want_int else "half-integers"
@@ -209,11 +214,15 @@ def ground_state_numbers(N):
 
 
 def _system(x, shifted, n_target, mu, g):
-    """Residual vector and Jacobian of counting(lam_i) = 2 pi n_i."""
-    F = _counting_raw(x, shifted, x, shifted, mu, g) - 2 * np.pi * np.asarray(n_target)
-    J = _p_n_deriv_x(x[:, None] - x[None, :], shifted[:, None] != shifted[None, :], 2, g)
+    """Residual vector and Jacobian of counting(lam_i) = 2 pi n_i.  The
+    difference tables x_i - mu_k and x_i - x_j, and their crossing flags,
+    are built once and read by both."""
+    dm, cm = x[:, None] - mu, shifted[:, None]
+    dx, cx = x[:, None] - x, cm != shifted
+    F = _counting_tables(dm, cm, dx, cx, g) - 2 * np.pi * np.asarray(n_target)
+    J = _p_n_deriv_x(dx, cx, 2, g)
     np.fill_diagonal(J, 0.0)
-    diag = _p_n_deriv_x(x[:, None] - mu[None, :], shifted[:, None], 1, g).sum(axis=1)
+    diag = _p_n_deriv_x(dm, cm, 1, g).sum(axis=1)
     np.fill_diagonal(J, diag - J.sum(axis=1))
     return F, J
 
@@ -235,32 +244,34 @@ def _start(n_i, shifted, mu, g):
     """
     M = len(mu)
     n = np.asarray(n_i, dtype=float)
-    centre = float(np.mean(mu)) if M else 0.0
+    centre = float(mu.sum() / M) if M else 0.0  # np.mean bit for bit
     x = 2 * g * n / M + centre
     real = ~shifted
     if not real.any():
         return x
     # a number past the edge of the real branch has no root: clip its target
     edge = np.nextafter(1.0, 0.0)
-    y = np.clip(np.sin(np.clip(2 * np.pi * n[real] / M, -np.pi / 2, np.pi / 2)), -edge, edge)
+    y = np.sin((2 * np.pi * n[real] / M).clip(-np.pi / 2, np.pi / 2)).clip(-edge, edge)
     closed = (g / np.pi) * np.arctanh(y)
-    lo, hi = closed + mu.min(), closed + mu.max()  # gd is increasing in x - mu_k
+    mu_lo, mu_hi = mu.min(), mu.max()
+    lo, hi = closed + mu_lo, closed + mu_hi  # gd is increasing in x - mu_k
     xr = closed + centre
-    if mu.max() > mu.min():
+    if mu_hi > mu_lo:
         # sum_k atan(e^{u_k}) = M (asin(y) + pi/2) / 2, u_k = c (x - mu_k)
         c, target = np.pi / g, M * (np.arcsin(y) + np.pi / 2) / 2
         cmu = c * mu
         for _ in range(200):
             w = np.subtract.outer(c * xr, cmu)
-            np.exp(np.clip(w, -700.0, 700.0, out=w), out=w)  # e^u, finite
+            np.exp(w.clip(-700.0, 700.0, out=w), out=w)  # e^u, finite
             F = np.arctan(w).sum(axis=1) - target
-            dF = c * (1 / (w + 1 / w)).sum(axis=1)  # (c/2) sum_k sech(u_k) > 0
+            np.add(w, 1 / w, out=w)  # the sech table, in place
+            dF = c * np.divide(1.0, w, out=w).sum(axis=1)  # (c/2) sum_k sech(u_k) > 0
             hi, lo = np.where(F > 0, xr, hi), np.where(F < 0, xr, lo)
             new = xr - F / dF
             out = (new < lo) | (new > hi)
             if out.any():  # bisect where Newton leaves the bracket
                 new = np.where(out, 0.5 * (lo + hi), new)
-            done = np.max(np.abs(new - xr)) <= 1e-3
+            done = np.abs(new - xr).max() <= 1e-3
             xr = new
             if done:
                 break
@@ -351,10 +362,13 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
                 best_residual=float(best),
             )
 
-    close = (shifted[:, None] == shifted[None, :]) & (np.abs(x[:, None] - x[None, :]) < 1e-8)
-    pairs = np.argwhere(np.triu(close, 1))  # row-major: the first (i, j) pair first
-    if len(pairs):
-        i, j = pairs[0]
+    # two roots of one branch closer than 1e-8 are neighbours in (branch, x)
+    # order, so the O(N^2) table that names the first pair is built only then
+    order = np.lexsort((x, shifted))
+    xs, bs = x[order], shifted[order]
+    if np.any((xs[1:] - xs[:-1] < 1e-8) & (bs[1:] == bs[:-1])):
+        close = (shifted[:, None] == shifted[None, :]) & (np.abs(x[:, None] - x[None, :]) < 1e-8)
+        i, j = np.argwhere(np.triu(close, 1))[0]  # row-major: the first (i, j) pair first
         raise ValueError(
             f"roots {i} and {j} collided at x = {x[i]:.6g}: quantum numbers are not admissible"
         )

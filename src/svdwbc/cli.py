@@ -204,8 +204,9 @@ def _cmd_efp_thermo(args):
     gamma = AnisotropyParam(args.gamma)
     grid = thermo.contour_grid(gamma, args.cutoff, args.points)
     theta = thermo.ground_state_theta(grid)
-    window = (_parse_list(args.mu_window, args.n, "window columns") if args.mu_window
-              else (0.0,) * args.n)
+    # a negative n reaches efp_thermo, which rejects it before any window count
+    window = (_parse_list(args.mu_window, args.n, "window columns")
+              if args.mu_window and args.n >= 0 else (0.0,) * args.n)
     res = thermo.efp_thermo(
         args.n, window, theta, grid, gamma, mc_samples=args.samples, seed=args.seed,
     )

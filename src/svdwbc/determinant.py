@@ -113,6 +113,16 @@ def varphi_prime_matrix(roots) -> np.ndarray:
     return out
 
 
+def _phi_prime(roots) -> np.ndarray:
+    """varphi_prime_matrix(roots), built once per root set and kept on it
+    read-only: gaudin_norm, psi_phi_rows and the EFP offsets all read it."""
+    if roots._phi_prime is None:
+        phi = varphi_prime_matrix(roots)
+        phi.flags.writeable = False
+        object.__setattr__(roots, "_phi_prime", phi)  # a cache on a frozen set
+    return roots._phi_prime
+
+
 def gaudin_norm(roots) -> complex:
     """<N|N> = sinh(eta)^N prod_{i != j} [sinh(l_i - l_j + eta)/sinh(l_i - l_j)] det(phi').
 
@@ -125,12 +135,12 @@ def gaudin_norm(roots) -> complex:
     N = len(lams)
     if N == 0:
         return 1.0 + 0j
-    dl = lams[:, None] - lams[None, :]
-    off = ~np.eye(N, dtype=bool)
-    if N > 1 and np.min(np.abs(np.sinh(dl[off]))) < 1e-13:
+    dl = (lams[:, None] - lams[None, :])[~np.eye(N, dtype=bool)]
+    s = np.sinh(dl)
+    if N > 1 and np.min(np.abs(s)) < 1e-13:
         raise PoleError("coincident roots in norm prefactor")
-    pref = np.sinh(eta) ** N * np.prod(np.sinh(dl[off] + eta) / np.sinh(dl[off]))
-    return complex(pref * np.linalg.det(varphi_prime_matrix(roots)))
+    pref = np.sinh(eta) ** N * np.prod(np.sinh(dl + eta) / s)
+    return complex(pref * np.linalg.det(_phi_prime(roots)))
 
 
 def g_coefficient(indices, lams_ext, N, mu, gamma) -> complex:
@@ -197,7 +207,7 @@ def psi_phi_rows(roots, mu_window) -> np.ndarray:
     Kronecker rows by construction."""
     windows = np.reshape(mu_window, (-1, 1))
     rows = window_dd_rows(roots.values, windows, roots.gamma.eta)[0][:, 0]
-    return np.linalg.solve(varphi_prime_matrix(roots).T, rows.T).T
+    return np.linalg.solve(_phi_prime(roots).T, rows.T).T
 
 
 def window_dd_rows(lams, mu_window, eta):
@@ -457,9 +467,10 @@ def _efp_offsets(roots, n, ks):
     """Complex EFP of the windows k+1..k+n at the offsets ks of one root set:
     the node sum of the separable integrand H over the Bethe roots, with unit
     weights and the divided-difference window rows (window_dd_rows) solved
-    against phi'^T, times the window prefactor in that basis.  phi' is built
-    and solved once against the rows of every window, and the pair table is
-    built once; the node sum runs window by window."""
+    against phi'^T, times the window prefactor in that basis.  phi', shared
+    by the root set's consumers, is solved once against the rows of every
+    window, and the pair table is built once; the node sum runs window by
+    window."""
     _check_bethe(roots)
     K, N = len(ks), roots.N
     if n == 0:
@@ -469,7 +480,7 @@ def _efp_offsets(roots, n, ks):
     lams, g = roots.values, roots.gamma.gamma
     windows = np.array([roots.mu[k : k + n] for k in ks], dtype=complex)
     rows, pref = window_dd_rows(lams, windows, roots.gamma.eta)
-    rows = np.linalg.solve(varphi_prime_matrix(roots).T, rows.reshape(K * n, N).T).T
+    rows = np.linalg.solve(_phi_prime(roots).T, rows.reshape(K * n, N).T).T
     F = _slot_table(lams, windows, g)
     E = _inverse_pairs(_pair_table(lams, g)) if n > 1 else None  # one slot has no pairs
     weight = np.ones(N)

@@ -20,7 +20,9 @@ u = e^{2w}.  The phi' and t' oracles evaluate each entry's coth formula in
 40-digit arithmetic, where the package reads all entries from one table of
 e^{2z}.  The kernel oracle evaluates K_n from its complex sinh product,
 with the pi/2 offset of a crossing difference exact, in 30-digit
-arithmetic, where the package takes a real branch form.  The
+arithmetic, where the package takes a real branch form.  The momentum
+oracle reads p_n from the phase of sinh(lam + i n g/2) in 30 digits, where
+the package takes one arctan of tanh(x) times a branch constant.  The
 alternating-sign-matrix oracle is the closed-form XXZ EFP
 at Delta = 1/2 in exact integers.
 """
@@ -202,6 +204,24 @@ def kernel_mp(n, x, crossed, g, dps=30):
             k = mpmath.sin(2 * a) / (2 * mpmath.pi * mpmath.sinh(lam - mpmath.j * a)
                                      * mpmath.sinh(lam + mpmath.j * a))
             out[i] = float(mpmath.re(k))
+    return out
+
+
+def p_n_mp(n, x, crossed, g, dps=30):
+    """p_n(x + i pi/2 crossed) in `dps`-digit arithmetic, elementwise over the
+    real abscissae x and crossing flags, as a float array.  With a = n g/2 in
+    (0, pi/2), p_n = pi - 2 arg sinh(x + i a) on the real branch and
+    -2 arg cosh(x + i a) on the shifted one, where sinh(lam + i a) =
+    i cosh(x + i a): both continuous, odd in x, and without the arctan."""
+    x, crossed = np.broadcast_arrays(np.asarray(x, dtype=float), crossed)
+    out = np.empty(x.shape)
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(n) * mpmath.mpf(g) / 2
+        for i in np.ndindex(x.shape):
+            z = mpmath.mpf(x[i]) + mpmath.j * a
+            p = -2 * mpmath.arg(mpmath.cosh(z)) if crossed[i] else (
+                mpmath.pi - 2 * mpmath.arg(mpmath.sinh(z)))
+            out[i] = float(p)
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import p_n_mp
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.bethe import SHIFTED
@@ -117,6 +118,25 @@ class TestPn:
             shift_vals = [bethe.p_n(x + 0.5j * np.pi, n, gamma) for x in xs]
             assert np.all(np.diff(real_vals) > 0)
             assert np.all(np.diff(shift_vals) < 0)
+
+    @pytest.mark.parametrize("g", [0.05, 0.3, 0.6, 1.2, 1.5])
+    def test_one_arctan_matches_mp_reference(self, g, rng):
+        # 2 atan(tanh(x) kappa) on both branches, kappa = cot(n g/2) or -tan(n g/2)
+        x = np.concatenate([[0.0, -0.0, 1e-3, -1e-3, 400.0, -400.0, 25.0, -19.0],
+                            rng.uniform(-40.0, 40.0, 62)]).reshape(7, 10)
+        # the flag shapes of the callers: per row, per column, one per entry, scalar
+        flags = [rng.random((7, 1)) < 0.5, rng.random(10) < 0.5, rng.random((7, 10)) < 0.5,
+                 False, True]
+        for n in (1, 2):
+            for crossed in flags:
+                got = bethe._p_n_x(x, crossed, n, g)
+                assert got.shape == x.shape
+                assert np.max(np.abs(got - p_n_mp(n, x, crossed, g))) <= 1e-15
+            for x0 in (0.3, -0.0, 400.0):  # a scalar x, as contour_grid passes
+                for crossed in (False, True):
+                    got = bethe._p_n_x(x0, crossed, n, g)
+                    assert np.ndim(got) == 0
+                    assert abs(got - p_n_mp(n, x0, crossed, g)) <= 1e-15
 
     def test_derivative_matches_difference_quotient(self, gamma, rng):
         h = 1e-6

@@ -332,6 +332,13 @@ class TestEfpThermoCommand:
         assert capsys.readouterr().err == (
             "input error: window length must be >= 0, got n = -1\n")
 
+    @pytest.mark.parametrize("window", ["0.5", "0.1,0.2", "x"])
+    def test_negative_window_length_with_window_is_bad_input(self, window, capsys):
+        # the window is not counted against a negative n: efp_thermo rejects n
+        assert run(["efp-thermo", "--n", "-1", "--mu-window", window]) == 2
+        assert capsys.readouterr().err == (
+            "input error: window length must be >= 0, got n = -1\n")
+
 
 class TestListFlags:
     """--mu, --mu-window, --numbers and --parities share one list parser."""

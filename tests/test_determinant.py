@@ -199,6 +199,68 @@ class TestVarphiPrimeOracle:
             determinant.varphi_prime_matrix(replace(roots, mu=tuple(mu)))
 
 
+class TestSharedPhiPrime:
+    """phi' is built once per root set, kept on it read-only, and read by the
+    norm, the window rows and the EFP."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        build = determinant.varphi_prime_matrix
+
+        def counting(roots):
+            built.append(roots)
+            return build(roots)
+
+        monkeypatch.setattr(determinant, "varphi_prime_matrix", counting)
+        return built
+
+    # every phi' consumer, each as a function of the root set
+    CONSUMERS = [
+        determinant.gaudin_norm,
+        lambda roots: determinant.efp_finite(roots, 3, 2),
+        lambda roots: determinant.efp_profile(roots, 2, return_complex=True),
+        lambda roots: determinant.psi_phi_rows(roots, [0.1, -0.2]),
+        lambda roots: determinant.scalar_product_ratio(roots, [roots.mu[2]]),
+    ]
+
+    def test_built_once_per_root_set(self, gamma, rng, monkeypatch):
+        roots = _seeded_roots(rng, 10, gamma)
+        built = self.count_builds(monkeypatch)
+        for consumer in self.CONSUMERS * 2:
+            consumer(roots)
+        assert len(built) == 1 and built[0] is roots
+
+    def test_shared_matrix_is_read_only(self, gamma, rng):
+        roots = _seeded_roots(rng, 10, gamma)
+        determinant.gaudin_norm(roots)
+        phi = roots._phi_prime
+        with pytest.raises(ValueError, match="read-only"):
+            phi[0, 0] = 0.0
+        assert phi.tobytes() == determinant.varphi_prime_matrix(roots).tobytes()
+
+    def test_results_match_a_fresh_root_set(self, gamma, rng):
+        roots = _seeded_roots(rng, 10, gamma)
+        determinant.gaudin_norm(roots)  # the consumers below read the shared phi'
+        for consumer in self.CONSUMERS:
+            fresh = bethe.BetheRootSet.from_json_dict(roots.to_json_dict())
+            assert fresh._phi_prime is None  # this consumer builds phi' itself
+            assert (np.asarray(consumer(roots)).tobytes()
+                    == np.asarray(consumer(fresh)).tobytes())
+
+    def test_replace_copy_builds_its_own(self, gamma, monkeypatch):
+        roots = bethe.solve_ground_state(4, gamma)
+        determinant.gaudin_norm(roots)
+        built = self.count_builds(monkeypatch)
+        mu = list(roots.mu)
+        mu[2] = roots.values[1] - gamma.eta / 2  # the pole of test_pole_at_shifted_inhomogeneity
+        moved = replace(roots, mu=tuple(mu))
+        assert moved._phi_prime is None
+        with pytest.raises(PoleError):
+            determinant.gaudin_norm(moved)
+        assert len(built) == 1 and built[0] is moved
+
+
 class TestDActionExpansion:
     def test_minimal_case(self, gamma, rng):
         spec = LatticeSpec(2, (0.12, -0.3))

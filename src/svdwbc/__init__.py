@@ -13,6 +13,7 @@ from .algebra import (
     correlator_bruteforce,
     dual_state,
     homogeneous_spec,
+    ket_bra,
     l_matrix,
     monodromy,
     partition_bruteforce,

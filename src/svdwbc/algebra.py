@@ -30,9 +30,14 @@ the ice rule the j-th B (or transposed C) factor takes its input in the
 sector of j down spins (aux down) and returns it in sector j + 1 (aux up),
 so the sweep keeps only those two sectors' amplitudes: column k pairs the
 sector-j states with site k up and the same states flipped down in sector
-j + 1, and mixes each pair by the same [[b, c], [c, b]] block.  The index
-tables are built on first use, once per M, and the state is scattered into
-the 2^M vector only at the end.
+j + 1, and mixes each pair by the same [[b, c], [c, b]] block.  Each
+sector's pair table is built on first use, so an N-factor product holds only
+the tables j < N, and the state is scattered into the 2^M vector only at the
+end.  A dual state is swept on the bit-reversed basis, where its step k
+reads column M - k: a ket's step k and a dual state's step k then take the
+same pair table, so any stack of kets and dual states shares one sweep (one
+flat buffer; ket_bra stacks the two states of one rapidity set), and only a
+dual state's final sector is reversed back.
 """
 
 import functools
@@ -298,12 +303,10 @@ def up_state(spec):
 
 @functools.lru_cache(maxsize=None)
 def _sector_tables(M):
-    """(states, pairs) of the sector sweep at size M.  states[j] lists the
+    """(states, pos) of the sector sweep at size M.  states[j] lists the
     basis states with j down spins in increasing order, and a sweep buffer
-    holds the sectors one after another in that order.  pairs[j] is an
-    (M, 2, C(M-1, j)) array of buffer positions: [k, 1] the states of
-    sector j with site k + 1 up, [k, 0] the same states with site k + 1
-    flipped down, in sector j + 1."""
+    holds the sectors one after another in that order; pos[s] is the buffer
+    position of basis state s."""
     idx = np.arange(1 << M)
     pop = np.zeros(1 << M, dtype=np.intp)
     for bit in range(M):  # np.bitwise_count needs numpy >= 2
@@ -311,50 +314,92 @@ def _sector_tables(M):
     states = tuple(np.flatnonzero(pop == j) for j in range(M + 1))
     pos = np.empty(1 << M, dtype=np.intp)
     pos[np.concatenate(states)] = idx
-    flips = [1 << (M - 1 - k) for k in range(M)]
-    pairs = []
-    for s in states[:-1]:
-        ups = [s[(s & f) == 0] for f in flips]
-        pairs.append(np.array([(pos[u | f], pos[u]) for u, f in zip(ups, flips)]))
-    for table in states + tuple(pairs):  # shared by every caller
+    for table in states + (pos,):  # shared by every caller
         table.setflags(write=False)
-    return states, tuple(pairs)
+    return states, pos
 
 
-def _product_state(lams, spec, gamma, transpose):
-    """One block product over the rapidities on the last axis of lams, applied
-    to |up>: B(lams[..., -1]) first, or with transpose=True C^T(lams[..., 0])
-    first.  Both blocks take the input in aux slot 1 (sector j) and return
-    it in slot 0 (sector j + 1).  A 2-d lams (S, N) gives the S states as
-    the rows of an (S, 2^M) array."""
+@functools.lru_cache(maxsize=None)
+def _pair_table(M, j):
+    """(M, 2, C(M-1, j)) buffer positions of the sweep's sector-j factor:
+    [k, 1] the states of sector j with site k + 1 up, [k, 0] the same states
+    with site k + 1 flipped down, in sector j + 1.  Built on first use, so an
+    N-factor product holds only the tables j < N."""
+    states, pos = _sector_tables(M)
+    s = states[j]
+    flips = [1 << (M - 1 - k) for k in range(M)]
+    ups = [s[(s & f) == 0] for f in flips]
+    table = np.array([(pos[u | f], pos[u]) for u, f in zip(ups, flips)])
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_reversal(M, n):
+    """For each state of sector n, the position within that sector of its
+    bit-reversed state (the same lattice read from column M to 1)."""
+    states, pos = _sector_tables(M)
+    s = states[n]
+    rev = np.zeros_like(s)
+    for bit in range(M):
+        rev |= ((s >> bit) & 1) << (M - 1 - bit)
+    table = pos[rev] - pos[s[0]]
+    table.setflags(write=False)
+    return table
+
+
+def _product_state(lams, spec, gamma, dual):
+    """Block products applied to |up> for the rapidities on the last axis of
+    lams: B(lams[..., 0])...B(lams[..., -1])|up>, or where dual is true the
+    dual state <up|C(lams[..., 0])...C(lams[..., -1]) as a plain vector.  A
+    2-d lams (S, N) gives the S states as the rows of an (S, 2^M) array, and
+    dual may then be an (S,) array that picks a kind per row.
+
+    Both blocks take the input in aux slot 1 (sector j) and return it in
+    slot 0 (sector j + 1).  A dual row is swept on the bit-reversed basis,
+    where its step k reads column M - k, so every row takes the same pair
+    table at every step, and only its final sector is reversed back."""
     _require_vector(spec)
     lams = np.asarray(lams)
     stack = np.atleast_2d(lams)
     S, n = stack.shape
-    factors = stack.T if transpose else stack.T[::-1]
-    # (M, n, S, 1, 1): each state's amplitudes run along the last axis, so a
-    # state's arithmetic does not depend on how many share the stack
-    b, c = (t.reshape(spec.M, n, S, 1, 1) for t in _column_weights(factors.ravel(), spec, gamma))
-    out = np.zeros((S, spec.dim), dtype=complex)
-    if n <= spec.M:
-        states, pairs = _sector_tables(spec.M)
-        columns = range(spec.M - 1, -1, -1) if transpose else range(spec.M)
-        buf = np.zeros((S, spec.dim), dtype=complex)
-        buf[:, 0] = 1.0  # |up>, the one state of sector 0
-        for j in range(n):
-            for k in columns:
-                # xy[:, 0]: aux up, site k down; xy[:, 1]: aux down, site k up
-                xy = buf[:, pairs[j][k]]
-                buf[:, pairs[j][k]] = xy * b[k, j] + c[k, j] * xy[:, ::-1]
-        start = sum(map(len, states[:n]))
-        out[:, states[n]] = buf[:, start:start + len(states[n])]
+    M, dim = spec.M, spec.dim
+    if n > M:
+        out = np.zeros((S, dim), dtype=complex)
+        return out if lams.ndim > 1 else out[0]
+    dual = np.reshape(dual, (-1, 1))  # one kind for all rows, or one per row
+    # factor j: B(lams[n - 1 - j]) first on a ket row, C^T(lams[j]) on a dual row
+    factors = np.where(dual, stack, stack[:, ::-1])
+    # [k, j]: step k's (S, 1, 1) weights, column k of a ket row and column
+    # M - k of a dual row; each row's amplitudes run along the last axis, so
+    # a state's arithmetic does not depend on what shares the stack
+    b, c = (t.reshape(M, S, n) for t in _column_weights(factors.ravel(), spec, gamma))
+    b, c = (np.where(dual, t[::-1], t).transpose(0, 2, 1)[..., None, None] for t in (b, c))
+    states, pos = _sector_tables(M)
+    rows = np.arange(S)[:, None, None] * dim
+    buf = np.zeros(S * dim, dtype=complex)
+    buf[rows.ravel()] = 1.0  # |up>, the one state of sector 0
+    for j in range(n):
+        pairs = _pair_table(M, j)
+        for k in range(M):
+            # one flat gather is faster than buf.reshape(S, dim)[:, pairs[k]];
+            # xy[:, 0]: aux up, site k + 1 down; xy[:, 1]: aux down, site k + 1 up
+            q = pairs[k] + rows
+            xy = buf[q]
+            buf[q] = xy * b[k, j] + c[k, j] * xy[:, ::-1]
+    # allocated after the sweep, so that it and the sweep's temporaries are
+    # not alive at once
+    out = np.zeros((S, dim), dtype=complex)
+    start, size = pos[states[n][0]], len(states[n])
+    sector = np.where(dual, _sector_reversal(M, n), np.arange(size))
+    out[:, states[n]] = buf[start + sector + rows[:, 0]]
     return out if lams.ndim > 1 else out[0]
 
 
 def bethe_state(lams, spec, gamma):
     """|N> = B(lam_1)...B(lam_N)|up>, independent of root order.  A 2-d lams
     of shape (S, N) gives S states, one per row."""
-    return _product_state(lams, spec, gamma, transpose=False)
+    return _product_state(lams, spec, gamma, dual=False)
 
 
 def dual_state(lams, spec, gamma):
@@ -363,7 +408,15 @@ def dual_state(lams, spec, gamma):
 
     Pair it with a ket through an unconjugated dot product.
     """
-    return _product_state(lams, spec, gamma, transpose=True)
+    return _product_state(lams, spec, gamma, dual=True)
+
+
+def ket_bra(lams, spec, gamma):
+    """(|N>, <N|): bethe_state and dual_state of one rapidity set from one
+    sector sweep, bit for bit the states that each gives alone."""
+    lams = np.ravel(lams)
+    ket, bra = _product_state(np.array([lams, lams]), spec, gamma, dual=[False, True])
+    return ket, bra
 
 
 def flip_apply(vec):
@@ -387,6 +440,10 @@ def rtt_residual(lam, mu, spec, gamma):
     (lam_s), permuted to X[s, (i,j), (a,c), (k,l)], where Rcheck acts on the
     first auxiliary pair through a matmul from the left and on the second
     through a matmul from the right.
+
+    This dense form is a test oracle and a name that the benchmark traces;
+    the verify battery checks the relation on probe vectors instead
+    (verify.check_rtt).
     """
     gamma = _aniso(gamma)
     _require_dense(spec)
@@ -398,7 +455,7 @@ def rtt_residual(lam, mu, spec, gamma):
     # X[s] = T(lam_s) x T(mu_s) for s < S and T(mu_s) x T(lam_s) after
     X = T.transpose(2, 0, 1, 3, 4).reshape(2 * S, 4 * dim, dim) @ np.roll(
         T.transpose(2, 3, 0, 1, 4).reshape(2 * S, dim, 4 * dim), S, axis=0)
-    del T  # freed before the permuted copy: a slab's peak memory sets _RTT_SLAB in verify
+    del T  # freed before the permuted copy
     X = X.reshape(2 * S, 2, 2, dim, 2, 2, dim).transpose(0, 1, 4, 3, 6, 2, 5)
     X = X.reshape(2 * S, 4, dim * dim * 4)
     P = np.zeros((4, 4))
@@ -423,8 +480,7 @@ def partition_bruteforce(lams, spec, gamma):
         return 1.0 + 0.0j
     if len(lams) != spec.N:
         raise ValueError(f"expected N = {spec.N} rapidities, got {len(lams)}")
-    ket = bethe_state(lams, spec, gamma)
-    bra = dual_state(lams, spec, gamma)
+    ket, bra = ket_bra(lams, spec, gamma)
     return complex(bra @ flip_apply(ket))
 
 
@@ -479,8 +535,7 @@ def correlator_pair(lams, spec, gamma):
     den = <N| R |N>, so that the correlator of any column set is
     bra @ flip_apply(pi_{k_1} ... pi_{k_n} ket) / den.  A vanishing den
     (non-generic parameters) is a ZeroDivisionError."""
-    ket = bethe_state(lams, spec, gamma)
-    bra = dual_state(lams, spec, gamma)
+    ket, bra = ket_bra(lams, spec, gamma)
     den = complex(bra @ flip_apply(ket))
     scale = float(np.max(np.abs(ket)) * np.max(np.abs(bra))) * spec.dim
     if abs(den) < 1e-14 * max(scale, 1.0):

@@ -24,7 +24,11 @@ arithmetic, where the package takes a real branch form.  The momentum
 oracle reads p_n from the phase of sinh(lam + i n g/2) in 30 digits, where
 the package takes one arctan of tanh(x) times a branch constant.  The
 alternating-sign-matrix oracle is the closed-form XXZ EFP
-at Delta = 1/2 in exact integers.
+at Delta = 1/2 in exact integers.  The product-state oracle sweeps one
+state at a time on the natural basis, a dual state over the columns from M
+to 1, where the package sweeps a dual state on the bit-reversed basis and
+stacks it with others; every amplitude takes the same arithmetic, so the
+two agree bit for bit.
 """
 
 import math
@@ -34,7 +38,7 @@ from itertools import permutations, product
 import mpmath
 import numpy as np
 
-from svdwbc import determinant, thermo
+from svdwbc import algebra, determinant, thermo
 from svdwbc.algebra import l_matrix
 
 
@@ -342,3 +346,27 @@ def window_dd_rows_mp(lam, window, eta, dps=60):
             for m in range(l + 1, len(w)):
                 pref *= (u[m] - u[l]) / mpmath.sinh(w[l] - w[m])
         return np.array([complex(r) for r in rows]), complex(pref)
+
+
+def product_state_columns(lams, spec, gamma, dual):
+    """B(lams[0])...B(lams[-1])|up>, or with dual <up|C(lams[0])...C(lams[-1])
+    as a plain vector: the sector sweep of one state, whose j-th factor
+    B(lams[-1 - j]) runs over the columns 1..M and whose C^T(lams[j]) runs
+    over the columns M..1."""
+    M, n = spec.M, len(lams)
+    out = np.zeros(spec.dim, dtype=complex)
+    if n > M:
+        return out
+    factors = np.asarray(lams) if dual else np.asarray(lams)[::-1]
+    b, c = algebra._column_weights(factors, spec, gamma)
+    states, pos = algebra._sector_tables(M)
+    buf = np.zeros(spec.dim, dtype=complex)
+    buf[0] = 1.0
+    for j in range(n):
+        pairs = algebra._pair_table(M, j)
+        for k in range(M - 1, -1, -1) if dual else range(M):
+            xy = buf[pairs[k]]
+            buf[pairs[k]] = xy * b[k, j] + c[k, j] * xy[::-1]
+    start = pos[states[n][0]]
+    out[states[n]] = buf[start:start + len(states[n])]
+    return out

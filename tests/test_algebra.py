@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dwbc_partition_enum, monodromy_kron
+from oracles import dwbc_partition_enum, monodromy_kron, product_state_columns
 from svdwbc import algebra
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.errors import PoleError
@@ -336,10 +336,12 @@ class TestSectorSweep:
 
     @pytest.mark.parametrize("M", [0, 2, 6, 12])
     def test_tables(self, M):
-        states, pairs = algebra._sector_tables(M)
-        assert len(states) == M + 1 and len(pairs) == M
+        states, pos = algebra._sector_tables(M)
+        pairs = [algebra._pair_table(M, j) for j in range(M)]
+        assert len(states) == M + 1
         buffer = np.concatenate(states)
         assert sorted(buffer) == list(range(1 << M))
+        assert np.array_equal(pos[buffer], np.arange(1 << M))
         for j, s in enumerate(states):
             assert all(bin(int(i)).count("1") == j for i in s)
         for j, table in enumerate(pairs):
@@ -348,10 +350,79 @@ class TestSectorSweep:
                 down, up = buffer[table[k]]
                 assert set(down) <= set(states[j + 1]) and set(up) <= set(states[j])
                 assert np.all(down ^ up == 1 << (M - 1 - k))
+        for n, s in enumerate(states):
+            rev = s[algebra._sector_reversal(M, n)]
+            assert all(f"{int(r):0{M}b}" == f"{int(i):0{M}b}"[::-1] for r, i in zip(rev, s))
+
+    def test_tables_are_built_per_sector(self, gamma):
+        # an N-factor product reads, and so builds, only the pair tables j < N
+        algebra._pair_table.cache_clear()
+        spec = homogeneous_spec(8)
+        algebra.ket_bra([0.1, -0.2, 0.3], spec, gamma)
+        assert algebra._pair_table.cache_info().currsize == 3
+        algebra.bethe_state([0.1, -0.2, 0.3, 0.4], spec, gamma)
+        assert algebra._pair_table.cache_info().currsize == 4
 
     def test_more_factors_than_columns_give_zero(self, gamma):
         spec = LatticeSpec(2, (0.1, -0.2))
         assert not np.any(algebra.bethe_state([0.3, -0.1, 0.4], spec, gamma))
+
+
+class TestKetBra:
+    """bethe_state, dual_state and ket_bra against the one-state sweep that
+    runs a dual state over the columns from M to 1, bit for bit."""
+
+    @staticmethod
+    def _lams(rng, n, branch):
+        # real roots, or complex ones on the shifted branch x + i pi/2
+        lams = rng.normal(size=n) * 0.6 + 0.05j * rng.normal(size=n)
+        return lams.real if branch == "real" else lams + 0.5j * np.pi
+
+    @pytest.mark.parametrize("branch", ["real", "shifted"])
+    @pytest.mark.parametrize("M", range(2, 13, 2))
+    def test_equals_the_column_order_sweep(self, gamma, M, branch):
+        rng = np.random.default_rng(9300 + M)
+        spec = LatticeSpec(M, tuple(0.3 * rng.normal(size=M)))
+        for n in sorted({0, 1, M // 2}):
+            lams = self._lams(rng, n, branch)
+            ket = product_state_columns(lams, spec, gamma, dual=False)
+            bra = product_state_columns(lams, spec, gamma, dual=True)
+            pair = algebra.ket_bra(lams, spec, gamma)
+            assert np.array_equal(pair[0], ket) and np.array_equal(pair[1], bra)
+            assert np.array_equal(algebra.bethe_state(lams, spec, gamma), ket)
+            assert np.array_equal(algebra.dual_state(lams, spec, gamma), bra)
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_stacks_equal_the_column_order_sweep(self, gamma, M):
+        rng = np.random.default_rng(9350 + M)
+        spec = LatticeSpec(M, tuple(0.3 * rng.normal(size=M)))
+        stack = rng.normal(size=(5, M // 2)) * 0.6 + 0.2j * rng.normal(size=(5, M // 2))
+        for build, dual in ((algebra.bethe_state, False), (algebra.dual_state, True)):
+            want = [product_state_columns(row, spec, gamma, dual) for row in stack]
+            assert np.array_equal(build(stack, spec, gamma), want)
+
+    def test_more_factors_than_columns_give_zero(self, gamma):
+        ket, bra = algebra.ket_bra([0.3, -0.1, 0.4], LatticeSpec(2, (0.1, -0.2)), gamma)
+        assert not np.any(ket) and not np.any(bra)
+
+    @pytest.mark.parametrize("branch", ["real", "shifted"])
+    @pytest.mark.parametrize("M", [2, 6, 12])
+    def test_partition_and_pair_keep_their_values(self, gamma, M, branch):
+        # the values of the one-state sweeps, bit for bit
+        rng = np.random.default_rng(9400 + M)
+        spec = LatticeSpec(M, tuple(0.3 * rng.normal(size=M)))
+        lams = self._lams(rng, M // 2, branch)
+        ket = product_state_columns(lams, spec, gamma, dual=False)
+        bra = product_state_columns(lams, spec, gamma, dual=True)
+        den = complex(bra @ algebra.flip_apply(ket))
+        assert algebra.partition_bruteforce(lams, spec, gamma) == den
+        got = algebra.correlator_pair(lams, spec, gamma)
+        assert np.array_equal(got[0], ket) and np.array_equal(got[1], bra)
+        assert got[2] == den
+
+    def test_brute_force_cap(self, gamma):
+        with pytest.raises(ValueError, match="M <= 12"):
+            algebra.ket_bra([0.1] * 7, homogeneous_spec(14), gamma)
 
 
 class TestPartition:

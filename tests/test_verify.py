@@ -41,15 +41,41 @@ def test_record_shapes_unchanged():
     assert checks["rtt_intertwining"]["draws"] == 3
 
 
-@pytest.mark.parametrize("draws", [1, 8, 9, verify._RTT_SLAB, verify._RTT_SLAB + 1, 40])
-def test_rtt_slabs_cover_every_draw(draws):
-    # the worst residual over slabs is the worst over the draws taken one at a time
-    rng = np.random.default_rng(5)
+def _rtt_draws(seed, draws):
+    # the draws and probes of check_rtt, and the residual of each draw
+    rng = np.random.default_rng(seed)
     pairs = rng.normal(size=(draws, 4))
-    spec = algebra.homogeneous_spec(2)
-    each = [algebra.rtt_residual(p[0] + 0.3j * p[1], p[2] + 0.3j * p[3], spec, GAMMA)
-            for p in pairs]
-    assert verify.check_rtt(GAMMA, seed=5, draws=draws)["residual"] == max(each)
+    lam, mu = pairs[:, 0] + 0.3j * pairs[:, 1], pairs[:, 2] + 0.3j * pairs[:, 3]
+    z = rng.normal(size=(2, draws, 2, 2, 4))
+    return lam, mu, verify._rtt_probe(lam, mu, z[0] + 1j * z[1], algebra.homogeneous_spec(2), GAMMA)
+
+
+@pytest.mark.parametrize("draws", [1, 8, 9, 13, 14, 40])
+def test_rtt_slabs_cover_every_draw(draws):
+    # one probe per draw, all draws from one pair of stacked sweeps: each
+    # draw's probe residual and its dense residual are at rounding level,
+    # and the check reads the worst draw, the same for the same seed
+    lam, mu, each = _rtt_draws(5, draws)
+    assert each.shape == (draws,)
+    assert np.all(each < 1e-13)
+    assert np.all(algebra.rtt_residual(lam, mu, algebra.homogeneous_spec(2), GAMMA) < 1e-13)
+    rec = verify.check_rtt(GAMMA, seed=5, draws=draws)
+    assert rec["residual"] == np.max(each) == verify.check_rtt(GAMMA, seed=5, draws=draws)["residual"]
+
+
+@pytest.mark.parametrize("seed", [42, 977])
+def test_rtt_probe_residual_is_rounding(seed):
+    assert verify.check_rtt(GAMMA, seed=seed)["residual"] <= 1e-14
+
+
+def test_rtt_probe_holds_on_an_inhomogeneous_lattice():
+    rng = np.random.default_rng(4)
+    spec = LatticeSpec(4, tuple(0.3 * rng.normal(size=4)))
+    z = rng.normal(size=(4, 20))
+    lam, mu = z[0] + 0.3j * z[1], z[2] + 0.3j * z[3]
+    v = rng.normal(size=(2, 20, 2, 2, spec.dim))
+    assert np.max(verify._rtt_probe(lam, mu, v[0] + 1j * v[1], spec, GAMMA)) < 1e-13
+    assert np.max(algebra.rtt_residual(lam, mu, spec, GAMMA)) < 1e-13
 
 
 @pytest.mark.parametrize("seed", [3, 42])
@@ -98,13 +124,23 @@ def _shift_argument(l_matrix):
     return lambda lam, gamma: l_matrix(lam - algebra._aniso(gamma).eta, gamma)
 
 
-def _transpose_aux(all_blocks):
-    # block (c, r) of the monodromy matrix in place of block (r, c)
-    return lambda *args: all_blocks(*args).swapaxes(0, 1)
+def _transpose_aux(sweep):
+    # block (c, r) of the monodromy matrix in place of block (r, c): the
+    # input of aux slot c is swept from slot r and read from slot c
+    def mutant(lam, spec, gamma, w, reverse=False):
+        out = np.zeros_like(w)
+        for r in range(2):
+            for c in range(2):
+                one = np.zeros_like(w)
+                one[r] = w[c]
+                out[r] += sweep(lam, spec, gamma, one, reverse)[c]
+        w[:] = out
+        return w
+    return mutant
 
 
 @pytest.mark.parametrize("name, mutate", [
-    ("l_matrix", _swap_bc), ("l_matrix", _shift_argument), ("_all_blocks", _transpose_aux),
+    ("l_matrix", _swap_bc), ("l_matrix", _shift_argument), ("_sweep", _transpose_aux),
 ])
 def test_rtt_check_catches_a_wrong_relation(name, mutate, monkeypatch):
     assert verify.check_rtt(GAMMA, seed=977)["passed"]
@@ -164,14 +200,14 @@ def test_shared_states_change_no_residual(M, seed):
 
 
 def test_battery_builds_one_ket_and_bra_per_ground_state(monkeypatch):
-    # the ground states are the battery's only single states on a homogeneous lattice
+    # the ground states are the battery's only single states on a homogeneous
+    # lattice, and each takes one sweep for its ket and dual state together
     built = []
-    for name in ("bethe_state", "dual_state"):
+    for name in ("bethe_state", "dual_state", "ket_bra"):
         def counting(lams, spec, gamma, _build=getattr(algebra, name), _name=name):
             if np.ndim(lams) == 1 and not any(spec.mu):
                 built.append((_name, spec.M))
             return _build(lams, spec, gamma)
         monkeypatch.setattr(algebra, name, counting)
     verify.run_battery(GAMMA, M=6, draws=3)
-    assert sorted(built) == [(name, m) for name in ("bethe_state", "dual_state")
-                             for m in (2, 4, 6)]
+    assert sorted(built) == [("ket_bra", m) for m in (2, 4, 6)]

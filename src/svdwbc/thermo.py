@@ -2,10 +2,12 @@
 
 The contour is the real axis traversed left to right together with the line
 Im(lam) = pi/2 traversed right to left; quadrature weights on the shifted
-branch are negative to encode the direction.  This module discretizes the
-linear integral equation for the vacancy density, builds column-centred
-local densities, and evaluates the emptiness formation probability both as
-a multiple contour integral and as the corresponding finite sum over roots.
+branch are negative to encode the direction.  This module solves the
+linear integral equation for the vacancy density, in closed form for the two
+packed Fermi weights and by Nystrom discretization otherwise, builds
+column-centred local densities, and evaluates the emptiness formation
+probability both as a multiple contour integral and as the corresponding
+finite sum over roots.
 """
 
 import logging
@@ -174,32 +176,20 @@ def _mirror_pairs(grid, c):
     return None
 
 
-def _block_solve(A, rhs):
-    """Solve (I + A) x = rhs for a square kernel block A, overwritten; a
-    singular block is a ConvergenceError."""
-    A[np.diag_indices_from(A)] += 1.0
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular density system: {exc}") from exc
-
-
 def _occupied_solve(K, act, rhs):
     """Solve (I + K) rho = rhs where K holds only the columns of the nodes
     marked in act (so K[act] is square): factorize that block, then fill in
-    the other rows with one matrix product."""
+    the other rows with one matrix product.  A singular block is a
+    ConvergenceError."""
+    A = K[act]
+    A[np.diag_indices_from(A)] += 1.0
     rho = np.empty_like(rhs)
-    rho[act] = _block_solve(K[act], rhs[act])
+    try:
+        rho[act] = np.linalg.solve(A, rhs[act])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular density system: {exc}") from exc
     rho[~act] = rhs[~act] - K[~act] @ rho[act]
     return rho
-
-
-def _mirror_tables(xr, xa, crossed, ca, g):
-    """The direct and mirror kernel tables K_2(xr - xa) ca and K_2(xr + xa) ca
-    of the even/odd split, for row abscissae xr and occupied column
-    abscissae xa > 0 with weights ca, broadcast against the crossing flags.
-    Each difference table is released before the next one is made."""
-    return _kernel_branch(xr - xa, crossed, 2, g, ca), _kernel_branch(xr + xa, crossed, 2, g, ca)
 
 
 def _nystrom_solve(theta, grid, g, rhs):
@@ -233,8 +223,10 @@ def _nystrom_solve(theta, grid, g, rhs):
     # broadcast over the two row branches
     xp, xa = x[pos[0]][:, None], x[cols]
     crossed = (np.array([[False], [True]]) ^ sh[cols])[:, None, :]
+    # one difference table at a time, xp - xa and then xp + xa
     direct, mirror = (
-        t.reshape(pos.size, len(cols)) for t in _mirror_tables(xp, xa, crossed, c[cols], g)
+        _kernel_branch(op(xp, xa), crossed, 2, g, c[cols]).reshape(pos.size, len(cols))
+        for op in (np.subtract, np.add)
     )
     even = direct + mirror
     odd = np.subtract(direct, mirror, out=direct)
@@ -270,8 +262,8 @@ class DensityProfile:
         return float(np.sum(self.grid.w * self.rho_p))
 
     def rho_tot_at(self, z):
-        """Nystrom interpolation of rho_tot at arbitrary complex points; exact
-        at the grid nodes."""
+        """Nystrom interpolation of rho_tot at arbitrary complex points; at
+        the nodes it is rho_tot to the quadrature error (exact for Nystrom)."""
         g = _aniso(self.gamma).gamma
         vals = np.atleast_1d(np.asarray(z, dtype=complex))
         out = _interpolate(vals, _drive(vals, self.mu, g), self.grid, g, self.grid.w * self.rho_p)
@@ -282,8 +274,10 @@ class DensityProfile:
 
 def _driven_profiles(theta, grid, gamma, mus):
     """One DensityProfile per entry of `mus`, each driven by K_1 averaged
-    over that entry's real centres (None: homogeneous), from one Nystrom
-    factorization.  A single profile is solved with a 1-D right-hand side."""
+    over that entry's real centres (None: homogeneous).  A packed theta
+    takes the closed form of _packed_density, with no factorization; any
+    other takes one Nystrom factorization, and a single profile is solved
+    with a 1-D right-hand side."""
     gamma = _aniso(gamma)
     g = gamma.gamma
     theta = np.asarray(theta, dtype=float)
@@ -291,18 +285,18 @@ def _driven_profiles(theta, grid, gamma, mus):
         raise ValueError("theta must be sampled on the grid nodes")
     if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
         raise ValueError("theta must lie in [0, 1]")
-    drive = np.empty((grid.n_nodes, len(mus)))
-    for j, mu in enumerate(mus):
-        centres = None if mu is None else _real_points(mu, "driving centres")
-        drive[:, j] = np.real(_drive(grid.values, centres, g))
-    if len(mus) == 1:
-        rhos = [_nystrom_solve(theta, grid, g, drive[:, 0])]
+    centres = [_real_points(mu or (0.0,), "driving centres") for mu in mus]
+    shifted = _packed_branch(theta, grid)
+    if shifted is not None:
+        rhos = [_packed_density(shifted, grid, g, c) for c in centres]
     else:
-        rhos = _nystrom_solve(theta, grid, g, drive).T
-    return [
-        DensityProfile(grid, theta, r, theta * r, (1 - theta) * r, gamma, mu)
-        for r, mu in zip(rhos, mus)
-    ]
+        drive = np.empty((grid.n_nodes, len(mus)))
+        for j, c in enumerate(centres):
+            drive[:, j] = np.real(_drive(grid.values, c, g))
+        rhos = ([_nystrom_solve(theta, grid, g, drive[:, 0])] if len(mus) == 1
+                else _nystrom_solve(theta, grid, g, drive).T)
+    return [DensityProfile(grid, theta, r, theta * r, (1 - theta) * r, gamma, mu)
+            for r, mu in zip(rhos, mus)]
 
 
 def _doubled(theta, grid, gamma):
@@ -312,49 +306,54 @@ def _doubled(theta, grid, gamma):
     return _transfer_theta(theta, grid, fine), fine
 
 
+def _packed_branch(theta, grid):
+    """The branch a packed Fermi weight fills: False for ground_state_theta,
+    True for its mirror (1 on Im = pi/2 only), None for any other theta."""
+    return next((b for b in (False, True) if np.array_equal(theta, grid.shifted == b)), None)
+
+
+def _packed_density(shifted, grid, g, centres):
+    """rho_tot at the nodes for the packed weight on the branch `shifted`,
+    in closed form (Yang and Yang, Phys. Rev. 150 (1966) 327): on the real
+    branch (1/M) sum_k 1 / (2 d cosh(pi (x - mu_k) / d)) with d = gamma, 0 on
+    Im = pi/2; for the mirror, minus that with d = pi - gamma on Im = pi/2,
+    and on the real branch the drive minus one kernel matrix-vector product.
+    sech t is taken as 2 e^-|t| / (1 + e^-2|t|): no cosh overflows."""
+    if g == 0:
+        raise ValueError("the density equation degenerates at gamma = 0")
+    occ = grid.shifted == shifted
+    d = np.pi - g if shifted else g
+    e = np.exp(np.abs(np.subtract.outer(grid.x[occ], centres)) * (-np.pi / d))
+    rho = np.zeros(grid.n_nodes)
+    rho[occ] = (e / (1 + e * e)).mean(axis=1) / (-d if shifted else d)
+    if shifted:
+        K = _kernel_branch(grid.x[~occ][:, None] - grid.x[occ], True, 2, g, grid.w[occ])
+        rho[~occ] = np.real(_drive(grid.values[~occ], centres, g)) - K @ rho[occ]
+    return rho
+
+
 def solve_density(theta, grid, gamma, mu=None, check_resolution=False):
-    """Nystrom solution of
+    """Solution of
     rho_tot(lam) = K_1^tot(lam) - int_C K_2(lam - lam') theta(lam') rho_tot(lam') dlam'
-    on the directed contour.  theta is the Fermi weight per grid node; only
-    the block of nodes with theta != 0 is factorized, and the other nodes
-    are filled in with one matrix-vector product.  check_resolution logs a
-    warning when rho_tot(0) moves by more than 1e-6 on the grid with twice
-    the nodes."""
+    on the directed contour, theta the Fermi weight per grid node.  The two
+    packed weights (ground_state_theta and its mirror on Im = pi/2) take the
+    closed form, with no factorization; any other theta takes the Nystrom
+    solve, which factorizes only the block of nodes with theta != 0.
+    check_resolution logs that the grid is under-resolved when, for a packed
+    theta, the quadrature filling sum w rho_p is off from 1/2 by more than
+    1e-6, otherwise when rho_tot(0) moves by more than 1e-6 on the grid with
+    twice the nodes."""
     prof = _driven_profiles(theta, grid, gamma, [tuple(mu) if mu is not None else None])[0]
-    if check_resolution:
-        ref = _rho_tot_zero(*_doubled(prof.theta, grid, prof.gamma), prof.gamma, prof.mu)
-        d0 = abs(prof.rho_tot_at(0.0) - ref)
-        if d0 > 1e-6:
-            logger.warning("grid under-resolved: rho_tot(0) moves by %.2e on doubling", d0)
+    if check_resolution and _packed_branch(prof.theta, grid) is not None:
+        d = abs(prof.filling() - 0.5)
+        if d > 1e-6:
+            logger.warning("grid under-resolved: the filling is off from 1/2 by %.2e", d)
+    elif check_resolution:
+        ref = solve_density(*_doubled(prof.theta, grid, prof.gamma), prof.gamma, prof.mu)
+        d = abs(prof.rho_tot_at(0.0) - ref.rho_tot_at(0.0))
+        if d > 1e-6:
+            logger.warning("grid under-resolved: rho_tot(0) moves by %.2e on doubling", d)
     return prof
-
-
-def _rho_tot_zero(theta, grid, gamma, mu):
-    """rho_tot(0) of solve_density(theta, grid, gamma, mu), the one value the
-    grid-doubling check reads: drive(0) - sum_q K_2(x_q) c_q rho_q over the
-    occupied nodes, c = theta w.  When the system splits into mirror halves
-    (_nystrom_solve) the odd half cancels in that sum, K_2 being even, so
-    only the even block over the occupied nodes x_j > 0 is built and
-    factorized: rho_tot(0) = drive(0) - 2 sum_j K_2(x_j) c_j e_j.  Any other
-    theta or grid takes the full solve."""
-    g = _aniso(gamma).gamma
-    c = theta * grid.w
-    pairs = _mirror_pairs(grid, c)
-    if pairs is None:
-        return solve_density(theta, grid, gamma, mu).rho_tot_at(0.0)
-    pos, neg = pairs
-    act = c[pos] != 0
-    cols = pos[act]
-    xa, sa, ca = grid.x[cols], grid.shifted[cols], c[cols]
-    # nodes on one branch never cross: a scalar flag, not a full-size one
-    crossed = sa[:, None] ^ sa if sa.any() and not sa.all() else False
-    even, mirror = _mirror_tables(xa[:, None], xa, crossed, ca, g)
-    even += mirror
-    centres = None if mu is None else _real_points(mu, "driving centres")
-    rhs = np.real(_drive(grid.values[np.concatenate([cols, neg[act]])], centres, g))
-    e = _block_solve(even, 0.5 * (rhs[: len(cols)] + rhs[len(cols) :]))
-    drive0 = np.real(_drive(np.zeros(1), centres, g))[0]
-    return drive0 - 2 * _kernel_branch(-xa, sa, 2, g, ca) @ e
 
 
 def _transfer_theta(theta, grid, fine):
@@ -377,9 +376,9 @@ def _transfer_theta(theta, grid, fine):
 
 
 def local_densities(centers, theta, grid, gamma):
-    """One-column profiles, mu = (c,), for several column centres c, with
-    one factorization of the occupied block (the kernel matrix does not
-    depend on the driving)."""
+    """One-column profiles, mu = (c,), for several column centres c: the
+    closed form for a packed theta, otherwise one factorization of the
+    occupied block (the kernel matrix does not depend on the driving)."""
     return _driven_profiles(theta, grid, gamma, [(c,) for c in centers])
 
 

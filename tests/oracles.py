@@ -2,9 +2,9 @@
 
 These deliberately avoid the package's operator-algebra code paths: the
 partition oracle enumerates lattice arrow configurations directly, the
-density oracle is a closed form obtained by Fourier-transforming the
-integral equation, and the matrix-derivative oracle is branch-safe numerical
-differentiation of the defining logarithms.  The EFP node-sum oracle loops
+density oracles are the closed forms of both packed Fermi weights, obtained
+by Fourier-transforming the integral equation, and the matrix-derivative
+oracle is branch-safe numerical differentiation of the defining logarithms.  The EFP node-sum oracle loops
 over rapidity tuples with one determinant and explicit sinh products each,
 where the package contracts a factorized integrand.  The finite-size EFP
 tuple oracle expands the D-product over B-states instead: one expansion
@@ -28,7 +28,8 @@ at Delta = 1/2 in exact integers.  The product-state oracle sweeps one
 state at a time on the natural basis, a dual state over the columns from M
 to 1, where the package sweeps a dual state on the bit-reversed basis and
 stacks it with others; every amplitude takes the same arithmetic, so the
-two agree bit for bit.
+two agree bit for bit.  nystrom_profile is no oracle: it reaches the
+package's Nystrom solve, which solve_density bypasses on a packed weight.
 """
 
 import math
@@ -115,6 +116,27 @@ def ground_state_density_closed_form(x, gamma):
     of the integral equation: rho(x) = 1 / (2 gamma cosh(pi x / gamma))."""
     g = float(gamma.gamma) if hasattr(gamma, "gamma") else float(gamma)
     return 1.0 / (2 * g * np.cosh(np.pi * np.asarray(x) / g))
+
+
+def packed_density_closed_form(x, gamma, mu=None, shifted=False):
+    """rho_tot of a packed Fermi weight on the branch it fills, from the
+    Fourier transform of the integral equation:
+    (1/M) sum_k 1 / (2 d cosh(pi (x - mu_k) / d)) with d = gamma on the real
+    branch, and minus that with d = pi - gamma on Im = pi/2."""
+    g = float(gamma.gamma) if hasattr(gamma, "gamma") else float(gamma)
+    d = np.pi - g if shifted else g
+    t = np.pi * np.subtract.outer(np.asarray(x, dtype=float), mu or (0.0,)) / d
+    return (-1 if shifted else 1) * np.mean(1.0 / (2 * d * np.cosh(t)), axis=-1)
+
+
+def nystrom_profile(theta, grid, gamma, mu=None):
+    """The package's Nystrom solve of the density equation as a
+    DensityProfile, for any theta: solve_density takes the two packed
+    weights in closed form, so tests of the solve itself call it here."""
+    theta = np.asarray(theta, dtype=float)
+    g = gamma.gamma
+    rho = thermo._nystrom_solve(theta, grid, g, np.real(thermo._drive(grid.values, mu, g)))
+    return thermo.DensityProfile(grid, theta, rho, theta * rho, (1 - theta) * rho, gamma, mu)
 
 
 def nystrom_dense(theta, grid, gamma, rhs):

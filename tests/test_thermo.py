@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import warnings
@@ -235,6 +236,27 @@ class TestDensity:
         for i in (0, grid06.n_nodes - 1):  # the first real and the last shifted node
             assert abs(profile06.rho_tot_at(grid06.values[i]) - at[i]) < 1e-15
 
+    @pytest.mark.parametrize("g", [0.3, 0.05])
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("mu", [None, (0.3, -0.1, 0.5)])
+    def test_packed_rho_tot_at_takes_the_closed_form(self, g, packed, mu):
+        # on the branch a packed weight fills, rho_tot_at is the closed form:
+        # on the default grid the Nystrom interpolant alone is off from
+        # rho_tot at the mirror's nodes by 1.45e-5 (g = 0.3) and 2.0e-2
+        # (g = 0.05), and at the ground state's by 0.17 (g = 0.05 with mu)
+        gamma = AnisotropyParam(g)
+        grid = thermo.contour_grid(gamma)
+        occ = grid.shifted == packed
+        prof = thermo.solve_density(np.where(occ, 1.0, 0.0), grid, gamma, mu)
+        assert prof.packed is packed
+        assert np.array_equal(prof.rho_tot_at(grid.values[occ]), prof.rho_tot[occ])
+        z = np.linspace(-1.5, 1.5, 7) + 0.5j * np.pi * packed
+        want = packed_density_closed_form(z.real, gamma, mu, shifted=packed)
+        assert np.max(np.abs(prof.rho_tot_at(z) - want)) <= 1e-14 * np.max(np.abs(want))
+        if packed:  # the mirror's real branch is the interpolant: drive - K_2 rho_p
+            off = prof.rho_tot_at(grid.values[~occ]) - prof.rho_tot[~occ]
+            assert np.max(np.abs(off)) < 1e-15
+
     def test_truncating_cutoff_logs_warning(self, gamma, caplog):
         with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
             thermo.contour_grid(gamma)
@@ -446,13 +468,16 @@ class TestRhoTotZero:
 
     @pytest.mark.parametrize("g", [0.3, 0.6, np.pi / 3, 1.2])
     def test_ground_state_on_the_doubled_grid(self, g):
-        # measured |closed form - Nystrom| at 128 nodes per branch: 2.3e-9,
-        # 1.4e-12, 2.9e-13 and 3.8e-14
+        # rho_tot(0) is the closed form 1 / (2 gamma); the Nystrom interpolant
+        # of the closed form's node values agrees with the Nystrom solve's,
+        # measured at 128 nodes per branch: 2.3e-9, 1.4e-12, 2.9e-13 and 3.8e-14
         tol = {0.3: 1e-8, 0.6: 1e-11, np.pi / 3: 1e-12, 1.2: 1e-13}[g]
         gamma = AnisotropyParam(g)
         grid = thermo.contour_grid(gamma, points_per_branch=64)
         theta, fine = thermo._doubled(thermo.ground_state_theta(grid), grid, gamma)
-        got = thermo.solve_density(theta, fine, gamma).rho_tot_at(0.0)
+        prof = thermo.solve_density(theta, fine, gamma)
+        assert abs(prof.rho_tot_at(0.0) - 1 / (2 * g)) <= 1e-15 / g
+        got = dataclasses.replace(prof, packed=None).rho_tot_at(0.0)
         assert abs(got - nystrom_profile(theta, fine, gamma).rho_tot_at(0.0)) <= tol
 
     @pytest.mark.parametrize("kind", ["ground", "shifted", "mirrored"])

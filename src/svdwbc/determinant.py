@@ -330,7 +330,17 @@ def _pair_table(z, g):
 
 
 def _inverse_pairs(D):
-    """E = 1/D off the diagonal and 0 on it, the pair factors of _node_sum."""
+    """E = 1/D off the diagonal and 0 on it, the pair factors of _node_sum
+    and _h_tuples.  An off-diagonal |D| below 1e-14, two nodes i gamma
+    apart, is a PoleError; a square past the double range is inf, and
+    clears the check without a warning."""
+    with np.errstate(over="ignore"):
+        sq = D.real**2
+        sq += D.imag**2
+    np.fill_diagonal(sq, np.inf)
+    if sq.size and sq.min() < 1e-28:
+        raise PoleError("coincident rapidities shifted by i*gamma")
+    del sq  # freed before E is allocated: the peak stays at two tables
     E = 1.0 / D
     np.fill_diagonal(E, 0.0)
     return E
@@ -360,22 +370,19 @@ def _batched_det(cols):
     return minors[tuple(range(n))]
 
 
-def _h_tuples(idx, R, FW, D):
+def _h_tuples(idx, RW, F, E):
     """prod_l weight[a_l] * H at each node tuple a = idx[:, b] of an (n, B) index
-    stack, with rows R[i, p] = R_i(z_p), the pair table D of _pair_table and
-    the slot table of _slot_table folded with the weights,
-    FW[l, p] = f_l(z_p) weight[p].
-    A tuple with a repeated index is exactly 0 (two equal determinant columns)."""
-    n, P = FW.shape
+    stack, with the rows folded with the weights, RW[i, p] = R_i(z_p) weight[p]
+    (det is linear in each column), the slot table F of _slot_table and the
+    inverse pair table E of _inverse_pairs.
+    A tuple with a repeated index is exactly 0, since diag(E) = 0."""
+    n, P = F.shape
     r = np.arange(n)
     l, m = np.nonzero(r[:, None] < r)  # np.triu_indices(n, 1) at 1/7 of its call overhead
-    pair = D.take(idx[l] * P + idx[m])
-    if np.any(np.abs(pair) < 1e-14):
-        raise PoleError("coincident rapidities shifted by i*gamma")
-    det = _batched_det([R.take(a, axis=1) for a in idx])
-    slots = np.prod(FW.take(np.arange(n)[:, None] * P + idx), axis=0)
-    vals = det * slots / np.prod(pair, axis=0)
-    return np.where(np.all(idx[l] != idx[m], axis=0), vals, 0.0)
+    pair = np.prod(E.take(idx[l] * P + idx[m]), axis=0)
+    det = _batched_det([RW.take(a, axis=1) for a in idx])
+    slots = np.prod(F.take(r[:, None] * P + idx), axis=0)
+    return det * slots * pair
 
 
 def _node_sum(weight, R, F, E):

@@ -263,14 +263,19 @@ class DensityProfile:
 
     def rho_tot_at(self, z):
         """rho_tot at arbitrary complex points: a packed profile's closed form
-        on the branch it fills, elsewhere the Nystrom interpolation, which at
-        the nodes is rho_tot to the quadrature error (exact for Nystrom)."""
+        where _packed_split puts the point, elsewhere the Nystrom
+        interpolation, which at the nodes is rho_tot to the quadrature error
+        (exact for Nystrom)."""
         g = _aniso(self.gamma).gamma
         vals = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = _interpolate(vals, _drive(vals, self.mu, g), self.grid, g, self.grid.w * self.rho_p)
+        out = np.zeros(vals.shape, dtype=complex)
+        rest = np.ones(vals.shape, bool)
         if self.packed is not None:
-            on = _on_lines(vals)[self.packed]
-            out[on] = _packed_rho(self.packed, vals.real[on], g, self.mu or (0.0,))
+            fill, rest = _packed_split(self.packed, vals)
+            out[fill] = _packed_rho(self.packed, vals.real[fill], g, self.mu or (0.0,))[0]
+        if rest.any():
+            out[rest] = _interpolate(vals[rest], _drive(vals[rest], self.mu, g), self.grid, g,
+                                     self.grid.w * self.rho_p)
         if np.max(np.abs(out.imag)) < 1e-10 * (1 + np.max(np.abs(out.real))):
             out = out.real
         return out if out.shape != (1,) else out[0]
@@ -316,25 +321,54 @@ def _packed_branch(theta, grid):
     return next((b for b in (False, True) if np.array_equal(theta, grid.shifted == b)), None)
 
 
-def _packed_rho(shifted, x, g, centres):
+def _packed_rho(shifted, x, g, centres, n=1):
     """rho_tot of the packed weight at abscissae x on the branch `shifted` it
-    fills (Yang and Yang, Phys. Rev. 150 (1966) 327): (1/M) sum_k 1 / (2 d
-    cosh(pi (x - mu_k) / d)) with d = gamma on the real branch, minus that
-    with d = pi - gamma on Im = pi/2; sech t = 2 e^-|t| / (1 + e^-2|t|)."""
+    fills (Yang and Yang, Phys. Rev. 150 (1966) 327), row 0 of an (n, len(x))
+    array: (1/M) sum_k 1 / (2 d cosh(pi (x - mu_k) / d)) with d = gamma on
+    the real branch, minus that with d = pi - gamma on Im = pi/2.  Row k is
+    the k-th Taylor coefficient in t of the same density with every centre
+    moved to mu_k + log(1 + t)/2, the column variable u = 1 + t of
+    determinant.window_dd_rows.  With y = pi (x - mu_k) / d and s = pi / 2d,
+    sech(y - s log(1 + t)) = 2 e^-|y| / D(t), where D(t) is
+    (1 + t)^-s + e^-2|y| (1 + t)^s for y >= 0 and the two powers swapped for
+    y < 0; 1/D is the series inverse of D, so no cosh overflows."""
+    if g == 0:
+        raise ValueError("the density equation degenerates at gamma = 0")
     d = np.pi - g if shifted else g
-    e = np.exp(np.abs(np.subtract.outer(x, np.real(centres))) * (-np.pi / d))
-    return (e / (1 + e * e)).mean(axis=1) / (-d if shifted else d)
+    diff = np.subtract.outer(x, np.real(centres))
+    e = np.exp(np.abs(diff) * (-np.pi / d))
+    ee = e * e
+    D0 = 1 + ee
+    rows = np.empty((n,) + e.shape)
+    rows[0] = e / D0
+    # binomial coefficients of (1 + t)^-s and (1 + t)^s, from t^1 on
+    k = np.arange(1, n)
+    s = np.pi / (2 * d)
+    lo, hi = np.cumprod((-s - k + 1) / k), np.cumprod((s - k + 1) / k)
+    up = diff >= 0
+    Dk = [np.where(up, a + ee * b, b + ee * a) for a, b in zip(lo, hi)]
+    for j in range(1, n):
+        rows[j] = -sum(Dk[i - 1] * rows[j - i] for i in range(1, j + 1)) / D0
+    return rows.mean(axis=-1) / (-d if shifted else d)
+
+
+def _packed_split(shifted, z):
+    """(fill, rest) masks of the points z for the packed weight on the branch
+    `shifted`: fill on that branch, where rho_tot is _packed_rho, and rest
+    where it is the Nystrom interpolation.  The rest is every other point
+    for the mirror, and the points off both lines for the ground state,
+    whose rho_tot on Im = pi/2 is the closed form's 0."""
+    lines = _on_lines(z)
+    return lines[shifted], ~lines[1] if shifted else ~(lines[0] | lines[1])
 
 
 def _packed_density(shifted, grid, g, centres):
     """rho_tot at the nodes for the packed weight on the branch `shifted`:
     _packed_rho on that branch; on the other 0 for the ground state, and the
     drive minus one kernel matrix-vector product for the mirror."""
-    if g == 0:
-        raise ValueError("the density equation degenerates at gamma = 0")
     occ = grid.shifted == shifted
     rho = np.zeros(grid.n_nodes)
-    rho[occ] = _packed_rho(shifted, grid.x[occ], g, centres)
+    rho[occ] = _packed_rho(shifted, grid.x[occ], g, centres)[0]
     if shifted:
         K = _kernel_branch(grid.x[~occ][:, None] - grid.x[occ], True, 2, g, grid.w[occ])
         rho[~occ] = np.real(_drive(grid.values[~occ], centres, g)) - K @ rho[occ]
@@ -445,14 +479,17 @@ def efp_thermo(
         1/prod_{l<m} sinh(w_l - w_m) * int ... int H({lam}, {w}) prod_l theta(lam_l) dlam_l
 
     The local densities enter H only through det[rho_i(lam_j)], and rho_i is
-    linear in its driving K_1(lam - w_i) = R(lam; w_i) / 2 pi i.  So one
-    Nystrom solve is driven by the divided-difference window rows of
-    `determinant.window_dd_rows`, and the prefactor is taken in that basis:
-    coincident columns (a homogeneous window) take the same path as distinct
-    ones.  For n <= 3 the quadrature node sum is exact, O(n P^n) for P nodes
-    with theta != 0.  Above n = 3 it is a stratified Monte Carlo estimate of
-    mc_samples >= 32 draws, at least one per stratum, evaluated in batches of
-    index tuples.  A grid whose sinh tables would overflow,
+    linear in its driving K_1(lam - w_i) = R(lam; w_i) / 2 pi i.  So the
+    densities are those driven by the divided-difference window rows of
+    `determinant.window_dd_rows`, and the prefactor is taken in that basis,
+    finite at coincident columns.  A packed theta with a homogeneous window
+    takes them in closed form (the Taylor coefficients of the packed
+    density in the column variable), with no factorization; any other theta
+    or window drives one Nystrom solve with the rows.  For n <= 3 the
+    quadrature node sum is exact, O(n P^n) for P nodes with theta != 0.
+    Above n = 3 it is a stratified Monte Carlo estimate of mc_samples >= 32
+    draws, at least one per stratum, evaluated in batches of index tuples.
+    A grid whose sinh tables would overflow,
     max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700, is a ValueError, and so
     is a window length n < 0.
     """
@@ -501,17 +538,36 @@ def efp_thermo(
 
 
 def _dd_densities(w, theta, grid, gamma, points=()):
-    """Nystrom solution driven by the divided-difference window rows divided
-    by 2 pi i, as an (n, nodes) array, the same solution interpolated at the
-    extra `points` as an (n, points) array, and the window prefactor."""
+    """The densities driven by the divided-difference window rows divided by
+    2 pi i, as an (n, nodes) array, the same densities at the extra `points`
+    as an (n, points) array, and the window prefactor.
+
+    A packed theta with a homogeneous window (every column equal to the
+    first) takes the rows in closed form, the Taylor coefficients of
+    _packed_rho, with no factorization: at the nodes and points that
+    _packed_split puts on the filled branch, 0 at the ground state's nodes
+    and points on Im = pi/2, and the Nystrom interpolation of the closed
+    form at the rest.  Any other theta or window takes one Nystrom solve,
+    interpolated at the points."""
     g = gamma.gamma
     points = np.asarray(points, dtype=complex)
-    dd, pref = determinant.window_dd_rows(np.concatenate([grid.values, points]), w, gamma.eta)
-    drive = dd / (2j * np.pi)
-    rho = _nystrom_solve(theta, grid, g, np.real(drive[:, : grid.n_nodes]).T)
-    coeff = (theta * grid.w)[:, None] * rho
-    at = _interpolate(points, drive[:, grid.n_nodes :].T, grid, g, coeff).T
-    return rho.T, at, pref
+    z = np.concatenate([grid.values, points])
+    packed = _packed_branch(theta, grid)
+    if packed is None or np.any(w != w[0]):
+        dd, pref = determinant.window_dd_rows(z, w, gamma.eta)
+        drive = dd / (2j * np.pi)
+        rho = _nystrom_solve(theta, grid, g, np.real(drive[:, : grid.n_nodes]).T)
+        coeff = (theta * grid.w)[:, None] * rho
+        at = _interpolate(points, drive[:, grid.n_nodes :].T, grid, g, coeff).T
+        return rho.T, at, pref
+    fill, rest = _packed_split(packed, z)
+    rows = np.zeros((len(w), len(z)), dtype=complex)
+    rows[:, fill] = _packed_rho(packed, z.real[fill], g, w[:1], len(w))
+    dd, pref = determinant.window_dd_rows(z[rest], w, gamma.eta)
+    if dd.size:
+        coeff = (theta * grid.w)[:, None] * rows[:, : grid.n_nodes].T
+        rows[:, rest] = _interpolate(z[rest], dd.T / (2j * np.pi), grid, g, coeff).T
+    return rows[:, : grid.n_nodes].real, rows[:, grid.n_nodes :], pref
 
 
 _GUIDE = 1 << 14  # guide-table buckets of _search; a power of two, so u * _GUIDE is exact
@@ -564,12 +620,15 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     # rng.choice(len(z), size, p=q), draw for draw: its cdf and side
     idx_rest = _search(cdf / cdf[-1], rng.random((n - 1, samples)), "right")
     idx = np.vstack([idx0, idx_rest])
-    D = determinant._pair_table(z, gamma.gamma)
-    FW = F * (c / q)
+    E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
+    # the importance weights c / q scale the rows, which shrink with q, not
+    # the slot table, which grows with |x|: no product overflows where the
+    # closed-form rows underflow, and a node with q = 0, never drawn, gets 0
+    RW = R * np.divide(c, q, out=np.zeros_like(q), where=q > 0)
     chunk = determinant._CHUNK
-    vals = np.concatenate([
-        determinant._h_tuples(idx[:, s:s + chunk], R, FW, D) for s in range(0, samples, chunk)
-    ])
+    vals = np.empty(samples, dtype=complex)  # not a list of chunks to concatenate: one copy less
+    for s in range(0, samples, chunk):
+        vals[s:s + chunk] = determinant._h_tuples(idx[:, s:s + chunk], RW, F, E)
     err = float(np.abs(vals.std(ddof=1)) / np.sqrt(samples))
     return pref * vals.mean(), abs(pref) * err, samples
 

@@ -679,12 +679,23 @@ class TestTupleKernels:
                 if n == 4:
                     assert stack[i].tobytes() == F_ref.tobytes()
 
+    def test_inverse_pairs_pole(self, gamma):
+        g = gamma.gamma
+        D = determinant._pair_table(np.array([0.3, -0.2, 0.3 + 1j * g]), g)
+        with pytest.raises(PoleError, match="shifted by i\\*gamma"):
+            determinant._inverse_pairs(D)
+        # the diagonal is no pair, and squares past the double range (|D| ~ e^700)
+        # clear the check without an overflow warning
+        E = determinant._inverse_pairs(determinant._pair_table(np.array([-350.0, 0.0, 350.0]), g))
+        assert np.all(np.diag(E) == 0.0) and np.all(np.isfinite(E))
+        assert np.all(E[~np.eye(3, dtype=bool)] != 0.0)
+
     def test_repeated_index_is_exactly_zero(self, gamma, rng):
         z = rng.normal(size=12)
         w = np.array([-0.5, 0.0, 0.2, 0.6])
         F = determinant._slot_table(z, w, gamma.gamma)
-        D = determinant._pair_table(z, gamma.gamma)
+        E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
         R = rng.normal(size=(4, 12))
         tuples = [(2, 5, 2, 7), (9, 9, 1, 0), (4, 3, 8, 4), (1, 4, 8, 6)]
-        vals = determinant._h_tuples(np.array(tuples).T, R, F, D)
+        vals = determinant._h_tuples(np.array(tuples).T, R, F, E)
         assert np.all(vals[:3] == 0.0) and vals[3] != 0.0

@@ -257,6 +257,18 @@ class TestDensity:
             off = prof.rho_tot_at(grid.values[~occ]) - prof.rho_tot[~occ]
             assert np.max(np.abs(off)) < 1e-15
 
+    @pytest.mark.parametrize("mu", [None, (0.3, -0.1, 0.5)])
+    def test_ground_state_is_zero_on_the_shifted_line(self, mu):
+        # the closed form's 0 at the shifted nodes and at points on that line
+        # (Im = pi/2 mod pi); the interpolant read up to 3.5e-4 there with mu
+        gamma = AnisotropyParam(0.05)
+        grid = thermo.contour_grid(gamma)
+        prof = thermo.solve_density(thermo.ground_state_theta(grid), grid, gamma, mu)
+        z = np.concatenate([grid.values[grid.shifted], np.linspace(-2.0, 2.0, 9) + 0.5j * np.pi,
+                            [0.3 - 0.5j * np.pi]])
+        assert np.all(prof.rho_tot_at(z) == 0.0)
+        assert prof.rho_tot_at(0.3 + 0.2j) != 0.0  # off both lines: the interpolant
+
     def test_truncating_cutoff_logs_warning(self, gamma, caplog):
         with caplog.at_level(logging.WARNING, logger="svdwbc.thermo"):
             thermo.contour_grid(gamma)
@@ -739,8 +751,8 @@ def _h_at(lams, w, locs, gamma):
     z = np.array(lams, dtype=complex)
     rows = np.array([np.atleast_1d(loc.rho_tot_at(z)) for loc in locs], dtype=complex)
     F = determinant._slot_table(z, np.asarray(w, dtype=complex), gamma.gamma)
-    D = determinant._pair_table(z, gamma.gamma)
-    h = determinant._h_tuples(np.arange(len(z))[:, None], rows, F, D)[0]
+    E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
+    h = determinant._h_tuples(np.arange(len(z))[:, None], rows, F, E)[0]
     return h, efp_integrand_h(z, rows, w, gamma)
 
 
@@ -820,6 +832,106 @@ class TestWindowColumns:
         roots = bethe.solve_ground_state(8, gamma)
         assert thermo.efp_sum_finite(roots, [0.1 + 1e-14j], profile06) == thermo.efp_sum_finite(
             roots, [0.1], profile06)
+
+
+class TestClosedFormRows:
+    """_dd_densities on a packed weight with a homogeneous window: the Taylor
+    coefficients of the closed form, with no factorization."""
+
+    # (points per branch, tolerance) at the grids of TestPackedDensity;
+    # measured max |closed form - Nystrom| / max |row| over both branches,
+    # n = 1..4 and wbar in {0, 0.3}: ground <= 1.9e-15 at 1024 points;
+    # shifted 2.3e-11 at 0.3 (1536 points), 2.2e-12 at 0.6 (1024), 2.9e-15
+    # at pi/3 and 3.6e-16 at 1.2 (512)
+    RESOLVED = TestPackedDensity.RESOLVED
+
+    @staticmethod
+    def _nystrom_rows(w, theta, grid, gamma):
+        """The Nystrom rows that _dd_densities takes for any other window."""
+        dd, pref = determinant.window_dd_rows(grid.values, w, gamma.eta)
+        rho = thermo._nystrom_solve(theta, grid, gamma.gamma, np.real(dd / (2j * np.pi)).T)
+        return rho.T, pref
+
+    @pytest.mark.parametrize("kind, g", list(RESOLVED))
+    def test_rows_match_nystrom(self, kind, g):
+        points, tol = self.RESOLVED[kind, g]
+        gamma = AnisotropyParam(g)
+        grid = thermo.contour_grid(gamma, points_per_branch=points)
+        theta = _thetas(grid)[kind]
+        for wbar in (0.0, 0.3):
+            rows, _, pref = thermo._dd_densities(np.full(4, wbar), theta, grid, gamma)
+            ref, ref_pref = self._nystrom_rows(np.full(4, wbar), theta, grid, gamma)
+            assert pref == ref_pref
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.max(np.abs(rows - ref) / scale) <= tol
+            # the rows of a shorter window are the leading ones: bit for bit
+            # on the filled branch, to the rounding of the interpolant elsewhere
+            occ = theta == 1
+            for n in (1, 2, 3):
+                head, _, _ = thermo._dd_densities(np.full(n, wbar), theta, grid, gamma)
+                assert np.array_equal(head[:, occ], rows[:n, occ])
+                assert np.max(np.abs(head - rows[:n]) / scale[:n]) <= 1e-14
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("g", [0.3, 1.2])
+    def test_taylor_coefficients_match_mpmath(self, shifted, g):
+        # row k is the k-th Taylor coefficient in t of the one-column density
+        # with its column at wbar + log(1 + t) / 2; measured <= 2.9e-15 of the
+        # largest coefficient
+        mpmath = pytest.importorskip("mpmath")
+        wbar, x = 0.3, np.array([-2.0, -0.31, 0.3, 0.37, 1.7, 6.0])
+        d = np.pi - g if shifted else g
+        rows = thermo._packed_rho(shifted, x, g, (wbar,), 5)
+        with mpmath.workdps(40):
+            for i, xi in enumerate(x):
+                def f(t):
+                    y = mpmath.pi * (xi - wbar - mpmath.log(1 + t) / 2) / d
+                    return (-1 if shifted else 1) / (2 * d * mpmath.cosh(y))
+                want = np.array([float(c) for c in mpmath.taylor(f, 0, 4)])
+                assert np.max(np.abs(rows[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", sorted(PACKED))
+    def test_homogeneous_window_makes_no_lu_call(self, gamma, grid06, kind, monkeypatch):
+        theta = _thetas(grid06)[kind]
+        roots = bethe.solve_ground_state(8, gamma)
+        prof = thermo.solve_density(theta, grid06, gamma)
+
+        def no_solve(a, b):
+            raise AssertionError("np.linalg.solve called")
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        for n in (1, 2, 3):
+            assert np.isfinite(thermo.efp_thermo(n, [0.2] * n, theta, grid06, gamma).value)
+        res = thermo.efp_thermo(4, [0.2] * 4, theta, grid06, gamma, mc_samples=2000)
+        assert np.isfinite(res.value)
+        if kind == "ground":
+            assert np.isfinite(thermo.efp_sum_finite(roots, [0.1, 0.1], prof))
+        with pytest.raises(AssertionError, match="np.linalg.solve called"):
+            thermo.efp_thermo(2, [-0.1, 0.2], theta, grid06, gamma)
+
+    @pytest.mark.parametrize("kind", sorted(PACKED))
+    def test_points_follow_rho_tot_at(self, gamma, grid06, kind):
+        # row 0 is the one-column density: the closed form on the filled
+        # branch, the ground state's 0 on Im = pi/2, the interpolant off the lines
+        theta = _thetas(grid06)[kind]
+        pts = np.array([0.37, -1.2, 0.37 + 0.5j * np.pi, -1.2 + 0.5j * np.pi, 0.12 + 0.2j])
+        _, at, _ = thermo._dd_densities(np.full(3, 0.1), theta, grid06, gamma, pts)
+        want = thermo.local_densities([0.1], theta, grid06, gamma)[0].rho_tot_at(pts)
+        assert np.max(np.abs(at[0] - want)) <= 1e-14 * np.max(np.abs(want))
+        filled = slice(2, 4) if kind == "shifted" else slice(0, 2)
+        assert np.array_equal(at[0, filled], want[filled])
+        if kind == "ground":
+            assert np.all(at[:, 2:4] == 0.0)
+
+    def test_underflowing_rows_sample_without_warnings(self):
+        # at gamma = 0.05 the closed-form rows underflow to 0 towards the
+        # cutoff, and with them the sampling weights; a RuntimeWarning fails here
+        gamma = AnisotropyParam(0.05)
+        grid = thermo.contour_grid(gamma)
+        theta = thermo.ground_state_theta(grid)
+        rows, _, _ = thermo._dd_densities(np.zeros(4), theta, grid, gamma)
+        assert np.any(rows[0, ~grid.shifted] == 0.0)
+        res = thermo.efp_thermo(4, [0.0] * 4, theta, grid, gamma, mc_samples=4000, seed=1)
+        assert np.isfinite(res.value) and np.isfinite(res.stderr)
 
 
 class TestEfpThermo:
@@ -951,6 +1063,12 @@ class TestAsmOracle:
         g, grid, theta = setup
         res = thermo.efp_thermo(n, [0.0] * n, theta, grid, g)
         assert abs(res.value - asm_efp(n)) <= 1e-12 * asm_efp(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_rows_reach_the_rounding_floor(self, setup, n):
+        # the Nystrom rows left 0.01367187499999995 at n = 3
+        g, grid, theta = setup
+        assert abs(thermo.efp_thermo(n, [0.0] * n, theta, grid, g).value - asm_efp(n)) <= 1e-15
 
     def test_monte_carlo_n4(self, setup):
         g, grid, theta = setup

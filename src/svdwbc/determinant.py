@@ -143,55 +143,109 @@ def gaudin_norm(roots) -> complex:
     return complex(pref * np.linalg.det(_phi_prime(roots)))
 
 
+def _by_entry(f, z):
+    """(f(z), poles) for an array z: poles marks the entries at which f
+    raises PoleError, and they read 0.  One call on the whole array unless
+    some entry raises; then one call per entry."""
+    try:
+        return f(z), np.zeros(z.shape, dtype=bool)
+    except PoleError:
+        pass
+    vals, poles = np.zeros(z.shape, dtype=complex), np.zeros(z.shape, dtype=bool)
+    for i, x in np.ndenumerate(z):
+        try:
+            vals[i] = f(x)
+        except PoleError:
+            poles[i] = True
+    return vals, poles
+
+
+def _g_tables(lams_ext, N, mu, gamma):
+    """The factors of g_coefficient over the extended rapidity list, each a
+    table with the mask of its poles: d(lam_i), the c-weights
+    c(lam_i - lam_{N+l} + eta/2) at [i, l] and the ratios
+    sinh(lam_i - lam_k + eta)/sinh(lam_i - lam_k) at [i, k].  A pole is an
+    error only where a tuple reads it (_g_products)."""
+    gamma = algebra._aniso(gamma)
+    eta = gamma.eta
+    ext = np.asarray(lams_ext, dtype=complex)
+    d = _by_entry(lambda z: algebra.d_eigenvalue(z, mu, gamma), ext)
+    c = _by_entry(lambda z: algebra.boltzmann_weights(z, gamma)[2],
+                  ext[:, None] - ext[N:] + eta / 2)
+    s = np.sinh(ext[:, None] - ext)
+    pole = np.abs(s) < 1e-14
+    return d, c, (np.sinh(ext[:, None] - ext + eta) / np.where(pole, 1.0, s), pole)
+
+
+def _g_products(tuples, tables, N):
+    """g_coefficient of each row of a (B, n) stack of index tuples, read from
+    the _g_tables of their extended list: the l-th factor (1-based) is
+    d(lam_{i_l}) c(lam_{i_l} - lam_{N+l} + eta/2) times the ratios against
+    every entry k < N + l other than i_1 .. i_l.  A tuple with a repeated or
+    out-of-range index is a ValueError, and a pole that a tuple reads a
+    PoleError, in the order of the factors."""
+    (d, d_pole), (c, c_pole), (ratio, r_pole) = tables
+    T = np.asarray(tuples, dtype=int).reshape(len(tuples), -1)
+    B, n = T.shape
+    if (np.diff(np.sort(T, axis=1), axis=1) == 0).any():
+        raise ValueError("indices must be pairwise distinct")
+    rows, k = np.arange(B), np.arange(len(d))
+    free = np.ones((B, len(d)), dtype=bool)  # the entries no factor has taken yet
+    out = np.ones(B, dtype=complex)
+    for l in range(n):
+        i = T[:, l]
+        bad = (i < 0) | (i > N + l)
+        if bad.any():
+            raise ValueError(f"index {i[bad][0]} out of range for factor {l + 1}")
+        free[rows, i] = False
+        bad = d_pole[i] | c_pole[i, l]
+        if bad.any():
+            raise PoleError(f"weights singular at rapidity {i[bad][0]} in expansion coefficient")
+        used = free & (k < N + l + 1)
+        hit = r_pole[i] & used
+        if hit.any():
+            b, kk = np.argwhere(hit)[0]
+            raise PoleError(f"coincident rapidities {i[b]} and {kk} in expansion coefficient")
+        out *= d[i] * c[i, l] * np.prod(np.where(used, ratio[i], 1.0), axis=1)
+    return out
+
+
 def g_coefficient(indices, lams_ext, N, mu, gamma) -> complex:
     """Expansion coefficient of the D-product action over B-states.
 
     indices is the 0-based ordered tuple (i_1 .. i_n) into the extended
     rapidity list lams_ext of length N + n; the l-th factor carries
     d(lam_{i_l}) c(lam_{i_l} - lam_{N+l} + eta/2) and inverse b-weights
-    against all non-excluded entries up to position N + l.
+    against all non-excluded entries up to position N + l.  One tuple read
+    from the tables of _g_tables, which d_action_check shares over all its
+    tuples.
     """
-    gamma = algebra._aniso(gamma)
-    eta = gamma.eta
-    lams_ext = np.asarray(lams_ext, dtype=complex)
-    n = len(indices)
-    if len(set(indices)) != n:
-        raise ValueError("indices must be pairwise distinct")
-    if len(lams_ext) != N + n:
-        raise ValueError(f"extended rapidity list must have length {N + n}")
-    out = 1.0 + 0j
-    for l, il in enumerate(indices, start=1):
-        if not (0 <= il < N + l):
-            raise ValueError(f"index {il} out of range for factor {l}")
-        li = lams_ext[il]
-        out *= algebra.d_eigenvalue(li, mu, gamma)
-        out *= algebra.boltzmann_weights(li - lams_ext[N + l - 1] + eta / 2, gamma)[2]
-        for k in range(N + l):
-            if k == il or k in indices[: l - 1]:
-                continue
-            s = np.sinh(li - lams_ext[k])
-            if abs(s) < 1e-14:
-                raise PoleError(f"coincident rapidities {il} and {k} in expansion coefficient")
-            out *= np.sinh(li - lams_ext[k] + eta) / s
-    return complex(out)
+    indices = tuple(indices)
+    if len(lams_ext) != N + len(indices):
+        raise ValueError(f"extended rapidity list must have length {N + len(indices)}")
+    return complex(_g_products([indices], _g_tables(lams_ext, N, mu, gamma), N)[0])
 
 
 def d_action_check(lams, extra, spec, gamma) -> float:
     """Max-norm discrepancy of the D-product expansion identity:
     prod_j D(extra_j) prod_k B(lam_k)|up> against the coefficient sum over
-    B-states with excluded rapidities.  Valid for arbitrary rapidities."""
+    B-states with excluded rapidities.  Valid for arbitrary rapidities.
+    Every term's coefficient reads one set of _g_tables."""
     gamma = algebra._aniso(gamma)
-    lams = list(lams)
-    extra = list(extra)
+    lams = np.asarray(lams, dtype=complex)
+    extra = np.asarray(extra, dtype=complex)
     N, n = len(lams), len(extra)
-    ext = np.array(lams + extra, dtype=complex)
+    ext = np.concatenate([lams, extra])
     # ordered tuples of distinct indices with i_l <= N + l (0-based l)
     tuples = [t for t in itertools.permutations(range(N + n), n)
               if all(i <= N + l for l, i in enumerate(t))]
-    coeffs = np.array([g_coefficient(tup, ext, N, spec.mu, gamma) for tup in tuples])
+    tuples = np.array(tuples, dtype=int).reshape(len(tuples), n)
+    coeffs = _g_products(tuples, _g_tables(ext, N, spec.mu, gamma), N)
     # the B-state of lams and of every term's remaining rapidities, one stack
-    rests = [lams] + [[ext[k] for k in range(N + n) if k not in tup] for tup in tuples]
-    states = algebra.bethe_state(np.array(rests, dtype=complex), spec, gamma)
+    keep = np.ones((len(tuples), N + n), dtype=bool)
+    keep[np.arange(len(tuples))[:, None], tuples] = False
+    rests = np.broadcast_to(ext, keep.shape)[keep].reshape(len(tuples), N)
+    states = algebra.bethe_state(np.concatenate([lams[None], rests]), spec, gamma)
     lhs = states[0]
     for z in extra:
         lhs = algebra.monodromy_apply(z, spec, gamma, lhs, "D")
@@ -302,6 +356,7 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
 # _slot_table, one per window.
 
 _CHUNK = 8192  # sampled tuples per batched evaluation of H; bounds the (n, B) stacks
+_STACK = 2**14  # window-stack entries per node-sum intermediate; 256 KiB complex
 
 
 def _slot_table(z, w, g):
@@ -399,11 +454,18 @@ def _node_sum(weight, R, F, E):
     it is taken as S S^T with S = E diag(sqrt g), which numpy hands to the
     symmetric rank-k product (zsyrk): exactly symmetric, and about 3/4 of
     the general product's time at 256 nodes (1-2 us slower below about 48).
+
+    A (K, n, P) stack of rows and of slot tables, one per window of the same
+    nodes, gives the K sums from one contraction: every product is a stacked
+    matmul, which hands each window the BLAS call, and the bits, of the
+    window alone.  One window keeps the 2-D products.
     """
-    n, P = F.shape
+    n, P = F.shape[-2:]
     if P ** (n - 1) > 2**24:  # 256 MiB per complex intermediate
         raise ValueError(f"exact node sum: {P}^{n - 1} entries per intermediate exceed 2^24")
-    G = weight * R[:, None, :] * F[None, :, :]  # G[k, l] = weight * R_k * f_l
+    G = weight * R[..., :, None, :] * F[..., None, :, :]  # G[k, l] = weight * R_k * f_l
+    if G.ndim == 4:
+        G = np.moveaxis(G, 0, 2)  # G[k, l] is the (K, P) stack of the windows
     # couple[l + 1] ties slot l to the slots after it (slot -1 is a phantom
     # with one value); kr[j] is the row-wise Khatri-Rao product of couple[:j]
     couple = [np.ones((1, P))] + [E] * (n - 1)
@@ -415,25 +477,27 @@ def _node_sum(weight, R, F, E):
 
 def _first_elimination(g, kr, last):
     """V_{n-1} of _node_sum: the first elimination, with weights g in slot
-    n - 1 and last = couple[n - 1]."""
+    n - 1 (a (K, P) stack for K windows) and last = couple[n - 1]."""
     if len(kr) == 3:  # kr[2] = last = E; a negative weight takes the root i sqrt|g|
-        S = last * np.sqrt(g + 0j)
-        return S @ S.T
-    return (kr[-1] * g) @ last.T
+        S = last * np.sqrt(g + 0j)[..., None, :]
+        return S @ S.swapaxes(-1, -2)
+    return (kr[-1] * g[..., None, :]) @ last.T
 
 
 def _eliminate(m, V, left, G, kr, last):
     """The recursion of _node_sum: V = V_{m+1}, and the rows `left` go to
     slots 0..m.  It takes its tables as arguments and holds no reference
     to itself: a nested recursive function would sit in a reference cycle
-    with G and kr, which then wait for the cyclic collector."""
+    with G and kr, which then wait for the cyclic collector.  A stack of
+    windows carries V as (K, rows, 1) after each contraction."""
     if not left:
-        return V.item()
+        return V.item() if G.ndim == 3 else V.reshape(-1)
     n, P = len(kr), G.shape[-1]
     return sum((-1) ** (len(left) - 1 - j) * _eliminate(
         m - 1,
         _first_elimination(G[k, m], kr, last) if m == n - 1
-        else (kr[m + 1] * V.reshape(-1, P)) @ G[k, m],
+        else (kr[m + 1] * V.reshape(-1, P)) @ G[k, m] if G.ndim == 3
+        else (kr[m + 1] * V.reshape(len(V), -1, P)) @ G[k, m, :, :, None],
         left[:j] + left[j + 1:], G, kr, last,
     ) for j, k in enumerate(left))
 
@@ -476,8 +540,11 @@ def _efp_offsets(roots, n, ks):
     weights and the divided-difference window rows (window_dd_rows) solved
     against phi'^T, times the window prefactor in that basis.  phi', shared
     by the root set's consumers, is solved once against the rows of every
-    window, and the pair table is built once; the node sum runs window by
-    window."""
+    window, and the pair table is built once.  Several windows go to the
+    node sum as (K, n, N) stacks of at most _STACK intermediate entries;
+    a window alone, or windows whose intermediates exceed half of _STACK,
+    go one by one as 2-D tables, since larger stacks leave the cache.
+    Both give each window the same bits."""
     _check_bethe(roots)
     K, N = len(ks), roots.N
     if n == 0:
@@ -487,12 +554,15 @@ def _efp_offsets(roots, n, ks):
     lams, g = roots.values, roots.gamma.gamma
     windows = np.array([roots.mu[k : k + n] for k in ks], dtype=complex)
     rows, pref = window_dd_rows(lams, windows, roots.gamma.eta)
-    rows = np.linalg.solve(_phi_prime(roots).T, rows.reshape(K * n, N).T).T
+    rows = np.linalg.solve(_phi_prime(roots).T, rows.reshape(K * n, N).T).T.reshape(K, n, N)
     F = _slot_table(lams, windows, g)
     E = _inverse_pairs(_pair_table(lams, g)) if n > 1 else None  # one slot has no pairs
     weight = np.ones(N)
-    return np.array([p * _node_sum(weight, r, f, E)
-                     for p, r, f in zip(pref, rows.reshape(K, n, N), F)])
+    step = _STACK // N ** (n - 1)
+    if K == 1 or step < 2:
+        return pref * np.array([_node_sum(weight, r, f, E) for r, f in zip(rows, F)])
+    return pref * np.concatenate([_node_sum(weight, rows[i : i + step], F[i : i + step], E)
+                                  for i in range(0, K, step)])
 
 
 def _real_parts(vals):
@@ -519,8 +589,8 @@ def efp_profile(roots, n, return_complex=False):
     """EFP of the windows k+1..k+n at every offset k = 0..M-n, as an array
     indexed by k, each entry equal to efp_finite(roots, k, n).  The offsets
     share one solve of phi'^T against all their window rows and one pair
-    table, so a profile costs one phi' factorization and M - n + 1 node
-    sums.  n = 0 gives ones and n > N zeros; n outside 0..M is a ValueError.
+    table, so a profile costs one phi' factorization and one node sum over
+    the stack of its windows.  n = 0 gives ones and n > N zeros; n outside 0..M is a ValueError.
     """
     M = len(roots.mu)
     if not 0 <= n <= M:

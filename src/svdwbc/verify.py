@@ -118,10 +118,10 @@ def check_slavnov(states, seed=42, draws=20, tol=1e-8):
 
     def one(state):
         roots = state.roots
-        N = roots.N
-        xi = np.array([
-            rng.normal(size=N) * 0.8 + 1j * rng.normal(size=N) * 0.3 for _ in range(draws)
-        ])
+        # per draw N real parts, then N imaginary parts: the stream of a
+        # draw-by-draw loop, so each xi is the same number
+        z = rng.normal(size=(draws, 2, roots.N))
+        xi = z[:, 0] * 0.8 + 1j * z[:, 1] * 0.3
         # one dot per row, as a single draw pairs them, so each value is the
         # same floating-point number as in a draw-by-draw loop
         brute = np.array([u @ state.ket for u in algebra.dual_state(xi, roots.spec, roots.gamma)])
@@ -145,11 +145,10 @@ def check_gaudin(states, tol=1e-8):
 
 def check_gaudin_specialization(roots, eps=(1e-3, 1e-4, 1e-5), tol=1e-6):
     """Scalar-product determinant specialized xi -> roots, Richardson
-    extrapolated in the offset, against the norm determinant."""
-    vals = [
-        determinant.slavnov_scalar_product(roots.values + e, roots) for e in eps
-    ]
-    extr = determinant.neville_extrapolate(list(eps), vals)
+    extrapolated in the offset, against the norm determinant.  The offsets
+    are one stack of xi rows, evaluated by one call."""
+    vals = determinant.slavnov_scalar_product(roots.values + np.array(eps)[:, None], roots)
+    extr = determinant.neville_extrapolate(eps, vals.tolist())
     ref = determinant.gaudin_norm(roots)
     return _record(
         "gaudin_specialization_limit", abs(extr - ref) / abs(ref), tol, eps=list(eps),

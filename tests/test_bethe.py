@@ -280,6 +280,18 @@ class TestSolver:
         assert len(residuals) <= 50
         assert err.value.best_residual == min(residuals) > 1e-12
 
+    def test_slowly_decreasing_solve_fails_early(self, monkeypatch):
+        # a random-parity filling whose max|F| creeps down towards 7.42: it
+        # ran all 200 Newton steps (1,834 evaluations) before ten accepted
+        # steps that do not halve max|F| counted as a stall
+        mu = tuple(0.3 * np.random.default_rng(7).normal(size=14))
+        residuals = _record_residuals(monkeypatch)
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            bethe.solve_bae((-3, -2, -1, 0, 1, 2, 2), (1, -1, 1, 1, 1, -1, 1),
+                            LatticeSpec(14, mu), AnisotropyParam(1.0))
+        assert len(residuals) <= 100
+        assert err.value.best_residual == min(residuals) > 7.0
+
     def test_singular_jacobian_is_a_convergence_error(self, gamma, monkeypatch):
         target = np.array([0.3, 0.1, -0.2, 0.4])
         monkeypatch.setattr(bethe, "_system", lambda x, *args: (x - target, np.zeros((4, 4))))

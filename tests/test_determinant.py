@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,60 @@ class TestDActionExpansion:
         ext = np.array([0.1, 0.5, 0.9 + 0.1j, 1.3])
         with pytest.raises(ValueError):
             determinant.g_coefficient((1, 1), ext, 2, (0.0, 0.0, 0.0, 0.0), gamma)
+
+    @staticmethod
+    def _tuples(N, n):
+        # the expansion's ordered tuples, i_l <= N + l (0-based l)
+        return [t for t in itertools.permutations(range(N + n), n)
+                if all(i <= N + l for l, i in enumerate(t))]
+
+    @staticmethod
+    def _battery_cases(seed):
+        # the lattices and rapidities that verify.check_d_action draws
+        rng = np.random.default_rng(seed)
+        for N, n, M in ((1, 1, 2), (2, 1, 4), (2, 2, 4)):
+            mu = tuple(0.2 * rng.normal(size=M))
+            lams = rng.normal(size=N) * 0.5 + 0.25j * rng.normal(size=N)
+            extra = rng.normal(size=n) * 0.5 + 0.25j * rng.normal(size=n)
+            yield N, mu, np.concatenate([lams, extra])
+
+    @staticmethod
+    def _random_cases(rng):
+        for N, n, M in ((1, 2, 2), (3, 1, 6), (3, 2, 6), (2, 3, 6), (4, 3, 8)):
+            mu = tuple(0.3 * rng.normal(size=M))
+            yield N, mu, rng.normal(size=N + n) + 0.5j * rng.normal(size=N + n)
+
+    @pytest.mark.parametrize("seed", [42, 977])
+    def test_shared_tables_give_the_one_tuple_coefficients(self, gamma, rng, seed):
+        # every tuple read from one set of tables, as d_action_check reads
+        # them, against one g_coefficient call per tuple
+        for N, mu, ext in [*self._battery_cases(seed), *self._random_cases(rng)]:
+            tuples = self._tuples(N, len(ext) - N)
+            tables = determinant._g_tables(ext, N, mu, gamma)
+            stacked = determinant._g_products(tuples, tables, N)
+            one = np.array([determinant.g_coefficient(t, ext, N, mu, gamma) for t in tuples])
+            assert np.all(np.abs(stacked - one) <= 1e-14 * np.abs(one))
+
+    def test_poles_raise_only_where_a_tuple_reads_them(self, gamma):
+        # extra rapidity 3 coincides with root 0: the tuple (0, 1) never
+        # pairs them, (2, 0) does in its second factor
+        mus = (0.2, -0.4, 0.1, 0.3)
+        ext = np.array([0.1 + 0.2j, 0.5 - 0.1j, 0.9 + 0.1j, 0.1 + 0.2j])
+        assert np.isfinite(determinant.g_coefficient((0, 1), ext, 2, mus, gamma))
+        with pytest.raises(PoleError, match="coincident rapidities 0 and 3"):
+            determinant.g_coefficient((2, 0), ext, 2, mus, gamma)
+        with pytest.raises(PoleError):
+            determinant.d_action_check(ext[:2], ext[2:], LatticeSpec(4, mus), gamma)
+
+    def test_weight_poles_raise_only_where_a_tuple_reads_them(self, gamma):
+        # d(lam_1) is singular at mu_0 - eta/2; tuples without index 1 read
+        # neither it nor any other singular weight
+        mus = (0.2, -0.4)
+        ext = np.array([0.3 + 0.1j, mus[0] - gamma.eta / 2, 0.7 - 0.2j])
+        assert np.isfinite(determinant.g_coefficient((0,), ext, 2, mus, gamma))
+        assert np.isfinite(determinant.g_coefficient((2,), ext, 2, mus, gamma))
+        with pytest.raises(PoleError, match="weights singular"):
+            determinant.g_coefficient((1,), ext, 2, mus, gamma)
 
 
 class TestScalarProductRatio:
@@ -586,6 +641,16 @@ class TestEfpProfile:
         prof = determinant.efp_profile(roots, 3, return_complex=True)
         assert prof.tobytes() == self._per_offset(roots, 3).tobytes()
 
+    @pytest.mark.parametrize("stack", [2**14, 2 * 6**3, 6**3])
+    def test_window_stacks_at_n4_bit_for_bit(self, gamma, monkeypatch, stack):
+        # the nine n = 4 windows of M = 12 (6^3 intermediate entries each) in
+        # one contraction, in stacks of two (the last one alone) and one by
+        # one, against the 2-D node sum of each window alone
+        roots = _seeded_roots(np.random.default_rng(7012), 12, gamma)
+        each = self._per_offset(roots, 4)
+        monkeypatch.setattr(determinant, "_STACK", stack)
+        assert determinant.efp_profile(roots, 4, return_complex=True).tobytes() == each.tobytes()
+
     def test_shifted_branch_twin(self, gamma):
         roots = bethe.solve_bae((-0.5, 0.5), (-1, -1), homogeneous_spec(4), gamma)
         for n in range(3):
@@ -629,6 +694,22 @@ class TestEfpProperties:
         E = determinant._inverse_pairs(determinant._pair_table(z, 0.6))
         with pytest.raises(ValueError, match="exceed"):
             determinant._node_sum(np.ones(64), np.ones((6, 64)), F, E)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_window_stack_node_sum_bit_for_bit(self, gamma, rng, n):
+        # a (K, n, P) stack of rows and slot tables against the 2-D sum of
+        # each window, on complex nodes with weights of both signs
+        P, K = 12, 5
+        z = rng.normal(size=P) + 0.3j * rng.normal(size=P)
+        weight = rng.normal(size=P)
+        R = rng.normal(size=(K, n, P)) + 1j * rng.normal(size=(K, n, P))
+        w = 0.2 * rng.normal(size=(K, n))
+        F = determinant._slot_table(z, w, gamma.gamma)
+        E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
+        stacked = determinant._node_sum(weight, R, F, E)
+        each = np.array([determinant._node_sum(weight, r, f, E) for r, f in zip(R, F)])
+        assert stacked.shape == (K,)
+        assert stacked.tobytes() == each.tobytes()
 
     def test_bounds_and_monotonicity_beyond_tuple_loop(self, gamma, rng):
         # n = 4 at N = 16 is 43,680 ordered tuples for the expansion

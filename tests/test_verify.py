@@ -102,6 +102,43 @@ def test_efp_profiles_give_the_per_window_residual(seed, monkeypatch):
     assert profiles == list(range(5)) + list(range(7))
 
 
+@pytest.mark.parametrize("seed", [0, 42])
+def test_slavnov_rapidities_are_those_of_the_per_draw_loop(seed, monkeypatch):
+    # one normal draw per state gives each xi of a draw-by-draw loop bit for bit
+    states = [verify.bethe_vectors(bethe.solve_ground_state(m, GAMMA)) for m in (2, 4, 6)]
+    seen = []
+    product = determinant.slavnov_scalar_product
+    monkeypatch.setattr(determinant, "slavnov_scalar_product",
+                        lambda xi, roots: seen.append(xi) or product(xi, roots))
+    verify.check_slavnov(states, seed=seed, draws=20)
+    rng = np.random.default_rng(seed)
+    assert len(seen) == len(states)
+    for xi, state in zip(seen, states):
+        N = state.roots.N
+        loop = np.array([rng.normal(size=N) * 0.8 + 1j * rng.normal(size=N) * 0.3
+                         for _ in range(20)])
+        assert xi.tobytes() == loop.tobytes()
+
+
+@pytest.mark.parametrize("M", [2, 4, 6])
+def test_specialization_offsets_take_one_stacked_call(M, monkeypatch):
+    # the three offsets as one (3, N) stack, each value that of its own call
+    # to 1e-12 at offset 1e-3; a call's own rounding grows like 1/offset
+    # (2e-13, 2e-12 and 2e-11 relative against 50 digits at M = 6), and so
+    # does the bound
+    roots = bethe.solve_ground_state(M, GAMMA)
+    seen = []
+    product = determinant.slavnov_scalar_product
+    monkeypatch.setattr(determinant, "slavnov_scalar_product",
+                        lambda xi, roots: seen.append(xi) or product(xi, roots))
+    eps = (1e-3, 1e-4, 1e-5)
+    assert verify.check_gaudin_specialization(roots, eps=eps)["passed"]
+    assert len(seen) == 1 and seen[0].shape == (3, roots.N)
+    stacked = product(seen[0], roots)
+    each = np.array([product(roots.values + e, roots) for e in eps])
+    assert np.all(np.abs(stacked - each) <= 1e-12 * (1e-3 / np.array(eps)) * np.abs(each))
+
+
 def test_flip_check_catches_a_wrong_sign():
     states = [bethe.solve_ground_state(m, GAMMA) for m in (2, 4, 6)]
     assert verify.check_flip([verify.bethe_vectors(r) for r in states])["passed"]

@@ -143,15 +143,27 @@ def l_matrix(lam, gamma):
     return out
 
 
-def _exp_tables(*zs):
+def _exp_tables(*zs, rows=0):
     """U = e^{2(z - c)} for each rapidity array z, c the midrange of the real
     parts of all of them.  In U, coth(x - y) = (U_x + U_y)/(U_x - U_y) and
     |sinh(x - y)| = |U_x - U_y| / (2 sqrt|U_x U_y|), and no entry overflows
-    while the real parts span less than about 700."""
+    while the real parts span less than about 700.  With rows = r the first
+    r axes of every z index a stack of rows (an axis of length 1 is shared
+    by every row), and each row takes the midrange of its own entries: its
+    tables are then those of the row alone, whatever the other rows hold."""
     zs = [np.asarray(z, dtype=complex) for z in zs]
-    re = np.concatenate([z.real.ravel() for z in zs])
-    c = (re.max() + re.min()) / 2 if re.size else 0.0
-    return [np.exp(2 * (z - c)) for z in zs]
+    if not rows:
+        re = np.concatenate([z.real.ravel() for z in zs])
+        c = (re.max() + re.min()) / 2 if re.size else 0.0
+        return [np.exp(2 * (z - c)) for z in zs]
+    re = [r for r in (z.real.reshape(z.shape[:rows] + (-1,)) for z in zs) if r.shape[-1]]
+    if not re:
+        return [np.exp(2 * z) for z in zs]
+    hi, lo = re[0].max(axis=-1), re[0].min(axis=-1)
+    for r in re[1:]:
+        hi, lo = np.maximum(hi, r.max(axis=-1)), np.minimum(lo, r.min(axis=-1))
+    c = (hi + lo) / 2
+    return [np.exp(2 * (z - c.reshape(c.shape + (1,) * (z.ndim - rows)))) for z in zs]
 
 
 def d_eigenvalue(lam, mu, gamma):
@@ -160,10 +172,13 @@ def d_eigenvalue(lam, mu, gamma):
     m = e^{2(mu - c)} of _exp_tables each factor is
     b = (U - m_k e^eta) / (U e^eta - m_k), one subtraction pair and one
     division, and |sinh(lam - mu_k + eta/2)| = |U e^eta - m_k| / (2 sqrt|U m_k|)
-    finds the poles that boltzmann_weights reports."""
+    finds the poles that boltzmann_weights reports.  Each row of a stack of
+    lam rows (its last axis) takes its own centre c."""
     e = np.exp(_aniso(gamma).eta)
-    lam = np.asarray(lam)[..., None]
-    U, m = _exp_tables(lam, mu)
+    lam = np.asarray(lam)
+    rows = max(lam.ndim - 1, 0)  # a stack of rows of lam: a centre per row
+    lam = lam[..., None]
+    U, m = _exp_tables(lam, np.reshape(mu, (1,) * (rows + 1) + (-1,)) if rows else mu, rows=rows)
     den = U * e - m
     small = np.abs(den) < 2 * _POLE_TOL * np.sqrt(np.abs(U)) * np.sqrt(np.abs(m))
     if np.any(small):
@@ -186,10 +201,13 @@ def _transfer_terms(xi, lams, mu, gamma):
     P = prod_j sinh(lam_j - xi + eta) / sinh(lam_j - xi) and
     dQ = d(xi) prod_j sinh(xi - lam_j + eta) / sinh(xi - lam_j).  Each factor
     comes from the _exp_tables entries u of lam_j and x of xi, entry
-    [..., i, j]; those tables and e = e^{2 eta} are returned after P and dQ."""
+    [..., i, j]; those tables and e = e^{2 eta} are returned after P and dQ.
+    Every row of xi (its last axis) takes its own centre, here and in d(xi),
+    so that a row of a stack gets the bits of that row alone."""
     xi = np.asarray(xi, dtype=complex)
     eta = _aniso(gamma).eta
-    u, x = _exp_tables(lams, xi[..., :, None])
+    rows = xi.ndim - 1
+    u, x = _exp_tables(np.reshape(lams, (1,) * rows + (1, -1)), xi[..., :, None], rows=rows)
     e = np.exp(2 * eta)
     # with d = lam_j - xi_i: sinh(d + eta) / sinh(d) = e^{eta} (u - x/e) / (u - x)
     p = _gap(u, x)  # raises before the products divide by a zero sinh

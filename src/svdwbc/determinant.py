@@ -351,8 +351,9 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
 #     H(lam_1..lam_n) = det[R_i(lam_j)] prod_{l<m} 1/D(lam_l, lam_m) prod_l f_l(lam_l),
 #     D(a, b) = sinh(b - a - i gamma),
 #     f_l(lam) = prod_{m<l} sinh(lam - w_m - i gamma/2) prod_{m>l} sinh(lam - w_m + i gamma/2).
-# Every EFP sum, finite size and thermodynamic, reads H from two node tables:
-# the pair table of _pair_table, one per node set, and the slot table of
+# Every EFP sum, finite size and thermodynamic, reads H from the node tables
+# of _node_tables (the inverse pair table, and at n = 3 the tables of its
+# partial fractions), one set per node set, and the slot table of
 # _slot_table, one per window.
 
 _CHUNK = 8192  # sampled tuples per batched evaluation of H; bounds the (n, B) stacks
@@ -372,11 +373,16 @@ def _slot_table(z, w, g):
 
 
 def _pair_table(z, g):
-    """Pair table D[a, b] = sinh(z_b - z_a - i g) over the nodes z.  D is
-    (X - 1/X) / 2 with X = e^{-i g} v_b / v_a and v = e^{z - c}, c the
-    midrange of Re z: two outer products of the node exponentials in place
-    of P^2 complex sinh, finite while Re z spans less than about 1400."""
+    """Pair table D[a, b] = sinh(z_b - z_a - i g) over the nodes z, from
+    their exponentials v = e^{z - c}, c the midrange of Re z (_sinh_pairs)."""
     v, = algebra._exp_tables(0.5 * z)  # e^{2(z/2 - c/2)} = e^{z - c}
+    return _sinh_pairs(v, g)
+
+
+def _sinh_pairs(v, g):
+    """The pair table from the node exponentials v: D is (X - 1/X) / 2 with
+    X = e^{-i g} v_b / v_a, two outer products in place of P^2 complex
+    sinh, finite while Re z spans less than about 1400."""
     ph = np.exp(-0.5j * g)
     half = np.outer(0.5 * ph / v, ph * v)  # e^{z_b - z_a - i g} / 2
     # a new table, not an in-place update of `half`: the in-place form left
@@ -387,18 +393,61 @@ def _pair_table(z, g):
 def _inverse_pairs(D):
     """E = 1/D off the diagonal and 0 on it, the pair factors of _node_sum
     and _h_tuples.  An off-diagonal |D| below 1e-14, two nodes i gamma
-    apart, is a PoleError; a square past the double range is inf, and
-    clears the check without a warning."""
-    with np.errstate(over="ignore"):
-        sq = D.real**2
-        sq += D.imag**2
-    np.fill_diagonal(sq, np.inf)
-    if sq.size and sq.min() < 1e-28:
-        raise PoleError("coincident rapidities shifted by i*gamma")
-    del sq  # freed before E is allocated: the peak stays at two tables
-    E = 1.0 / D
+    apart, is a PoleError.  The check reads the parts of E, and squares D
+    only when a part exceeds 7e13, below 1e14 / sqrt 2, where |E| may pass
+    1e14; a square past the double range is inf, and clears it without a
+    warning."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        E = 1.0 / D
     np.fill_diagonal(E, 0.0)
+    parts = E.view(float)  # real and imaginary parts, read without a copy
+    if E.size and not (-7e13 <= parts.min() and parts.max() <= 7e13):  # NaN fails too
+        with np.errstate(over="ignore"):
+            sq = D.real**2
+            sq += D.imag**2
+        np.fill_diagonal(sq, np.inf)
+        if sq.min() < 1e-28:
+            raise PoleError("coincident rapidities shifted by i*gamma")
     return E
+
+
+def _node_tables(z, g, n):
+    """(E, T, Q), the tables of _node_sum over the nodes z at window length
+    n, built once per node set: the inverse pair table E of _inverse_pairs,
+    and None for one slot, which has no pairs.  At n = 3 the partial
+    fractions of the first elimination read T[a, b] = coth(z_b - z_a - i g)
+    and Q[a, b] = E[a, b] / sinh(z_a - z_b) instead, both 0 on the diagonal,
+    and E is not kept: three P x P tables would be live where the node sum
+    needs two.  With v = e^{z - c} as in _pair_table, T is
+    1 + E[a, b] e^{i g} v_a / v_b and 1/sinh(z_a - z_b) is
+    2 v_a v_b / (v_a^2 - v_b^2), each built in place in one new array: no
+    complex sinh or cosh, finite while Re z spans less than about 700.  At
+    n = 3 a part of 1/sinh(z_a - z_b) beyond 1e14 off the diagonal, two
+    nodes i pi apart or closer than about 1e-14, is a PoleError."""
+    if n < 2:
+        return None, None, None
+    v, = algebra._exp_tables(0.5 * z)
+    E = _inverse_pairs(_sinh_pairs(v, g))
+    if n != 3:
+        return E, None, None
+    ph = np.exp(0.5j * g)
+    T = E * (ph * v)[:, None]
+    T *= ph / v  # e^{-(z_b - z_a - i g)} E = coth - 1
+    T += 1.0
+    np.fill_diagonal(T, 0.0)
+    u = v * v
+    Q = np.subtract.outer(u, u)  # 2 v_a v_b sinh(z_a - z_b)
+    np.fill_diagonal(Q, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # coincident nodes, checked below
+        np.divide(2.0, Q, out=Q)
+    np.fill_diagonal(Q, 0.0)
+    Q *= v[:, None]
+    Q *= v
+    parts = Q.view(float)  # real and imaginary parts, read without a copy
+    if Q.size and not (-1e14 <= parts.min() and parts.max() <= 1e14):  # NaN fails too
+        raise PoleError("coincident nodes: the partial fractions divide by sinh(z_a - z_b)")
+    Q *= E
+    return None, T, Q
 
 
 def _batched_det(cols):
@@ -440,20 +489,18 @@ def _h_tuples(idx, RW, F, E):
     return det * slots * pair
 
 
-def _node_sum(weight, R, F, E):
+def _node_sum(weight, R, F, tables):
     """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an),
     from the rows R[i, p] = R_i(z_p), the window's slot table F of
-    _slot_table and the node set's inverse pair table E of _inverse_pairs.
+    _slot_table and the node set's tables (E, T, Q) of _node_tables.
 
     Leibniz expansion of the determinant: each permutation sigma contracts
     G_l = weight * R_sigma(l) * f_l over the complete graph of E = 1/D, last
     slot first, with one BLAS product for the first elimination and each
     intermediate computed once per suffix of sigma.  O(n P^n) work, P^(n-1)
     memory for P nodes; diag(E) = 0 drops repeated-index tuples exactly.
-    At n = 3 the first elimination E diag(g) E^T is complex symmetric, and
-    it is taken as S S^T with S = E diag(sqrt g), which numpy hands to the
-    symmetric rank-k product (zsyrk): exactly symmetric, and about 3/4 of
-    the general product's time at 256 nodes (1-2 us slower below about 48).
+    At n = 3 the first elimination takes partial fractions in place of the
+    product (_first_elimination), and the sum costs O(P^2).
 
     A (K, n, P) stack of rows and of slot tables, one per window of the same
     nodes, gives the K sums from one contraction: every product is a stacked
@@ -463,43 +510,73 @@ def _node_sum(weight, R, F, E):
     n, P = F.shape[-2:]
     if P ** (n - 1) > 2**24:  # 256 MiB per complex intermediate
         raise ValueError(f"exact node sum: {P}^{n - 1} entries per intermediate exceed 2^24")
+    E, T, Q = tables
     G = weight * R[..., :, None, :] * F[..., None, :, :]  # G[k, l] = weight * R_k * f_l
     if G.ndim == 4:
         G = np.moveaxis(G, 0, 2)  # G[k, l] is the (K, P) stack of the windows
-    # couple[l + 1] ties slot l to the slots after it (slot -1 is a phantom
-    # with one value); kr[j] is the row-wise Khatri-Rao product of couple[:j]
-    couple = [np.ones((1, P))] + [E] * (n - 1)
-    kr = [np.ones((1, P))]
-    for c in couple[:-1]:
-        kr.append((kr[-1][:, None, :] * c).reshape(-1, P))
-    return _eliminate(n - 1, np.ones(1), list(range(n)), G, kr, couple[-1])
+    # kr[l + 1] ties slot l to the slots after it: the row-wise Khatri-Rao
+    # product of l copies of E, and one phantom row of ones for l = 0 and
+    # for slot -1
+    kr = [np.ones((1, P))] * min(n, 2) + [E] * (n > 2)
+    for _ in range(3, n):
+        kr.append((kr[-1][:, None, :] * E).reshape(-1, P))
+    return _eliminate(n - 1, None, list(range(n)), G, kr, kr[0] if E is None else E, (T, Q))
 
 
-def _first_elimination(g, kr, last):
-    """V_{n-1} of _node_sum: the first elimination, with weights g in slot
-    n - 1 (a (K, P) stack for K windows) and last = couple[n - 1]."""
-    if len(kr) == 3:  # kr[2] = last = E; a negative weight takes the root i sqrt|g|
-        S = last * np.sqrt(g + 0j)[..., None, :]
-        return S @ S.swapaxes(-1, -2)
-    return (kr[-1] * g[..., None, :]) @ last.T
+def _first_elimination(g, kr, last, cauchy):
+    """kr[n - 1] * V_{n-1}: the first elimination of _node_sum, with weights
+    g in slot n - 1 (a (K, P) stack for K windows), coupled to the slots
+    before it as _eliminate couples every V (V_0 itself at n = 1);
+    last = E (the phantom row at n = 1) and cauchy = (T, Q) of _node_tables.
+
+    At n = 3, V[a, b] = sum_c g_c E[a, c] E[b, c], an O(P^3) product.  The
+    partial fractions 1/(sinh A sinh B) = (coth A - coth B) / sinh(B - A),
+    with A = z_c - z_a - i gamma and B = z_c - z_b - i gamma, give it in
+    O(P^2): E[a, b] V[a, b] = (X[b, a] - X[a, b]) Q[a, b] with
+    X[a, b] = g_b T[a, b] + h_b and h = T g.  Since diag(T) = 0, h_b leaves
+    out c = b, and g_b T[a, b] puts back the c = b term that h_a left in.
+    The numerator is one difference per entry, not four contracted terms,
+    which near the diagonal would cancel after the contraction."""
+    if len(kr) == 3:
+        T, Q = cauchy
+        X = T * g[..., None, :]
+        X += (T @ g[..., :, None]).swapaxes(-1, -2)  # h as a row
+        W = X.swapaxes(-1, -2) - X
+        W *= Q
+        return W
+    V = (kr[-1] * g[..., None, :]) @ last.T
+    return V if len(kr) == 1 else _couple(kr[-1], V, g.ndim == 2)
 
 
-def _eliminate(m, V, left, G, kr, last):
-    """The recursion of _node_sum: V = V_{m+1}, and the rows `left` go to
-    slots 0..m.  It takes its tables as arguments and holds no reference
-    to itself: a nested recursive function would sit in a reference cycle
-    with G and kr, which then wait for the cyclic collector.  A stack of
-    windows carries V as (K, rows, 1) after each contraction."""
+def _couple(c, V, stacked):
+    """c * V over the last node axis: the intermediate V coupled to the slot
+    before it by the Khatri-Rao table c."""
+    return c * (V.reshape(len(V), -1, c.shape[-1]) if stacked else V.reshape(-1, c.shape[-1]))
+
+
+def _eliminate(m, W, left, G, kr, last, cauchy):
+    """The recursion of _node_sum: the rows `left` go to slots 0..m, and W
+    is kr[m + 1] * V_{m+1}, the intermediate of the slots after m coupled to
+    slot m (None at m = n - 1, where the first elimination starts).  Each
+    V_m is coupled once, for every row that can take slot m - 1.  It takes
+    its tables as arguments and holds no reference to itself: a nested
+    recursive function would sit in a reference cycle with G and kr, which
+    then wait for the cyclic collector.  A stack of windows carries W as
+    (K, rows, P)."""
     if not left:
-        return V.item() if G.ndim == 3 else V.reshape(-1)
-    n, P = len(kr), G.shape[-1]
-    return sum((-1) ** (len(left) - 1 - j) * _eliminate(
-        m - 1,
-        _first_elimination(G[k, m], kr, last) if m == n - 1
-        else (kr[m + 1] * V.reshape(-1, P)) @ G[k, m] if G.ndim == 3
-        else (kr[m + 1] * V.reshape(len(V), -1, P)) @ G[k, m, :, :, None],
-        left[:j] + left[j + 1:], G, kr, last,
-    ) for j, k in enumerate(left))
+        return W.item() if G.ndim == 3 else W.reshape(-1)
+    n, stacked = len(kr), G.ndim == 4
+    total = 0
+    for j, k in enumerate(left):
+        if m == n - 1:
+            V = _first_elimination(G[k, m], kr, last, cauchy)
+        else:
+            V = W @ G[k, m, :, :, None] if stacked else W @ G[k, m]
+            if m:
+                V = _couple(kr[m], V, stacked)
+        total += (-1) ** (len(left) - 1 - j) * _eliminate(
+            m - 1, V, left[:j] + left[j + 1:], G, kr, last, cauchy)
+    return total
 
 
 @dataclass(frozen=True)
@@ -556,12 +633,12 @@ def _efp_offsets(roots, n, ks):
     rows, pref = window_dd_rows(lams, windows, roots.gamma.eta)
     rows = np.linalg.solve(_phi_prime(roots).T, rows.reshape(K * n, N).T).T.reshape(K, n, N)
     F = _slot_table(lams, windows, g)
-    E = _inverse_pairs(_pair_table(lams, g)) if n > 1 else None  # one slot has no pairs
+    tables = _node_tables(lams, g, n)
     weight = np.ones(N)
     step = _STACK // N ** (n - 1)
     if K == 1 or step < 2:
-        return pref * np.array([_node_sum(weight, r, f, E) for r, f in zip(rows, F)])
-    return pref * np.concatenate([_node_sum(weight, rows[i : i + step], F[i : i + step], E)
+        return pref * np.array([_node_sum(weight, r, f, tables) for r, f in zip(rows, F)])
+    return pref * np.concatenate([_node_sum(weight, rows[i : i + step], F[i : i + step], tables)
                                   for i in range(0, K, step)])
 
 

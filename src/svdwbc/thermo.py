@@ -596,8 +596,8 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     R = rho[:, active]
     F = determinant._slot_table(z, w, gamma.gamma)
     if n <= 3:
-        E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
-        return pref * determinant._node_sum(c, R, F, E), None, None
+        tables = determinant._node_tables(z, gamma.gamma, n)
+        return pref * determinant._node_sum(c, R, F, tables), None, None
     # Monte Carlo with theta-weighted importance sampling over the nodes, by
     # |c * mean_i rho_i| over the actual rows: row i is sum_k L[i, k] R[k] with
     # L[i, k] = prod_{m<k}(u_i - u_m), u = e^{2(w - wbar)}
@@ -652,8 +652,7 @@ def efp_sum_finite(roots, mu_window, profile):
     weight = 1.0 / (len(roots.mu) * np.real(np.atleast_1d(profile.rho_tot_at(lams))))
     g = roots.gamma.gamma
     F = determinant._slot_table(lams, w, g)
-    E = determinant._inverse_pairs(determinant._pair_table(lams, g))
-    val = pref * determinant._node_sum(weight, rows, F, E)
+    val = pref * determinant._node_sum(weight, rows, F, determinant._node_tables(lams, g, n))
     if abs(val.imag) > 1e-6 * (1 + abs(val.real)):
         logger.warning("finite EFP sum imaginary residue %.2e", val.imag)
     return float(val.real)

@@ -28,8 +28,11 @@ at Delta = 1/2 in exact integers.  The product-state oracle sweeps one
 state at a time on the natural basis, a dual state over the columns from M
 to 1, where the package sweeps a dual state on the bit-reversed basis and
 stacks it with others; every amplitude takes the same arithmetic, so the
-two agree bit for bit.  nystrom_profile is no oracle: it reaches the
-package's Nystrom solve, which solve_density bypasses on a packed weight.
+two agree bit for bit.  The first-elimination oracle forms the n = 3
+intermediate as the direct product E diag(g) E^T, where the package takes
+partial fractions in the eliminated slot.  nystrom_profile is no oracle:
+it reaches the package's Nystrom solve, which solve_density bypasses on a
+packed weight.
 """
 
 import math
@@ -309,6 +312,27 @@ def efp_node_sum(nodes, weights, rows, window, gamma):
     for l in range(n):
         for m in range(l + 1, n):
             total /= np.sinh(window[l] - window[m])
+    return total
+
+
+def first_elimination_direct(g, E):
+    """V[a, b] = sum_c g_c E[a, c] E[b, c], the n = 3 first elimination of
+    determinant._node_sum as the direct O(P^3) product E diag(g) E^T; a
+    (K, P) stack of weights gives a (K, P, P) stack."""
+    return (E * g[..., None, :]) @ E.T
+
+
+def node_sum_n3_direct(weight, rows, F, E):
+    """The n = 3 node sum of determinant._node_sum, sum over node triples
+    (a, b, c) of weight_a weight_b weight_c det[R_i(z)] f_0(z_a) f_1(z_b)
+    f_2(z_c) E[a, b] E[a, c] E[b, c], by Leibniz over the rows with the
+    direct first elimination and explicit sums over (a, b)."""
+    total = 0.0 + 0j
+    for perm in permutations(range(3)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        g0, g1, g2 = (weight * rows[perm[l]] * F[l] for l in range(3))
+        V = first_elimination_direct(g2, E)
+        total += sign * np.sum(g0[:, None] * g1[None, :] * E * V)
     return total
 
 

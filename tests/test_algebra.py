@@ -56,6 +56,26 @@ class TestWeights:
         assert got.shape == (64,)
         assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-13
 
+    def test_rows_of_a_stack_take_their_own_centre(self, gamma, rng):
+        # a (3, 5) stack of rapidity rows whose real parts lie far apart: each
+        # row's exponential tables, d and transfer terms are those of the
+        # row alone, bit for bit; one row keeps the one-centre tables
+        lam = rng.normal(size=(3, 5)) + np.array([[-6.0], [0.0], [9.0]]) + 0.1j
+        mu = 0.3 * rng.normal(size=4)
+        roots = rng.normal(size=5)
+        stack = algebra._exp_tables(lam[:, :, None], np.reshape(mu, (1, 1, -1)), rows=1)
+        d = algebra.d_eigenvalue(lam, mu, gamma)
+        P, dQ, *_ = algebra._transfer_terms(lam, roots, mu, gamma)
+        for i, row in enumerate(lam):
+            alone = algebra._exp_tables(row[:, None], mu)
+            assert stack[0][i].tobytes() == alone[0].tobytes()
+            assert np.broadcast_to(stack[1][i], (1, 4)).tobytes() == alone[1][None].tobytes()
+            assert d[i].tobytes() == algebra.d_eigenvalue(row, mu, gamma).tobytes()
+            P1, dQ1, *_ = algebra._transfer_terms(row, roots, mu, gamma)
+            assert P[i].tobytes() == P1.tobytes() and dQ[i].tobytes() == dQ1.tobytes()
+        one = algebra._exp_tables(lam[:1, :, None], np.reshape(mu, (1, 1, -1)), rows=1)[0][0]
+        assert one.tobytes() == algebra._exp_tables(lam[0, :, None], mu)[0].tobytes()
+
     def test_d_eigenvalue_pole_raises(self, gamma):
         mu = (0.1, -0.4, 0.7)
         with pytest.raises(PoleError, match="weights singular"):

@@ -14,6 +14,7 @@ from oracles import (
     efp_tuple_sum,
     ground_state_density_closed_form,
     kernel_mp,
+    node_sum_n3_direct,
     nystrom_dense,
     nystrom_profile,
     packed_density_closed_form,
@@ -1083,10 +1084,10 @@ class TestAsmOracle:
 
 
 def _node_sum_at(z, weight, rows, w, g):
-    """determinant._node_sum over the nodes z for the window w, with its two
-    tables built here."""
-    E = determinant._inverse_pairs(determinant._pair_table(z, g))
-    return determinant._node_sum(weight, rows, determinant._slot_table(z, w, g), E)
+    """determinant._node_sum over the nodes z for the window w, with its
+    node and slot tables built here."""
+    tables = determinant._node_tables(z, g, len(w))
+    return determinant._node_sum(weight, rows, determinant._slot_table(z, w, g), tables)
 
 
 def _exact_efp(window, theta, grid, gamma):
@@ -1140,8 +1141,8 @@ class TestNodeSumOracle:
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
     def test_n3_symmetric_product_any_weights(self, gamma, coarse_grid):
-        # the n = 3 first elimination is S S^T with S = E diag(sqrt(weight g)):
-        # zero, negative and complex weights take every branch of the root
+        # the n = 3 first elimination E diag(weight g) E^T, taken by partial
+        # fractions, with zero, negative and complex weights
         x = coarse_grid.x
         theta = np.where(coarse_grid.shifted, 0.3 * (np.abs(x) < 0.3), 1.0 / (1.0 + x**2))
         w = np.array(self.WINDOW[:3])
@@ -1308,6 +1309,27 @@ class TestPairTable:
         theta = np.where(grid.shifted, 0.3, 1.0)
         res = thermo.efp_thermo(2, [0.0, 0.0], theta, grid, gamma)
         assert np.isfinite(res.value) and np.isfinite(res.imag_residual)
+
+    @pytest.mark.parametrize("shifted", [0.0, 0.3])
+    def test_largest_allowed_reach_at_n3(self, gamma, shifted):
+        # (n - 1) cutoff = 2 cutoff = 680 < 700 at n = 3: the partial-fraction
+        # tables stay finite and warning-free (a RuntimeWarning is an error
+        # here), and the sum matches the direct first elimination over
+        # E = 1/sinh from numpy, on the real branch alone and on both
+        # (measured 1.0e-15 and 3.7e-15 relative)
+        grid = thermo.contour_grid(gamma, cutoff=340.0, points_per_branch=64)
+        theta = np.where(grid.shifted, shifted, 1.0)
+        w = np.zeros(3)
+        res = thermo.efp_thermo(3, w, theta, grid, gamma)
+        rho, _, pref = thermo._dd_densities(w, theta, grid, gamma)
+        act = np.abs(theta * grid.w) > 0
+        z = grid.values[act]
+        E = 1 / np.sinh(z - z[:, None] - 1j * gamma.gamma)
+        np.fill_diagonal(E, 0.0)
+        F = determinant._slot_table(z, w, gamma.gamma)
+        ref = pref * node_sum_n3_direct((theta * grid.w)[act], rho[:, act], F, E)
+        assert abs(res.value - ref.real) <= 1e-13 * abs(ref)
+        assert res.imag_residual <= 1e-13 * abs(ref)
 
 
 class TestEfpSumFinite:

@@ -125,7 +125,8 @@ def test_specialization_offsets_take_one_stacked_call(M, monkeypatch):
     # the three offsets as one (3, N) stack, each value that of its own call
     # to 1e-12 at offset 1e-3; a call's own rounding grows like 1/offset
     # (2e-13, 2e-12 and 2e-11 relative against 50 digits at M = 6), and so
-    # does the bound
+    # does the bound (test_stacked_rows_take_the_bits_of_one_row_calls holds
+    # the rows to their bits)
     roots = bethe.solve_ground_state(M, GAMMA)
     seen = []
     product = determinant.slavnov_scalar_product
@@ -137,6 +138,28 @@ def test_specialization_offsets_take_one_stacked_call(M, monkeypatch):
     stacked = product(seen[0], roots)
     each = np.array([product(roots.values + e, roots) for e in eps])
     assert np.all(np.abs(stacked - each) <= 1e-12 * (1e-3 / np.array(eps)) * np.abs(each))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.6, 1.2, 1.5])
+@pytest.mark.parametrize("M", [2, 4, 6])
+def test_stacked_rows_take_the_bits_of_one_row_calls(M, gamma, monkeypatch):
+    # every row of a stacked xi takes its own exponential-table centre, so
+    # the (3, N) stack of the specialization check and the stacked Slavnov
+    # draws give each row the bits of a call with that row alone (with one
+    # centre for the stack they differed by up to 1.25e-11 relative at M = 6)
+    g = AnisotropyParam(gamma)
+    state = verify.bethe_vectors(bethe.solve_ground_state(M, g))
+    seen = []
+    product = determinant.slavnov_scalar_product
+    monkeypatch.setattr(determinant, "slavnov_scalar_product",
+                        lambda xi, roots: seen.append(xi) or product(xi, roots))
+    verify.check_gaudin_specialization(state.roots)
+    verify.check_slavnov([state], seed=42, draws=8)
+    assert [xi.shape for xi in seen] == [(3, state.roots.N), (8, state.roots.N)]
+    for xi in seen:
+        stacked = product(xi, state.roots)
+        each = np.array([product(row, state.roots) for row in xi])
+        assert stacked.tobytes() == each.tobytes()
 
 
 def test_flip_check_catches_a_wrong_sign():

@@ -43,6 +43,7 @@ from .determinant import (
     efp_profile,
     g_coefficient,
     gaudin_norm,
+    log_gaudin_norm,
     neville_extrapolate,
     psi_phi_rows,
     scalar_product_ratio,

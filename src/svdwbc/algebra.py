@@ -168,8 +168,13 @@ def _exp_tables(*zs, rows=0):
 
 def d_eigenvalue(lam, mu, gamma):
     """d(lam) = prod_k b(lam - mu_k), the D-eigenvalue on the all-up state.
-    An array lam gives one value per entry.  In the table U = e^{2(lam - c)},
-    m = e^{2(mu - c)} of _exp_tables each factor is
+    An array lam gives one value per entry, the product of its _d_factors."""
+    return np.prod(_d_factors(lam, mu, gamma), axis=-1)
+
+
+def _d_factors(lam, mu, gamma):
+    """The factors b(lam - mu_k) of d_eigenvalue along a new last axis.  In
+    the table U = e^{2(lam - c)}, m = e^{2(mu - c)} of _exp_tables each is
     b = (U - m_k e^eta) / (U e^eta - m_k), one subtraction pair and one
     division, and |sinh(lam - mu_k + eta/2)| = |U e^eta - m_k| / (2 sqrt|U m_k|)
     finds the poles that boltzmann_weights reports.  Each row of a stack of
@@ -184,7 +189,7 @@ def d_eigenvalue(lam, mu, gamma):
     if np.any(small):
         at = np.broadcast_to(lam - np.asarray(mu), small.shape)[small][0]
         raise PoleError(f"weights singular at lam = {at} (lam = -eta/2 mod i*pi)")
-    return np.prod((U - m * e) / den, axis=-1)
+    return (U - m * e) / den
 
 
 def _gap(u, a):

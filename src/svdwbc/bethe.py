@@ -120,9 +120,9 @@ class BetheRootSet:
     gamma: AnisotropyParam
     residuals: tuple = ()
     r_sign: int | None = None
-    # phi' of determinant.varphi_prime_matrix, built on first use and shared
-    # read-only by the determinant formulas; not an __init__ argument, so a
-    # dataclasses.replace copy starts without it and builds its own
+    # the Gaudin matrix G, phi' = i G, of determinant._gaudin_matrix, built on
+    # first use and shared read-only by the determinant formulas; not an
+    # __init__ argument, so a dataclasses.replace copy builds its own
     _phi_prime: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,8 +170,10 @@ class BetheRootSet:
         return max(self.residuals) if self.residuals else 0.0
 
     def d_product_deviation(self) -> float:
-        """|prod_j d(lam_j) - 1|, which vanishes on Bethe solutions."""
-        prod = np.prod(algebra.d_eigenvalue(self.values, self.mu, self.gamma))
+        """|prod_j d(lam_j) - 1|, which vanishes on Bethe solutions: one
+        product over the N x M table of d_eigenvalue's factors, down its
+        columns first, where numpy multiplies whole rows at a time."""
+        prod = np.prod(algebra._d_factors(self.values, self.mu, self.gamma), axis=0).prod()
         return float(abs(prod - 1.0))
 
     def to_json_dict(self) -> dict:
@@ -217,18 +219,33 @@ def ground_state_numbers(N):
     return ns, (1,) * N
 
 
-def _system(x, shifted, n_target, mu, g):
-    """Residual vector and Jacobian of counting(lam_i) = 2 pi n_i.  The
-    difference tables x_i - mu_k and x_i - x_j, and their crossing flags,
-    are built once and read by both."""
-    dm, cm = x[:, None] - mu, shifted[:, None]
-    dx, cx = x[:, None] - x, cm != shifted
-    F = _counting_tables(dm, cm, dx, cx, g) - 2 * np.pi * np.asarray(n_target)
+def _difference_tables(x, shifted, mu):
+    """(dm, cm, dx, cx): the difference tables x_i - mu_k and x_i - x_j of
+    the abscissae x against real mu and against themselves, and their
+    crossing flags."""
+    cm = shifted[:, None]
+    return x[:, None] - mu, cm, x[:, None] - x, cm != shifted
+
+
+def _jacobian(tables, g):
+    """Jacobian of counting(lam_i) = 2 pi n_i from the _difference_tables:
+    p_2' off the diagonal, and on it the p_1' sum against mu minus the p_2'
+    sum against the other roots.  At a solution it is the Gaudin matrix G,
+    phi' = i G (determinant._gaudin_matrix)."""
+    dm, cm, dx, cx = tables
     J = _p_n_deriv_x(dx, cx, 2, g)
     np.fill_diagonal(J, 0.0)
     diag = _p_n_deriv_x(dm, cm, 1, g).sum(axis=1)
     np.fill_diagonal(J, diag - J.sum(axis=1))
-    return F, J
+    return J
+
+
+def _system(x, shifted, n_target, mu, g):
+    """Residual vector and Jacobian of counting(lam_i) = 2 pi n_i, both read
+    from one set of _difference_tables."""
+    tables = _difference_tables(x, shifted, mu)
+    F = _counting_tables(*tables, g) - 2 * np.pi * np.asarray(n_target)
+    return F, _jacobian(tables, g)
 
 
 def _start(n_i, shifted, mu, g):

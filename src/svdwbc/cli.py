@@ -128,17 +128,24 @@ def _cmd_solve_bae(args):
 
 
 def _cmd_partition(args):
+    """Z = r_sign <N|N> at any M: log|<N|N>| always, the norm where it is
+    finite, and Z by brute force up to algebra.BRUTE_FORCE_MAX_M; a value
+    that does not apply is null."""
     roots = _resolve_roots(args)
     spec = roots.spec
     config = {"gamma": args.gamma, "M": spec.M, "mu": args.mu or "homogeneous", "tol": args.tol}
-    z = algebra.partition_bruteforce(roots.values, spec, roots.gamma)
     norm = determinant.gaudin_norm(roots)
     results = {
-        "Z_bruteforce": [z.real, z.imag],
-        "norm_determinant": [norm.real, norm.imag],
+        "Z_bruteforce": None,
+        "norm_determinant": [norm.real, norm.imag] if np.isfinite(norm) else None,
+        "log_abs_norm": float(determinant.log_gaudin_norm(roots)[1]),
         "r_sign": roots.r_sign,
-        "relative_difference": abs(z - roots.r_sign * norm) / abs(z),
+        "relative_difference": None,
     }
+    if spec.M <= algebra.BRUTE_FORCE_MAX_M:
+        z = algebra.partition_bruteforce(roots.values, spec, roots.gamma)
+        results["Z_bruteforce"] = [z.real, z.imag]
+        results["relative_difference"] = abs(z - roots.r_sign * norm) / abs(z)
     payload = _payload("partition", config, results)
     _emit(payload, args.out)
     return EXIT_OK

@@ -13,6 +13,7 @@ Every formula here has a brute-force counterpart in `algebra` used by tests.
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,15 @@ def slavnov_scalar_product(xi, roots):
 
 
 def varphi_prime_matrix(roots) -> np.ndarray:
-    """Jacobian matrix of the logarithmic eigenvalue phase entering the norm
-    determinant; off-diagonal entries -coth(eta + l_i - l_j) - coth(eta + l_j - l_i),
-    diagonal from the inhomogeneity sum minus the root sum."""
+    """Jacobian matrix phi' of the logarithmic eigenvalue phase entering the
+    norm determinant, i G for the Gaudin matrix G of _gaudin_matrix."""
+    return 1j * _gaudin_matrix(roots)
+
+
+def _coth_phi_prime(roots) -> np.ndarray:
+    """phi' from its coth formula: off-diagonal entries
+    -coth(eta + l_i - l_j) - coth(eta + l_j - l_i), diagonal from the
+    inhomogeneity sum minus the root sum."""
     e = np.exp(roots.gamma.eta)
     u, m = algebra._exp_tables(roots.values, roots.mu)
     # coth(eta + l_i - l_j) + coth(eta - l_i + l_j), as coth(d + eta) - coth(d - eta)
@@ -113,34 +120,96 @@ def varphi_prime_matrix(roots) -> np.ndarray:
     return out
 
 
+def _gaudin_matrix(roots) -> np.ndarray:
+    """The Gaudin matrix G with phi' = i G.  For real mu it is the Jacobian
+    of the log-form Bethe equations at the roots, bethe._jacobian, the
+    solver's own real matrix; a root set with complex mu takes -i times
+    the coth table of _coth_phi_prime."""
+    mu = np.array(roots.mu)
+    if mu.imag.any():
+        return -1j * _coth_phi_prime(roots)
+    tables = bethe._difference_tables(np.array(roots.x), roots.shifted, mu.real)
+    return bethe._jacobian(tables, roots.gamma.gamma)
+
+
 def _phi_prime(roots) -> np.ndarray:
-    """varphi_prime_matrix(roots), built once per root set and kept on it
+    """_gaudin_matrix(roots), built once per root set and kept on it
     read-only: gaudin_norm, psi_phi_rows and the EFP offsets all read it."""
     if roots._phi_prime is None:
-        phi = varphi_prime_matrix(roots)
-        phi.flags.writeable = False
-        object.__setattr__(roots, "_phi_prime", phi)  # a cache on a frozen set
+        G = _gaudin_matrix(roots)
+        G.flags.writeable = False
+        object.__setattr__(roots, "_phi_prime", G)  # a cache on a frozen set
     return roots._phi_prime
 
 
+def _solve_phi_prime(roots, rows) -> np.ndarray:
+    """rows phi'^{-1} for an (m, N) stack of complex rows R, from
+    (phi'^T)^{-1} R^T = (G^T)^{-1} (-i R^T).  A real G solves the real and
+    imaginary parts of -i R^T, Im R and -Re R, as 2m real columns by one
+    real LU: X = solve(G^T, Im R) - i solve(G^T, Re R), no complex LU."""
+    G = _phi_prime(roots)
+    # -i R^T in C order, each entry's two parts adjacent: (N, 2m) as floats
+    B = np.multiply(rows.T, -1j, out=np.empty(rows.shape[::-1], dtype=complex))
+    if G.dtype == complex:
+        return np.linalg.solve(G.T, B).T
+    return np.linalg.solve(G.T, B.view(float)).view(complex).T
+
+
+def _pair_log_sum(roots, s2):
+    """sum_{i<j} log(1 + s2 / sinh^2(l_i - l_j)), every term real: across
+    branches sinh^2 = -cosh^2 of the abscissa difference, and s2 = sin^2
+    gamma < 1.  With w = e^{2(l - c)}, real and negative on the shifted
+    branch, 4 sinh^2(l_i - l_j) = (w_i - w_j)^2 / (w_i w_j).  Roots of one
+    branch with |sinh(l_i - l_j)| < 1e-13 are a PoleError."""
+    x = roots.x
+    w = np.array(x)
+    w -= (max(x) + min(x)) / 2
+    w += w
+    np.exp(w, out=w)
+    if -1 in roots.parities:
+        np.negative(w, out=w, where=roots.shifted)
+    q = np.subtract.outer(w, w)
+    q *= q
+    q /= np.multiply.outer(w, w)  # 4 sinh^2
+    np.fill_diagonal(q, np.inf)
+    if np.abs(q).min() < 4e-26:
+        raise PoleError("coincident roots in norm prefactor")
+    np.divide(4 * s2, q, out=q)
+    return np.log1p(q, out=q).sum() / 2
+
+
+def log_gaudin_norm(roots):
+    """(sign, log|<N|N>|) of the Gaudin norm: with phi' = i G,
+    sinh(eta)^N prod_{i != j} [sinh(l_i - l_j + eta)/sinh(l_i - l_j)] det(phi')
+    = (-sin gamma)^N prod_{i<j} (1 + sin^2 gamma / sinh^2(l_i - l_j)) det G,
+    a positive product (_pair_log_sum) and the slogdet of G, finite far
+    past the double range of the norm itself.  The sign is a unit complex
+    number for complex mu, as for np.linalg.slogdet."""
+    _check_bethe(roots)
+    N = roots.N
+    if N == 0:
+        return 1.0, 0.0
+    s = math.sin(roots.gamma.gamma)
+    if not s:  # gamma = 0: sinh(eta)^N = 0
+        return 0.0, -math.inf
+    pairs = _pair_log_sum(roots, s * s)
+    sign, logdet = np.linalg.slogdet(_phi_prime(roots))
+    return (-1) ** N * sign, N * math.log(s) + pairs + logdet
+
+
 def gaudin_norm(roots) -> complex:
-    """<N|N> = sinh(eta)^N prod_{i != j} [sinh(l_i - l_j + eta)/sinh(l_i - l_j)] det(phi').
+    """<N|N> = sinh(eta)^N prod_{i != j} [sinh(l_i - l_j + eta)/sinh(l_i - l_j)] det(phi'),
+    the exponential of log_gaudin_norm, non-finite where its modulus
+    exceeds the double range.
 
     This is the unconjugated pairing of the Bethe state with its dual; for
     real ground-state roots it carries the sign (-1)^N.
     """
-    _check_bethe(roots)
-    lams = roots.values
-    eta = roots.gamma.eta
-    N = len(lams)
-    if N == 0:
-        return 1.0 + 0j
-    dl = (lams[:, None] - lams[None, :])[~np.eye(N, dtype=bool)]
-    s = np.sinh(dl)
-    if N > 1 and np.min(np.abs(s)) < 1e-13:
-        raise PoleError("coincident roots in norm prefactor")
-    pref = np.sinh(eta) ** N * np.prod(np.sinh(dl + eta) / s)
-    return complex(pref * np.linalg.det(_phi_prime(roots)))
+    sign, log_abs = log_gaudin_norm(roots)
+    try:
+        return complex(sign * math.exp(log_abs))
+    except OverflowError:
+        return complex(sign * math.inf)
 
 
 def _by_entry(f, z):
@@ -261,7 +330,7 @@ def psi_phi_rows(roots, mu_window) -> np.ndarray:
     Kronecker rows by construction."""
     windows = np.reshape(mu_window, (-1, 1))
     rows = window_dd_rows(roots.values, windows, roots.gamma.eta)[0][:, 0]
-    return np.linalg.solve(_phi_prime(roots).T, rows.T).T
+    return _solve_phi_prime(roots, rows)
 
 
 def window_dd_rows(lams, mu_window, eta):
@@ -631,7 +700,7 @@ def _efp_offsets(roots, n, ks):
     lams, g = roots.values, roots.gamma.gamma
     windows = np.array([roots.mu[k : k + n] for k in ks], dtype=complex)
     rows, pref = window_dd_rows(lams, windows, roots.gamma.eta)
-    rows = np.linalg.solve(_phi_prime(roots).T, rows.reshape(K * n, N).T).T.reshape(K, n, N)
+    rows = _solve_phi_prime(roots, rows.reshape(K * n, N)).reshape(K, n, N)
     F = _slot_table(lams, windows, g)
     tables = _node_tables(lams, g, n)
     weight = np.ones(N)

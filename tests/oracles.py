@@ -220,6 +220,22 @@ def varphi_prime_mp(roots, dps=40):
     return out
 
 
+def gaudin_norm_mp(roots, dps=40):
+    """<N|N> = sinh(eta)^N prod_{i != j} [sinh(l_i - l_j + eta)/sinh(l_i - l_j)]
+    det(phi') in `dps`-digit arithmetic, phi' from varphi_prime_mp, as an
+    mpmath complex number (its modulus may exceed the double range)."""
+    phi = varphi_prime_mp(roots, dps)
+    with mpmath.workdps(dps):
+        lams = [mpmath.mpc(z) for z in roots.values]
+        eta = mpmath.mpc(roots.gamma.eta)
+        pref = mpmath.sinh(eta) ** len(lams)
+        for i, li in enumerate(lams):
+            for j, lj in enumerate(lams):
+                if i != j:
+                    pref *= mpmath.sinh(li - lj + eta) / mpmath.sinh(li - lj)
+        return pref * mpmath.det(mpmath.matrix(phi.tolist()))
+
+
 def kernel_mp(n, x, crossed, g, dps=30):
     """K_n(x + i pi/2 crossed) = sin(n g) / (2 pi sinh(lam - i n g/2)
     sinh(lam + i n g/2)) in `dps`-digit arithmetic, elementwise over the

@@ -190,6 +190,19 @@ class TestSolver:
         assert roots.parities == (1,) * 4
         assert np.allclose(xs, -np.array(xs[::-1]), atol=1e-10)  # symmetric about 0
 
+    @pytest.mark.parametrize("M", [8, 64, 128])
+    def test_d_product_deviation_is_one_product(self, gamma, M):
+        # one product over the N x M factor table; only the last bits of
+        # prod_j d(lam_j) move against the product of the d_eigenvalue rows
+        roots = _solve(M, gamma, True, 1)
+        factors = algebra._d_factors(roots.values, roots.mu, gamma)
+        d = algebra.d_eigenvalue(roots.values, roots.mu, gamma)
+        assert d.tobytes() == np.prod(factors, axis=-1).tobytes()
+        prod = np.prod(factors, axis=0).prod()
+        assert roots.d_product_deviation() == abs(prod - 1.0)
+        assert abs(prod - np.prod(d)) < 1e-14
+        assert roots.d_product_deviation() < 1e-12
+
     def test_translation_covariance(self, gamma):
         base = bethe.solve_ground_state(6, gamma)
         delta = 0.3

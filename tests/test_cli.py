@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from svdwbc import cli, thermo
@@ -169,6 +170,24 @@ class TestPartitionCommand:
         res = load(out)["results"]
         assert res["relative_difference"] < 1e-10
         assert res["r_sign"] in (-1, 1)
+        norm = complex(*res["norm_determinant"])
+        assert res["log_abs_norm"] == pytest.approx(np.log(abs(norm)), rel=1e-12)
+
+    @pytest.mark.parametrize("M", [14, 64, 128])
+    def test_beyond_brute_force(self, tmp_path, M):
+        # the log modulus at every M; the norm is null once it leaves the
+        # double range (M = 50 on at gamma = 0.6), as are the brute-force fields
+        out = tmp_path / "z.json"
+        assert run(["partition", "--M", str(M), "--out", str(out)]) == 0
+        res = load(out)["results"]
+        assert res["Z_bruteforce"] is None and res["relative_difference"] is None
+        assert res["r_sign"] in (-1, 1) and np.isfinite(res["log_abs_norm"])
+        if M == 14:
+            norm = complex(*res["norm_determinant"])
+            assert np.sign(norm.real) == res["r_sign"]
+            assert res["log_abs_norm"] == pytest.approx(np.log(abs(norm)), rel=1e-12)
+        else:
+            assert res["norm_determinant"] is None
 
 
 class TestEfpFiniteCommand:

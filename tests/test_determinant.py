@@ -1,11 +1,12 @@
 import itertools
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import (efp_tuple_sum, first_elimination_direct, t_prime_mp, varphi_prime_fd,
-                     varphi_prime_mp, window_dd_rows_mp)
+from oracles import (efp_tuple_sum, first_elimination_direct, gaudin_norm_mp, t_prime_mp,
+                     varphi_prime_fd, varphi_prime_mp, window_dd_rows_mp)
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import LatticeSpec, homogeneous_spec
 from svdwbc.errors import PoleError
@@ -200,20 +201,139 @@ class TestVarphiPrimeOracle:
             determinant.varphi_prime_matrix(replace(roots, mu=tuple(mu)))
 
 
+class TestGaudinMatrix:
+    """For real mu the Gaudin matrix is the solver's own Jacobian, phi' = i G,
+    and every phi' consumer runs on the real G."""
+
+    @staticmethod
+    def assert_is_jacobian(roots):
+        _, J = bethe._system(np.array(roots.x), roots.shifted, roots.quantum_numbers,
+                             np.real(roots.mu), roots.gamma.gamma)
+        G = determinant._gaudin_matrix(roots)
+        assert G.dtype == np.float64 and G.tobytes() == J.tobytes()
+        phi = determinant.varphi_prime_matrix(roots)
+        assert phi.tobytes() == (1j * G).tobytes()
+
+    @pytest.mark.parametrize("M", [8, 64, 128])
+    def test_seeded_ground_states(self, gamma, rng, M):
+        self.assert_is_jacobian(_seeded_roots(rng, M, gamma))
+
+    def test_shifted_branch_twin(self, gamma):
+        ns, _ = bethe.ground_state_numbers(4)
+        self.assert_is_jacobian(bethe.solve_bae(ns, (-1,) * 4, homogeneous_spec(8), gamma))
+
+    def test_mixed_parities(self, gamma):
+        roots = bethe.BetheRootSet(x=(0.4, -0.3, 1.1), quantum_numbers=(-1, 0, 1),
+                                   parities=(1, -1, 1), mu=(0.1, -0.2, 0.3, 0.0, -0.5, 0.6),
+                                   gamma=gamma)
+        self.assert_is_jacobian(roots)
+
+    def test_no_complex_factorization(self, gamma, rng, monkeypatch):
+        # the norm, the window rows and the EFP factor only the real G
+        roots = _seeded_roots(rng, 10, gamma)
+        for name in ("solve", "slogdet", "det"):
+            lapack = getattr(np.linalg, name)
+
+            def real_only(a, *args, _lapack=lapack, **kwargs):
+                assert not np.iscomplexobj(a)
+                return _lapack(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, real_only)
+        determinant.gaudin_norm(roots)
+        determinant.log_gaudin_norm(roots)
+        determinant.psi_phi_rows(roots, [0.1, -0.2])
+        determinant.efp_finite(roots, 3, 2)
+        determinant.efp_profile(roots, 3)
+
+    def test_rows_solved_against_phi_prime(self, gamma, rng):
+        # solve(G^T, Im R) - i solve(G^T, Re R) is R phi'^{-1}, for any rows
+        roots = _seeded_roots(rng, 12, gamma)
+        rows = rng.normal(size=(5, roots.N)) + 1j * rng.normal(size=(5, roots.N))
+        got = determinant._solve_phi_prime(roots, rows)
+        phi = determinant.varphi_prime_matrix(roots)
+        ref = np.linalg.solve(phi.T, rows.T).T
+        assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(got @ phi - rows)) < 1e-13 * np.max(np.abs(rows))
+
+
+class TestLogGaudinNorm:
+    """(sign, log|<N|N>|) from the real prefactor and slogdet G, finite at
+    every M; gaudin_norm is its exponential."""
+
+    def test_finite_at_512(self, gamma):
+        roots = bethe.solve_ground_state(512, gamma)
+        sign, log_abs = determinant.log_gaudin_norm(roots)
+        assert sign == roots.r_sign and np.isfinite(log_abs)
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 16, 32, 48])
+    def test_matches_gaudin_norm(self, gamma, rng, M):
+        for roots in (bethe.solve_ground_state(M, gamma), _seeded_roots(rng, M, gamma)):
+            norm = determinant.gaudin_norm(roots)
+            sign, log_abs = determinant.log_gaudin_norm(roots)
+            assert np.isfinite(norm) and norm.imag == 0
+            assert np.sign(norm.real) == sign == roots.r_sign
+            assert abs(log_abs - np.log(abs(norm))) < 1e-12 * max(1.0, abs(log_abs))
+
+    def test_matches_mpmath_at_64(self, gamma, rng):
+        roots = _seeded_roots(rng, 64, gamma)
+        ref = gaudin_norm_mp(roots)
+        sign, log_abs = determinant.log_gaudin_norm(roots)
+        assert abs(log_abs - float(mpmath.log(abs(ref)))) < 1e-10
+        assert abs(complex(ref / abs(ref)) - sign) < 1e-10
+
+    @pytest.mark.parametrize("M", [50, 64, 128])
+    def test_norm_past_the_double_range(self, gamma, M):
+        # inf with the sign of the norm, neither a warning nor an error
+        roots = bethe.solve_ground_state(M, gamma)
+        norm = determinant.gaudin_norm(roots)
+        assert norm == roots.r_sign * np.inf
+
+    def test_pair_factors_across_branches(self, gamma):
+        # sinh(d + eta) sinh(eta - d) / -sinh(d)^2 from complex sinh against
+        # the real log-sum, on a set with both branches and far-apart roots
+        roots = bethe.BetheRootSet(x=(0.4, -0.3, 1.1, 40.0), quantum_numbers=(-1.5, -0.5, 0.5, 1.5),
+                                   parities=(1, -1, 1, -1), mu=(0.0,) * 8, gamma=gamma)
+        lams, eta = roots.values, gamma.eta
+        ref = 0.0
+        for i, j in itertools.combinations(range(roots.N), 2):
+            d = lams[i] - lams[j]
+            f = np.sinh(d + eta) * np.sinh(eta - d) / -np.sinh(d) ** 2
+            assert abs(f.imag) < 1e-15 and f.real > 0
+            ref += np.log(f.real)
+        got = determinant._pair_log_sum(roots, np.sin(gamma.gamma) ** 2)
+        assert abs(got - ref) < 1e-14
+
+    def test_complex_mu_keeps_the_coth_matrix(self, gamma, rng):
+        roots = _seeded_roots(rng, 10, gamma, imag_scale=3e-13)
+        real = replace(roots, mu=tuple(np.real(roots.mu)))
+        assert roots._phi_prime is None
+        norm = determinant.gaudin_norm(roots)
+        assert roots._phi_prime.dtype == complex
+        assert abs(norm - determinant.gaudin_norm(real)) < 1e-11 * abs(norm)
+
+    def test_coincident_roots(self, gamma):
+        roots = bethe.BetheRootSet(x=(0.2, 0.2), quantum_numbers=(-0.5, 0.5), parities=(1, 1),
+                                   mu=(0.0,) * 4, gamma=gamma, residuals=(0.0, 0.0))
+        with pytest.raises(PoleError, match="coincident roots"):
+            determinant.log_gaudin_norm(roots)
+        with pytest.raises(PoleError, match="coincident roots"):
+            determinant.gaudin_norm(roots)
+
+
 class TestSharedPhiPrime:
-    """phi' is built once per root set, kept on it read-only, and read by the
-    norm, the window rows and the EFP."""
+    """The Gaudin matrix G, phi' = i G, is built once per root set, kept on it
+    read-only, and read by the norm, the window rows and the EFP."""
 
     @staticmethod
     def count_builds(monkeypatch):
         built = []
-        build = determinant.varphi_prime_matrix
+        build = determinant._gaudin_matrix
 
         def counting(roots):
             built.append(roots)
             return build(roots)
 
-        monkeypatch.setattr(determinant, "varphi_prime_matrix", counting)
+        monkeypatch.setattr(determinant, "_gaudin_matrix", counting)
         return built
 
     # every phi' consumer, each as a function of the root set
@@ -235,17 +355,18 @@ class TestSharedPhiPrime:
     def test_shared_matrix_is_read_only(self, gamma, rng):
         roots = _seeded_roots(rng, 10, gamma)
         determinant.gaudin_norm(roots)
-        phi = roots._phi_prime
+        G = roots._phi_prime
+        assert G.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
-            phi[0, 0] = 0.0
-        assert phi.tobytes() == determinant.varphi_prime_matrix(roots).tobytes()
+            G[0, 0] = 0.0
+        assert G.tobytes() == determinant._gaudin_matrix(roots).tobytes()
 
     def test_results_match_a_fresh_root_set(self, gamma, rng):
         roots = _seeded_roots(rng, 10, gamma)
         determinant.gaudin_norm(roots)  # the consumers below read the shared phi'
         for consumer in self.CONSUMERS:
             fresh = bethe.BetheRootSet.from_json_dict(roots.to_json_dict())
-            assert fresh._phi_prime is None  # this consumer builds phi' itself
+            assert fresh._phi_prime is None  # this consumer builds G itself
             assert (np.asarray(consumer(roots)).tobytes()
                     == np.asarray(consumer(fresh)).tobytes())
 

@@ -151,6 +151,13 @@ def _exp_tables(*zs, rows=0):
     r axes of every z index a stack of rows (an axis of length 1 is shared
     by every row), and each row takes the midrange of its own entries: its
     tables are then those of the row alone, whatever the other rows hold."""
+    if len(zs) == 1 and not rows:  # one array: the same tables from fewer numpy calls
+        t = np.array(zs[0], dtype=complex)
+        re = t.real
+        if t.size:
+            t -= (np.maximum.reduce(re, axis=None) + np.minimum.reduce(re, axis=None)) / 2
+        t *= 2
+        return [np.exp(t, out=t)]
     zs = [np.asarray(z, dtype=complex) for z in zs]
     if not rows:
         re = np.concatenate([z.real.ravel() for z in zs])

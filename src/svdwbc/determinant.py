@@ -421,12 +421,13 @@ def scalar_product_ratio(roots, mu_window, excluded=None) -> complex:
 #     D(a, b) = sinh(b - a - i gamma),
 #     f_l(lam) = prod_{m<l} sinh(lam - w_m - i gamma/2) prod_{m>l} sinh(lam - w_m + i gamma/2).
 # Every EFP sum, finite size and thermodynamic, reads H from the node tables
-# of _node_tables (the inverse pair table, and at n = 3 the tables of its
-# partial fractions), one set per node set, and the slot table of
-# _slot_table, one per window.
+# of _node_tables, one set per node set (the inverse pair table from n = 4
+# on, the node exponentials below that), and the slot table of _slot_table,
+# one per window.
 
 _CHUNK = 8192  # sampled tuples per batched evaluation of H; bounds the (n, B) stacks
-_STACK = 2**14  # window-stack entries per node-sum intermediate; 256 KiB complex
+_STACK = 2**14  # window-stack entries per n >= 4 node-sum intermediate; 256 KiB complex
+_PANEL = 32  # node rows per block of a pair or Cauchy table; 128 KiB complex at P = 256
 
 
 def _slot_table(z, w, g):
@@ -443,80 +444,106 @@ def _slot_table(z, w, g):
 
 def _pair_table(z, g):
     """Pair table D[a, b] = sinh(z_b - z_a - i g) over the nodes z, from
-    their exponentials v = e^{z - c}, c the midrange of Re z (_sinh_pairs)."""
-    v, = algebra._exp_tables(0.5 * z)  # e^{2(z/2 - c/2)} = e^{z - c}
-    return _sinh_pairs(v, g)
+    their exponentials v = e^{z - c}, c the midrange of Re z, in one array
+    filled a block of _PANEL rows at a time (_sinh_pairs)."""
+    v, = algebra._exp_tables(0.5 * z)
+    D = np.empty((len(v), len(v)), dtype=complex)
+    for r0 in range(0, len(v), _PANEL):
+        _sinh_pairs(v, g, r0, D[r0 : r0 + _PANEL])
+    return D
 
 
-def _sinh_pairs(v, g):
-    """The pair table from the node exponentials v: D is (X - 1/X) / 2 with
-    X = e^{-i g} v_b / v_a, two outer products in place of P^2 complex
-    sinh, finite while Re z spans less than about 1400."""
+def _sinh_pairs(v, g, r0, out):
+    """Rows r0 .. r0 + len(out) of the pair table from the node exponentials
+    v, written into out: D is (X - 1/X) / 2 with X = e^{-i g} v_b / v_a, two
+    outer products in place of complex sinh, finite while Re z spans less
+    than about 1400."""
     ph = np.exp(-0.5j * g)
-    half = np.outer(0.5 * ph / v, ph * v)  # e^{z_b - z_a - i g} / 2
-    # a new table, not an in-place update of `half`: the in-place form left
-    # the heap so that a later 512-point density solve peaked about 1 MB higher
-    return half - np.outer(0.5 * v / ph, 1 / (ph * v))
+    va = v[r0 : r0 + len(out)]
+    np.multiply.outer(0.5 * ph / va, ph * v, out=out)  # e^{z_b - z_a - i g} / 2
+    out -= np.multiply.outer(0.5 * va / ph, 1 / (ph * v))
+    return out
 
 
-def _inverse_pairs(D):
-    """E = 1/D off the diagonal and 0 on it, the pair factors of _node_sum
-    and _h_tuples.  An off-diagonal |D| below 1e-14, two nodes i gamma
-    apart, is a PoleError.  The check reads the parts of E, and squares D
-    only when a part exceeds 7e13, below 1e14 / sqrt 2, where |E| may pass
-    1e14; a square past the double range is inf, and clears it without a
-    warning."""
+def _inverse_pairs(D, r0=0):
+    """E = 1/D, in place, over the rows r0 .. r0 + len(D) of a pair table,
+    with 0 on the diagonal: the pair factors of _node_sum and _h_tuples.
+    An off-diagonal |E| above 1e14, two nodes i gamma apart, is a
+    PoleError.  The check reads the parts of E, and squares them only when
+    a part exceeds 7e13, below 1e14 / sqrt 2; a NaN fails it too."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        E = 1.0 / D
-    np.fill_diagonal(E, 0.0)
-    parts = E.view(float)  # real and imaginary parts, read without a copy
-    if E.size and not (-7e13 <= parts.min() and parts.max() <= 7e13):  # NaN fails too
-        with np.errstate(over="ignore"):
-            sq = D.real**2
-            sq += D.imag**2
-        np.fill_diagonal(sq, np.inf)
-        if sq.min() < 1e-28:
+        E = np.divide(1.0, D, out=D)
+    i = np.arange(len(E))
+    E[i, r0 + i] = 0.0
+    if not _bounded(E, 7e13):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = E.real**2
+            sq += E.imag**2
+        if not np.all(sq <= 1e28):
             raise PoleError("coincident rapidities shifted by i*gamma")
     return E
 
 
+def _bounded(A, bound):
+    """Whether every real and imaginary part of A lies in [-bound, bound],
+    read without a copy; a NaN does not."""
+    parts = A.view(float) if A.dtype == complex else A
+    return not parts.size or (-bound <= parts.min() and parts.max() <= bound)
+
+
 def _node_tables(z, g, n):
-    """(E, T, Q), the tables of _node_sum over the nodes z at window length
-    n, built once per node set: the inverse pair table E of _inverse_pairs,
-    and None for one slot, which has no pairs.  At n = 3 the partial
-    fractions of the first elimination read T[a, b] = coth(z_b - z_a - i g)
-    and Q[a, b] = E[a, b] / sinh(z_a - z_b) instead, both 0 on the diagonal,
-    and E is not kept: three P x P tables would be live where the node sum
-    needs two.  With v = e^{z - c} as in _pair_table, T is
-    1 + E[a, b] e^{i g} v_a / v_b and 1/sinh(z_a - z_b) is
-    2 v_a v_b / (v_a^2 - v_b^2), each built in place in one new array: no
-    complex sinh or cosh, finite while Re z spans less than about 700.  At
-    n = 3 a part of 1/sinh(z_a - z_b) beyond 1e14 off the diagonal, two
-    nodes i pi apart or closer than about 1e-14, is a PoleError."""
+    """The tables of _node_sum over the nodes z at window length n, built
+    once per node set: None for one slot, which has no pairs; from n = 4 on
+    the inverse pair table E of _inverse_pairs; at n = 2 and 3 only
+    (g, v, u), v = e^{z - c} as in _pair_table and u = v^2, from which the
+    node sum builds its tables a block of rows at a time.  u is real when
+    every node lies on the real line or on Im = pi/2, where the exact u is."""
     if n < 2:
-        return None, None, None
+        return None
+    if n > 3:
+        return _inverse_pairs(_pair_table(z, g))
     v, = algebra._exp_tables(0.5 * z)
-    E = _inverse_pairs(_sinh_pairs(v, g))
-    if n != 3:
-        return E, None, None
-    ph = np.exp(0.5j * g)
-    T = E * (ph * v)[:, None]
-    T *= ph / v  # e^{-(z_b - z_a - i g)} E = coth - 1
-    T += 1.0
-    np.fill_diagonal(T, 0.0)
     u = v * v
-    Q = np.subtract.outer(u, u)  # 2 v_a v_b sinh(z_a - z_b)
-    np.fill_diagonal(Q, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # coincident nodes, checked below
-        np.divide(2.0, Q, out=Q)
-    np.fill_diagonal(Q, 0.0)
-    Q *= v[:, None]
-    Q *= v
-    parts = Q.view(float)  # real and imaginary parts, read without a copy
-    if Q.size and not (-1e14 <= parts.min() and parts.max() <= 1e14):  # NaN fails too
-        raise PoleError("coincident nodes: the partial fractions divide by sinh(z_a - z_b)")
-    Q *= E
-    return None, T, Q
+    im = np.imag(z)
+    if np.all((im == 0) | (im == np.pi / 2)):
+        u = u.real  # the imaginary part on Im = pi/2 is e^{i pi} rounded
+    return g, v, u
+
+
+def _cauchy_rows(g, v, u, r0, U, L, Q):
+    """Rows r0 .. r0 + len(U) of U and e^{i g} Q, the tables of the n = 3
+    node sum, written into the blocks U and Q (and L, real with u), all 0
+    on the diagonal: U[a, b] = 2 u_a K[a, b] with the Cauchy core
+    K[a, b] = 1 / (e^{-2 i g} u_b - u_a), so that T[a, b] =
+    coth(z_b - z_a - i g) = 1 + U[a, b], and Q = e^{-i g} U L, entry by
+    entry, with the real core L[a, b] = 2 u_b / (u_a - u_b): since
+    E[a, b] = e^{-i g} U[a, b] v_b / v_a and 1/sinh(z_a - z_b) =
+    L[a, b] v_a / v_b, Q[a, b] = E[a, b] / sinh(z_a - z_b).  U and L stay
+    bounded off the poles, and a pole shows in them: |E| > 1e14, two nodes
+    i g apart, needs |U| > 1e10, and a part of 1/sinh(z_a - z_b) beyond
+    1e14, two nodes closer than about 1e-14 or i pi apart, needs |L| > 1e10
+    (where |u_b / u_a| exceeds 1e8, or its inverse, that entry is below
+    2e-4).  So only a block with a part past 7e9 is checked entry by entry,
+    and each such pole is a PoleError."""
+    r1 = r0 + len(U)
+    ua, i = u[r0:r1], np.arange(len(U))
+    np.subtract.outer(ua, np.exp(-2j * g) * u, out=U)
+    np.subtract.outer(ua, u, out=L)
+    L[i, r0 + i] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles, checked below
+        np.divide((-2 * ua)[:, None], U, out=U)
+        np.divide(2 * u, L, out=L)
+    U[i, r0 + i] = L[i, r0 + i] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (_bounded(U, 7e9) or np.all(np.abs(U) * np.abs(v / v[r0:r1, None]) <= 1e14)):
+            raise PoleError("coincident rapidities shifted by i*gamma")
+        if not (_bounded(L, 7e9) or _bounded(L * (v[r0:r1, None] / v), 1e14)):
+            raise PoleError("coincident nodes: the partial fractions divide by sinh(z_a - z_b)")
+    if L.dtype == complex:
+        return U, np.multiply(U, L, out=Q)
+    np.multiply(U.view(float).reshape(L.shape + (2,)), L[..., None],
+                out=Q.view(float).reshape(L.shape + (2,)))  # both parts times L
+    return U, Q
 
 
 def _batched_det(cols):
@@ -561,60 +588,95 @@ def _h_tuples(idx, RW, F, E):
 def _node_sum(weight, R, F, tables):
     """sum over ordered node tuples a of prod_l weight[a_l] * H(z_a1..z_an),
     from the rows R[i, p] = R_i(z_p), the window's slot table F of
-    _slot_table and the node set's tables (E, T, Q) of _node_tables.
+    _slot_table and the node set's tables of _node_tables.
 
-    Leibniz expansion of the determinant: each permutation sigma contracts
-    G_l = weight * R_sigma(l) * f_l over the complete graph of E = 1/D, last
-    slot first, with one BLAS product for the first elimination and each
-    intermediate computed once per suffix of sigma.  O(n P^n) work, P^(n-1)
-    memory for P nodes; diag(E) = 0 drops repeated-index tuples exactly.
-    At n = 3 the first elimination takes partial fractions in place of the
-    product (_first_elimination), and the sum costs O(P^2).
+    Leibniz expansion of the determinant: each permutation sigma weights
+    slot l by G_l = weight * R_sigma(l) * f_l, and the sum over sigma of a
+    product of per-slot vectors is, node by node, a determinant of the
+    stacks X_l[p, i] = weight_p f_l(z_p) R_i(z_p) (_node_sum_small).  At
+    n <= 3 the pair factors enter as matrix products with tables built a
+    block of _PANEL rows at a time, O(P^2) work and O(P) memory besides the
+    block.  From n = 4 on each permutation contracts its G_l over the
+    complete graph of E = 1/D (_eliminate): O(n P^n) work, P^(n-1) memory.
 
     A (K, n, P) stack of rows and of slot tables, one per window of the same
     nodes, gives the K sums from one contraction: every product is a stacked
     matmul, which hands each window the BLAS call, and the bits, of the
-    window alone.  One window keeps the 2-D products.
+    window alone.
     """
     n, P = F.shape[-2:]
+    if n <= 3:
+        return _node_sum_small(weight, R, F, tables)
     if P ** (n - 1) > 2**24:  # 256 MiB per complex intermediate
         raise ValueError(f"exact node sum: {P}^{n - 1} entries per intermediate exceed 2^24")
-    E, T, Q = tables
+    E = tables
     G = weight * R[..., :, None, :] * F[..., None, :, :]  # G[k, l] = weight * R_k * f_l
     if G.ndim == 4:
         G = np.moveaxis(G, 0, 2)  # G[k, l] is the (K, P) stack of the windows
     # kr[l + 1] ties slot l to the slots after it: the row-wise Khatri-Rao
     # product of l copies of E, and one phantom row of ones for l = 0 and
     # for slot -1
-    kr = [np.ones((1, P))] * min(n, 2) + [E] * (n > 2)
+    kr = [np.ones((1, P))] * 2 + [E]
     for _ in range(3, n):
         kr.append((kr[-1][:, None, :] * E).reshape(-1, P))
-    return _eliminate(n - 1, None, list(range(n)), G, kr, kr[0] if E is None else E, (T, Q))
+    return _eliminate(n - 1, None, list(range(n)), G, kr, E)
 
 
-def _first_elimination(g, kr, last, cauchy):
-    """kr[n - 1] * V_{n-1}: the first elimination of _node_sum, with weights
-    g in slot n - 1 (a (K, P) stack for K windows), coupled to the slots
-    before it as _eliminate couples every V (V_0 itself at n = 1);
-    last = E (the phantom row at n = 1) and cauchy = (T, Q) of _node_tables.
+def _node_sum_small(weight, R, F, tables):
+    """_node_sum at n <= 3, where the pair factors enter as products with
+    tables built a block of _PANEL rows at a time.  n = 1 is the sum of
+    X_0, and n = 2 the sum over the nodes of det[X_0, E X_1].
 
-    At n = 3, V[a, b] = sum_c g_c E[a, c] E[b, c], an O(P^3) product.  The
-    partial fractions 1/(sinh A sinh B) = (coth A - coth B) / sinh(B - A),
-    with A = z_c - z_a - i gamma and B = z_c - z_b - i gamma, give it in
-    O(P^2): E[a, b] V[a, b] = (X[b, a] - X[a, b]) Q[a, b] with
-    X[a, b] = g_b T[a, b] + h_b and h = T g.  Since diag(T) = 0, h_b leaves
-    out c = b, and g_b T[a, b] puts back the c = b term that h_a left in.
-    The numerator is one difference per entry, not four contracted terms,
-    which near the diagonal would cancel after the contraction."""
-    if len(kr) == 3:
-        T, Q = cauchy
-        X = T * g[..., None, :]
-        X += (T @ g[..., :, None]).swapaxes(-1, -2)  # h as a row
-        W = X.swapaxes(-1, -2) - X
-        W *= Q
-        return W
-    V = (kr[-1] * g[..., None, :]) @ last.T
-    return V if len(kr) == 1 else _couple(kr[-1], V, g.ndim == 2)
+    n = 3: fix sigma and write g = G_2.  The partial fractions
+    1/(sinh A sinh B) = (coth A - coth B) / sinh(B - A) give
+    E[a, b] sum_c g_c E[a, c] E[b, c] = Q[a, b] (g_a T[b, a] + h_a - g_b T[a, b] - h_b)
+    with h = T g, T = coth(z_b - z_a - i gamma) and Q = E / sinh(z_a - z_b),
+    all 0 on the diagonal.  The first and third terms put two slots'
+    weights on one node and cancel in the sum over sigma, which leaves
+        S = sum_a det[X_0, Q X_1, T X_2](a) - sum_b det[Q^T X_0, X_1, T X_2](b).
+    Each block of rows (_cauchy_rows) adds its rows of (T - J) X_2 and
+    Q X_1, J the all-ones matrix, and its share of Q^T X_0.  Q is taken
+    entry by entry, not as (i / sin gamma)(T + coth(z_a - z_b)), whose two
+    terms near +-1 cancel between far nodes: that form read up to 2.5e-13
+    from an 80-bit sum of the same rows at M = 6, and thermodynamic values
+    moved by 8e-14 with it, 6.5e-15 with Q."""
+    n, P = F.shape[-2:]
+    # X[..., p, l, i] = weight_p f_l(z_p) R_i(z_p), one C-ordered array
+    X = np.empty(F.shape[:-2] + (P, n, n), dtype=complex)
+    np.multiply((weight * F).swapaxes(-1, -2)[..., None], R.swapaxes(-1, -2)[..., None, :], out=X)
+    X0 = X[..., 0, :]
+    if n == 1:
+        return X0[..., 0].sum(axis=-1)
+    g, v, u = tables
+    if n == 2:
+        X1, EX1 = X[..., 1, :], np.empty(X0.shape, dtype=complex)
+        block = np.empty((min(P, _PANEL), P), dtype=complex)
+        for r0 in range(0, P, _PANEL):
+            E = _inverse_pairs(_sinh_pairs(v, g, r0, block[: P - r0]), r0)
+            np.matmul(E, X1, out=EX1[..., r0 : r0 + len(E), :])
+        return (X0[..., 0] * EX1[..., 1] - X0[..., 1] * EX1[..., 0]).sum(axis=-1)
+    X1, X2 = X[..., 1, :], X[..., 2, :]
+    TX2, QX1 = np.empty(X0.shape, dtype=complex), np.empty(X0.shape, dtype=complex)
+    QtX0 = 0.0
+    U, Q = np.empty((2, min(P, _PANEL), P), dtype=complex)
+    L = np.empty(U.shape, dtype=u.dtype)
+    for r0 in range(0, P, _PANEL):
+        r1 = min(r0 + _PANEL, P)
+        U, Q = _cauchy_rows(g, v, u, r0, U[: r1 - r0], L[: r1 - r0], Q[: r1 - r0])
+        np.matmul(U, X2, out=TX2[..., r0:r1, :])
+        np.matmul(Q, X1, out=QX1[..., r0:r1, :])
+        QtX0 = QtX0 + Q.T @ X0[..., r0:r1, :]
+    TX2 += (np.ones(P) @ X2)[..., None, :] - X2  # a product, which sums each window alike
+    terms = _triple(X0, QX1, TX2) - _triple(QtX0, X1, TX2)
+    terms *= np.exp(-1j * g)  # before the sum: scalar and array products may round apart
+    return terms.sum(axis=-1)
+
+
+def _triple(x, y, z):
+    """det[x, y, z] of the 3-vectors along the last axis, x . (y x z)."""
+    return (x[..., 0] * (y[..., 1] * z[..., 2] - y[..., 2] * z[..., 1])
+            + x[..., 1] * (y[..., 2] * z[..., 0] - y[..., 0] * z[..., 2])
+            + x[..., 2] * (y[..., 0] * z[..., 1] - y[..., 1] * z[..., 0]))
 
 
 def _couple(c, V, stacked):
@@ -623,28 +685,29 @@ def _couple(c, V, stacked):
     return c * (V.reshape(len(V), -1, c.shape[-1]) if stacked else V.reshape(-1, c.shape[-1]))
 
 
-def _eliminate(m, W, left, G, kr, last, cauchy):
-    """The recursion of _node_sum: the rows `left` go to slots 0..m, and W
-    is kr[m + 1] * V_{m+1}, the intermediate of the slots after m coupled to
-    slot m (None at m = n - 1, where the first elimination starts).  Each
-    V_m is coupled once, for every row that can take slot m - 1.  It takes
-    its tables as arguments and holds no reference to itself: a nested
-    recursive function would sit in a reference cycle with G and kr, which
-    then wait for the cyclic collector.  A stack of windows carries W as
-    (K, rows, P)."""
+def _eliminate(m, W, left, G, kr, E):
+    """The recursion of _node_sum from n = 4 on: the rows `left` go to slots
+    0..m, and W is kr[m + 1] * V_{m+1}, the intermediate of the slots after
+    m coupled to slot m (None at m = n - 1, where the first elimination
+    contracts the last slot's weights against E).  Each V_m is coupled
+    once, for every row that can take slot m - 1.  It takes its tables as
+    arguments and holds no reference to itself: a nested recursive
+    function would sit in a reference cycle with G and kr, which then wait
+    for the cyclic collector.  A stack of windows carries W as (K, rows, P)."""
     if not left:
         return W.item() if G.ndim == 3 else W.reshape(-1)
-    n, stacked = len(kr), G.ndim == 4
+    stacked = G.ndim == 4
     total = 0
     for j, k in enumerate(left):
-        if m == n - 1:
-            V = _first_elimination(G[k, m], kr, last, cauchy)
+        g = G[k, m]
+        if W is None:
+            V = (kr[m] * g[..., None, :]) @ E.T
         else:
-            V = W @ G[k, m, :, :, None] if stacked else W @ G[k, m]
-            if m:
-                V = _couple(kr[m], V, stacked)
+            V = W @ g[..., :, None] if stacked else W @ g
+        if m:
+            V = _couple(kr[m], V, stacked)
         total += (-1) ** (len(left) - 1 - j) * _eliminate(
-            m - 1, V, left[:j] + left[j + 1:], G, kr, last, cauchy)
+            m - 1, V, left[:j] + left[j + 1:], G, kr, E)
     return total
 
 
@@ -686,11 +749,13 @@ def _efp_offsets(roots, n, ks):
     weights and the divided-difference window rows (window_dd_rows) solved
     against phi'^T, times the window prefactor in that basis.  phi', shared
     by the root set's consumers, is solved once against the rows of every
-    window, and the pair table is built once.  Several windows go to the
-    node sum as (K, n, N) stacks of at most _STACK intermediate entries;
-    a window alone, or windows whose intermediates exceed half of _STACK,
-    go one by one as 2-D tables, since larger stacks leave the cache.
-    Both give each window the same bits."""
+    window, and the node tables are built once.  At n <= 3 all windows go
+    to the node sum as one (K, n, N) stack, whose intermediates are O(K N)
+    and which shares every block of the pair and Cauchy tables.  From
+    n = 4 on they go as stacks of at most _STACK intermediate entries; a
+    window alone, or windows whose intermediates exceed half of _STACK, go
+    one by one as 2-D tables, since larger stacks leave the cache.  Each
+    way gives each window the same bits."""
     _check_bethe(roots)
     K, N = len(ks), roots.N
     if n == 0:
@@ -704,6 +769,8 @@ def _efp_offsets(roots, n, ks):
     F = _slot_table(lams, windows, g)
     tables = _node_tables(lams, g, n)
     weight = np.ones(N)
+    if n <= 3:
+        return pref * _node_sum(weight, rows, F, tables)
     step = _STACK // N ** (n - 1)
     if K == 1 or step < 2:
         return pref * np.array([_node_sum(weight, r, f, tables) for r, f in zip(rows, F)])
@@ -724,7 +791,7 @@ def efp_finite(req_or_roots, k=None, n=None, return_complex=False):
     """Finite-size EFP of columns k+1..k+n via the determinant path: the
     one-offset case of efp_profile.  Coincident columns (a homogeneous
     window) take the same path as distinct ones.  The node sum costs
-    O(n N^n) for N roots at every window length n.
+    O(N^2) for N roots at n <= 3 and O(n N^n) above.
     """
     req = req_or_roots if isinstance(req_or_roots, EfpRequest) else EfpRequest(k, n, req_or_roots)
     vals = _efp_offsets(req.roots, req.n, [req.k])

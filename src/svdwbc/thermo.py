@@ -10,6 +10,7 @@ probability both as a multiple contour integral and as the corresponding
 finite sum over roots.
 """
 
+import copy
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -486,9 +487,10 @@ def efp_thermo(
     takes them in closed form (the Taylor coefficients of the packed
     density in the column variable), with no factorization; any other theta
     or window drives one Nystrom solve with the rows.  For n <= 3 the
-    quadrature node sum is exact, O(n P^n) for P nodes with theta != 0.
-    Above n = 3 it is a stratified Monte Carlo estimate of mc_samples >= 32
-    draws, at least one per stratum, evaluated in batches of index tuples.
+    quadrature node sum is exact, O(P^2) work and O(P) memory for P nodes
+    with theta != 0 (determinant._node_sum).  Above n = 3 it is a
+    stratified Monte Carlo estimate of mc_samples >= 32 draws, at least one
+    per stratum, drawn and evaluated chunk by chunk.
     A grid whose sinh tables would overflow,
     max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700, is a ValueError, and so
     is a window length n < 0.
@@ -573,22 +575,33 @@ def _dd_densities(w, theta, grid, gamma, points=()):
 _GUIDE = 1 << 14  # guide-table buckets of _search; a power of two, so u * _GUIDE is exact
 
 
-def _search(cdf, u, side):
-    """np.searchsorted(cdf, u, side) for keys u in [0, 1] and a nondecreasing
-    cdf, through a guide table.  The keys in bucket [b, b + 1) / _GUIDE share
-    one index when no cdf entry separates the bucket's edges, and one gather
-    finds it; only the keys in the at most len(cdf) buckets that hold an
-    entry take a binary search.  The last entry serves the key 1.0."""
+def _guide(cdf, side):
+    """The guide table of _search over a nondecreasing cdf: for each bucket
+    [b, b + 1) / _GUIDE the one index np.searchsorted gives its keys, or -1
+    where a cdf entry separates the bucket's edges; one more entry for the
+    key 1.0."""
     edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, side)
-    guide = np.append(np.where(edges[1:] == edges[:-1], edges[:-1], -1), edges[-1])
-    out = guide[(u * _GUIDE).astype(np.intp)]
+    return np.append(np.where(edges[1:] == edges[:-1], edges[:-1], -1), edges[-1])
+
+
+def _search(cdf, u, side, guide, out=None):
+    """np.searchsorted(cdf, u, side) for keys u in [0, 1] and a nondecreasing
+    cdf, through its guide table _guide(cdf, side): the keys of a bucket
+    that no cdf entry splits find their index by one gather; only the keys
+    in the at most len(cdf) buckets that hold an entry take a binary
+    search.  out, if given, receives the indices."""
+    out = np.take(guide, (u * _GUIDE).astype(np.intp), out=out)
     split = out < 0
     out[split] = np.searchsorted(cdf, u[split], side)
     return out
 
 
 def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
-    """(value, stderr, samples) of the n-fold directed integral."""
+    """(value, stderr, samples) of the n-fold directed integral: the exact
+    node sum at n <= 3, and above that the stratified Monte Carlo sampler,
+    which draws and evaluates determinant._CHUNK tuples at a time into one
+    (n, _CHUNK) index buffer and merges each chunk's mean and squared
+    deviations into running ones, so that no array holds all samples."""
     rho, _, pref = _dd_densities(w, theta, grid, gamma)
     active = np.abs(theta * grid.w) > 0
     z = grid.values[active]
@@ -606,7 +619,6 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     n_strata = 32
     if mc_samples < n_strata:
         raise ValueError(f"need at least {n_strata} Monte Carlo samples, one per stratum")
-    rng = np.random.default_rng(seed)
     q = np.abs(c * (L.mean(axis=0) @ R))
     total = q.sum()
     if not (np.isfinite(total) and total > 0):
@@ -615,22 +627,40 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     cdf = np.cumsum(q)
     per = mc_samples // n_strata
     samples = n_strata * per
-    u = (np.arange(n_strata)[:, None] + rng.random((n_strata, per))) / n_strata
-    idx0 = np.minimum(_search(cdf, u.ravel(), "left"), len(z) - 1)
-    # rng.choice(len(z), size, p=q), draw for draw: its cdf and side
-    idx_rest = _search(cdf / cdf[-1], rng.random((n - 1, samples)), "right")
-    idx = np.vstack([idx0, idx_rest])
+    # slot 0 takes the stratified keys (k + rng.random((32, per))) / 32 and
+    # slots 1..n-1 rng.choice(len(z), (n - 1, samples), p=q), a right search
+    # of the normalized cdf; both read one stream, samples uniforms per
+    # slot, so slot l reads a copy of the seed's PCG64 advanced by
+    # l * samples draws, and chunk by chunk gives every draw of the
+    # one-shot sampler
+    seeded = np.random.default_rng(seed).bit_generator
+    streams = [np.random.Generator(copy.deepcopy(seeded).advance(l * samples)) for l in range(n)]
+    left, right = cdf, cdf / cdf[-1]
+    guides = _guide(left, "left"), _guide(right, "right")
     E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
     # the importance weights c / q scale the rows, which shrink with q, not
     # the slot table, which grows with |x|: no product overflows where the
     # closed-form rows underflow, and a node with q = 0, never drawn, gets 0
     RW = R * np.divide(c, q, out=np.zeros_like(q), where=q > 0)
     chunk = determinant._CHUNK
-    vals = np.empty(samples, dtype=complex)  # not a list of chunks to concatenate: one copy less
+    idx = np.empty((n, min(chunk, samples)), dtype=np.intp)
+    mean, m2 = 0.0, 0.0
     for s in range(0, samples, chunk):
-        vals[s:s + chunk] = determinant._h_tuples(idx[:, s:s + chunk], RW, F, E)
-    err = float(np.abs(vals.std(ddof=1)) / np.sqrt(samples))
-    return pref * vals.mean(), abs(pref) * err, samples
+        b = min(chunk, samples - s)
+        keys = (np.arange(s, s + b) // per + streams[0].random(b)) / n_strata
+        np.minimum(_search(left, keys, "left", guides[0], idx[0, :b]), len(z) - 1, out=idx[0, :b])
+        for l in range(1, n):
+            _search(right, streams[l].random(b), "right", guides[1], idx[l, :b])
+        vals = determinant._h_tuples(idx[:, :b], RW, F, E)
+        # the chunk's mean and sum of squared deviations, merged into the
+        # running pair (Chan, Golub and LeVeque, Am. Stat. 37 (1983) 242)
+        m = vals.mean()
+        vals -= m
+        d = m - mean
+        mean += d * (b / (s + b))
+        m2 += np.vdot(vals, vals).real + abs(d) ** 2 * (s * b / (s + b))
+    err = float(np.sqrt(m2 / (samples - 1) / samples))
+    return pref * mean, abs(pref) * err, samples
 
 
 def efp_sum_finite(roots, mu_window, profile):

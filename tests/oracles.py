@@ -30,9 +30,12 @@ to 1, where the package sweeps a dual state on the bit-reversed basis and
 stacks it with others; every amplitude takes the same arithmetic, so the
 two agree bit for bit.  The first-elimination oracle forms the n = 3
 intermediate as the direct product E diag(g) E^T, where the package takes
-partial fractions in the eliminated slot.  nystrom_profile is no oracle:
-it reaches the package's Nystrom solve, which solve_density bypasses on a
-packed weight.
+partial fractions in the eliminated slot and drops the terms that cancel
+over the row permutations; the second n = 3 reference keeps all four
+partial-fraction terms, entry by entry, and the n = 4 reference takes the
+closed-form first elimination in a (P, P, P) array, all from numpy's sinh.
+nystrom_profile is no oracle: it reaches the package's Nystrom solve, which
+solve_density bypasses on a packed weight.
 """
 
 import math
@@ -338,18 +341,98 @@ def first_elimination_direct(g, E):
     return (E * g[..., None, :]) @ E.T
 
 
+def _signed_permutations(n):
+    """(sign, perm) over the permutations of range(n)."""
+    for perm in permutations(range(n)):
+        yield (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)), perm
+
+
 def node_sum_n3_direct(weight, rows, F, E):
     """The n = 3 node sum of determinant._node_sum, sum over node triples
     (a, b, c) of weight_a weight_b weight_c det[R_i(z)] f_0(z_a) f_1(z_b)
     f_2(z_c) E[a, b] E[a, c] E[b, c], by Leibniz over the rows with the
     direct first elimination and explicit sums over (a, b)."""
     total = 0.0 + 0j
-    for perm in permutations(range(3)):
-        sign = (-1) ** sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+    for sign, perm in _signed_permutations(3):
         g0, g1, g2 = (weight * rows[perm[l]] * F[l] for l in range(3))
         V = first_elimination_direct(g2, E)
         total += sign * np.sum(g0[:, None] * g1[None, :] * E * V)
     return total
+
+
+def node_sum_n3_moduli(weight, rows, F, E):
+    """The sum of the moduli of the terms of node_sum_n3_direct, over the
+    row permutations and node triples: the scale of its rounding error."""
+    A, total = np.abs(E), 0.0
+    for _, perm in _signed_permutations(3):
+        g0, g1, g2 = (np.abs(weight * rows[perm[l]] * F[l]) for l in range(3))
+        total += np.sum(g0[:, None] * g1[None, :] * A * first_elimination_direct(g2, A))
+    return total
+
+
+def _inverse_sinh_tables(z, g):
+    """E[a, b] = 1/sinh(z_b - z_a - i g), 1/sinh(z_a - z_b) and
+    coth(z_a - z_b) from numpy's complex sinh and tanh, each 0 on the
+    diagonal."""
+    z = np.asarray(z, dtype=complex)
+    diff = z[:, None] - z[None, :]
+    E = 1 / np.sinh(-diff - 1j * g)
+    np.fill_diagonal(diff, 1.0)
+    S, C = 1 / np.sinh(diff), 1 / np.tanh(diff)
+    for t in (E, S, C):
+        np.fill_diagonal(t, 0.0)
+    return E, S, C
+
+
+def node_sum_n3_partial_fractions(weight, rows, F, z, g):
+    """The n = 3 node sum with the first elimination by partial fractions,
+    entry by entry: E V = (X^T - X) Q with X[a, b] = g_b T[a, b] + h_b,
+    h = T g, T = coth(z_b - z_a - i g) and Q = E / sinh(z_a - z_b), all
+    from numpy's sinh and tanh, 0 on the diagonal; a second reference for
+    the package's sum, which drops two of the four terms after the sum over
+    the row permutations."""
+    E, S, _ = _inverse_sinh_tables(z, g)
+    z = np.asarray(z, dtype=complex)
+    T = 1 / np.tanh(z[None, :] - z[:, None] - 1j * g)
+    np.fill_diagonal(T, 0.0)
+    Q = E * S
+    total = 0.0 + 0j
+    for sign, perm in _signed_permutations(3):
+        g0, g1, g2 = (weight * rows[perm[l]] * F[l] for l in range(3))
+        X = T * g2 + (T @ g2)[None, :]
+        total += sign * (g0 @ ((X.T - X) * Q) @ g1)
+    return total
+
+
+def first_elimination_n4_closed_form(g, z, gamma):
+    """V(a, b, d) = sum_c g_c E[a, c] E[b, c] E[d, c] at n = 4 in closed form,
+    from 1/(sinh A sinh B) = (coth A - coth B)/sinh(B - A) and
+    coth A/sinh D = 1/(sinh(D - A) sinh A) - coth(D - A)/sinh D, with the
+    terms that put two slots' weights on one node dropped (they cancel in
+    the sum over the row permutations):
+        Sh[a, b] (e_a Sh[a, d] - e_b Sh[b, d] + (C[b, d] - C[a, d]) e_d),
+    e = E g, Sh = 1/sinh(z_a - z_b) and C = coth(z_a - z_b), 0 on the
+    diagonal.  A (P, P, P) array."""
+    E, Sh, C = _inverse_sinh_tables(z, gamma)
+    e = E @ g
+    return Sh[:, :, None] * (e[:, None, None] * Sh[:, None, :] - e[None, :, None] * Sh[None, :, :]
+                             + (C[None, :, :] - C[:, None, :]) * e[None, None, :])
+
+
+def node_sum_n4_closed_form(weight, rows, F, z, gamma):
+    """(sum, moduli): the n = 4 node sum of determinant._node_sum by Leibniz
+    over the rows with first_elimination_n4_closed_form in the last slot,
+    and the sum of the moduli of the terms of the direct sum over node
+    quadruples, the scale of its rounding error."""
+    E = _inverse_sinh_tables(z, gamma)[0]
+    A = np.abs(E)
+    total, moduli = 0.0 + 0j, 0.0
+    for sign, perm in _signed_permutations(4):
+        G = [weight * rows[perm[l]] * F[l] for l in range(4)]
+        V = first_elimination_n4_closed_form(G[3], z, gamma)
+        total += sign * np.einsum("a,b,d,ab,ad,bd,abd->", *G[:3], E, E, E, V)
+        moduli += np.einsum("a,b,d,c,ab,ad,ac,bd,bc,dc->", *map(np.abs, G), A, A, A, A, A, A)
+    return total, moduli
 
 
 def efp_tuple_sum(roots, window):

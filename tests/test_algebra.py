@@ -76,6 +76,18 @@ class TestWeights:
         one = algebra._exp_tables(lam[:1, :, None], np.reshape(mu, (1, 1, -1)), rows=1)[0][0]
         assert one.tobytes() == algebra._exp_tables(lam[0, :, None], mu)[0].tobytes()
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (6,), (3, 4)])
+    def test_one_array_tables_bit_for_bit(self, rng, shape):
+        # the one-array path against the general one, which reads the same
+        # midrange through an empty second array: nodes on the real line, on
+        # Im = pi/2 and off both, complex and real input
+        x = rng.normal(size=shape) * 3
+        for z in (x, x + 0.5j * np.pi, x + 0.5j * np.pi * (rng.random(shape) < 0.5),
+                  x + 0.3j * rng.normal(size=shape)):
+            one, = algebra._exp_tables(z)
+            assert one.shape == shape
+            assert one.tobytes() == algebra._exp_tables(z, np.empty(0))[0].tobytes()
+
     def test_d_eigenvalue_pole_raises(self, gamma):
         mu = (0.1, -0.4, 0.7)
         with pytest.raises(PoleError, match="weights singular"):

@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import (efp_tuple_sum, first_elimination_direct, gaudin_norm_mp, t_prime_mp,
+from oracles import (efp_tuple_sum, gaudin_norm_mp, node_sum_n3_direct, node_sum_n3_moduli,
+                     node_sum_n3_partial_fractions, node_sum_n4_closed_form, t_prime_mp,
                      varphi_prime_fd, varphi_prime_mp, window_dd_rows_mp)
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import LatticeSpec, homogeneous_spec
@@ -845,8 +847,10 @@ class TestEfpProperties:
 
 
 class TestPartialFractions:
-    """The n = 3 first elimination by partial fractions, E * V as the node
-    sum takes it, against E * (E diag(g) E^T) from the direct product."""
+    """The n = 3 node sum after the Leibniz cancellation, summed against the
+    blocks of _cauchy_rows, against the direct sum over node triples and
+    against the sum that keeps all four partial-fraction terms, normwise:
+    against the sum of the moduli of the direct sum's terms."""
 
     P = 48
     GAMMAS = (0.3, 0.6, np.pi / 3, 1.2)
@@ -866,62 +870,130 @@ class TestPartialFractions:
 
     @staticmethod
     def _pairs(rng, P):
-        # pairs 1e-6 to 1e-2 apart, spread over both branches
+        # pairs 1e-6 apart, spread over both branches
         z = rng.uniform(-4.0, 4.0, P) + 0.5j * np.pi * (rng.random(P) < 0.5)
-        apart = 10.0 ** rng.uniform(-6, -2, P // 2)
-        z[1::2] = z[::2] + apart * np.exp(2j * np.pi * rng.random(P // 2))
+        z[1::2] = z[::2] + 1e-6 * np.exp(2j * np.pi * rng.random(P // 2))
         return z
 
-    def _both_forms(self, z, g, weights):
-        _, T, Q = determinant._node_tables(z, g, 3)
-        E = determinant._inverse_pairs(determinant._pair_table(z, g))
-        pf = determinant._first_elimination(weights, [None] * 3, None, (T, Q))
-        return pf, E * first_elimination_direct(weights, E), T, Q
+    @staticmethod
+    def _inputs(rng, z, g, n=3, K=None):
+        """Weights of both signs, complex rows and the slot table of a random
+        window (a (K, n) stack of windows when K is given)."""
+        shape = (n, len(z)) if K is None else (K, n, len(z))
+        R = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        w = 0.3 * rng.normal(size=shape[:-1])
+        return rng.normal(size=len(z)), R, determinant._slot_table(z, w, g)
+
+    @staticmethod
+    def _direct(z, g, weight, R, F):
+        """(sum, sum of the moduli of its terms) over node triples, E from
+        numpy's sinh."""
+        E = 1 / np.sinh(z[None, :] - z[:, None] - 1j * g)
+        np.fill_diagonal(E, 0.0)
+        return node_sum_n3_direct(weight, R, F, E), node_sum_n3_moduli(weight, R, F, E)
 
     @pytest.mark.parametrize("g", GAMMAS)
     @pytest.mark.parametrize("nodes", ["_both_branches", "_mixed"])
     def test_separated_nodes_at_1e13_normwise(self, g, nodes, rng):
-        # measured at most 3.7e-15 (both branches) and 3.5e-14 (mixed) over
-        # 20 seeds; a (K, P) stack of weights takes each row as alone
+        # measured at most 4.3e-16 (both branches) and 1.1e-15 (mixed) of
+        # the moduli over 20 seeds, the four-term sum 2.4e-16 and 3.9e-16; a
+        # (K, 3, P) stack of windows takes each window as alone
         z = getattr(self, nodes)(rng, self.P)
-        weights = rng.normal(size=(3, self.P)) + 1j * rng.normal(size=(3, self.P))
-        pf, direct, _, _ = self._both_forms(z, g, weights)
-        assert pf.shape == direct.shape == (3, self.P, self.P)
-        assert np.max(np.abs(pf - direct)) <= 1e-13 * np.max(np.abs(direct))
+        weight, R, F = self._inputs(rng, z, g, K=3)
+        tables = determinant._node_tables(z, g, 3)
+        stacked = determinant._node_sum(weight, R, F, tables)
         for k in range(3):
-            one = determinant._first_elimination(weights[k], [None] * 3, None,
-                                                 determinant._node_tables(z, g, 3)[1:])
-            assert one.tobytes() == pf[k].tobytes()
+            val = determinant._node_sum(weight, R[k], F[k], tables)
+            assert val.tobytes() == stacked[k].tobytes()
+            ref, moduli = self._direct(z, g, weight, R[k], F[k])
+            assert abs(val - ref) <= 1e-13 * moduli
+            four = node_sum_n3_partial_fractions(weight, R[k], F[k], z, g)
+            assert abs(four - ref) <= 1e-13 * moduli
 
     @pytest.mark.parametrize("g", GAMMAS)
     def test_close_pairs_lose_digits_as_one_over_their_distance(self, g, rng):
-        # the numerator cancels to about eps (1 + |T|) |g| per term, and
-        # 1/sinh(z_a - z_b) multiplies that: entry by entry the difference
-        # stays within 4 eps ((H_a + H_b) |Q_ab| + max |E V|), H = (1 + |T|) |g|
-        # (measured at most 0.41 of it); normwise it reads up to 3.1e-10 for
-        # pairs 1e-6 apart, against 3.7e-15 on separated nodes
+        # 1/sinh(z_a - z_b) is about 1e6 for a pair 1e-6 apart, and the two
+        # products with Q that share it cancel only after the contraction:
+        # measured at most 1.9e-10 of the moduli over 20 seeds, against
+        # 2.6e-15 for the four-term sum, which cancels entry by entry
         z = self._pairs(rng, self.P)
-        weights = rng.normal(size=self.P) + 1j * rng.normal(size=self.P)
-        pf, direct, T, Q = self._both_forms(z, g, weights)
-        H = (1 + np.abs(T)) @ np.abs(weights)
-        eps = np.finfo(float).eps
-        bound = 4 * eps * ((H[:, None] + H) * np.abs(Q) + np.max(np.abs(direct)))
-        assert np.all(np.abs(pf - direct) <= bound)
-        assert np.max(np.abs(pf - direct)) <= 1e-9 * np.max(np.abs(direct))
+        weight, R, F = self._inputs(rng, z, g)
+        val = determinant._node_sum(weight, R, F, determinant._node_tables(z, g, 3))
+        ref, moduli = self._direct(z, g, weight, R, F)
+        assert abs(val - ref) <= 1e-9 * moduli
 
     def test_diagonal_is_zero(self, gamma, rng):
-        z = self._mixed(rng, self.P)
-        pf, _, T, Q = self._both_forms(z, gamma.gamma, rng.normal(size=self.P) + 0j)
-        assert all(np.all(np.diag(t) == 0.0) for t in (pf, T, Q))
+        # every block of the pair and Cauchy tables, the last one partial, is
+        # 0 exactly on the diagonal and nowhere else
+        P, g = 40, gamma.gamma
+        z = self._mixed(rng, P)
+        _, v, u = determinant._node_tables(z, g, 3)
+        off = ~np.eye(P, dtype=bool)
+        for r0 in range(0, P, determinant._PANEL):
+            r1 = min(r0 + determinant._PANEL, P)
+            E = determinant._inverse_pairs(
+                determinant._sinh_pairs(v, g, r0, np.empty((r1 - r0, P), dtype=complex)), r0)
+            U, L, Q = np.empty((3, r1 - r0, P), dtype=complex)
+            for table in (E, *determinant._cauchy_rows(g, v, u, r0, U, L, Q)):
+                assert np.all((table == 0) == ~off[r0:r1])
 
     @pytest.mark.parametrize("shift", [0.0, 1j * np.pi, 1e-15])
-    def test_coincident_nodes_are_a_pole(self, gamma, shift):
-        # two nodes at one point, i pi apart, or closer than 1e-14: the
-        # partial fractions would divide by sinh(z_a - z_b) = 0
-        z = np.array([-0.4, 0.3, 0.9, 0.3 + shift])
-        with pytest.raises(PoleError, match="coincident nodes"):
-            determinant._node_tables(z, gamma.gamma, 3)
-        assert determinant._node_tables(z[:3], gamma.gamma, 3)[1] is not None
+    def test_coincident_nodes_are_a_pole(self, gamma, rng, shift):
+        # two nodes at one point, i pi apart, or closer than 1e-14, in the
+        # first block or both in the last, partial one: the partial
+        # fractions would divide by sinh(z_a - z_b) = 0
+        grid = np.linspace(-3.0, 3.0, 40).astype(complex)
+        weight, R, F = self._inputs(rng, grid, gamma.gamma)
+        assert np.isfinite(determinant._node_sum(
+            weight, R, F, determinant._node_tables(grid, gamma.gamma, 3)))
+        for a, b in ((1, 3), (35, 38)):
+            z = grid.copy()
+            z[b] = z[a] + shift
+            tables = determinant._node_tables(z, gamma.gamma, 3)
+            with pytest.raises(PoleError, match="coincident nodes"):
+                determinant._node_sum(weight, R, F, tables)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("at", [(1, 3), (35, 38)])
+    def test_nodes_i_gamma_apart_are_a_pole(self, gamma, rng, n, at):
+        z = np.linspace(-3.0, 3.0, 40).astype(complex)
+        z[at[1]] = z[at[0]] + 1j * gamma.gamma
+        weight, R, F = self._inputs(rng, z, gamma.gamma, n)
+        tables = determinant._node_tables(z, gamma.gamma, n)
+        with pytest.raises(PoleError, match="shifted by i\\*gamma"):
+            determinant._node_sum(weight, R, F, tables)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_table_of_all_pairs(self, gamma, rng, n):
+        # 1024 nodes: a P x P complex table would take 16 MiB, a block of
+        # _PANEL rows 512 KiB; the traced peak of the node sum stays below
+        # a quarter of the full table (measured 1.4 MiB at n = 2 and
+        # 1.7 MiB at n = 3)
+        P = 1024
+        x = np.linspace(-6.0, 6.0, P // 2)
+        z = np.concatenate([x, x + 0.5j * np.pi])
+        weight, R, F = self._inputs(rng, z, gamma.gamma, n)
+        tables = determinant._node_tables(z, gamma.gamma, n)
+        tracemalloc.start()
+        try:
+            determinant._node_sum(weight, R, F, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < P * P * 16 / 4
+
+    @pytest.mark.parametrize("g", GAMMAS)
+    @pytest.mark.parametrize("P", [12, 16])
+    def test_n4_closed_form_first_elimination(self, g, P, rng):
+        # the closed-form first elimination at n = 4, with the terms that
+        # cancel over the row permutations dropped, against the n = 4
+        # recursion on the inverse pair table (measured at most 6.3e-13 of
+        # the moduli over 5 seeds: the closed form's own differences cancel)
+        z = self._both_branches(rng, P)
+        weight, R, F = self._inputs(rng, z, g, 4)
+        val = determinant._node_sum(weight, R, F, determinant._node_tables(z, g, 4))
+        ref, moduli = node_sum_n4_closed_form(weight, R, F, z, g)
+        assert abs(val - ref) <= 1e-11 * moduli
 
 
 class TestTupleKernels:

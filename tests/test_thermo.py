@@ -1228,16 +1228,17 @@ class TestGuideSearch:
         keys = np.concatenate([rng.random(20000), [0.0], edges, cdf])
         keys = np.concatenate([keys, np.nextafter(keys, 0), np.nextafter(keys, 1)])
         want = np.searchsorted(cdf, keys, side)
-        assert np.array_equal(thermo._search(cdf, keys, side), want)
+        assert np.array_equal(thermo._search(cdf, keys, side, thermo._guide(cdf, side)), want)
         # the shape of a key array is kept
-        got = thermo._search(cdf, keys[:30000].reshape(3, -1), side)
+        got = thermo._search(cdf, keys[:30000].reshape(3, -1), side, thermo._guide(cdf, side))
         assert np.array_equal(got, want[:30000].reshape(3, -1))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_unnormalized_cdf(self, side, rng):
         cdf = 0.7 * np.cumsum(rng.random(40)) / 40  # ends below 1
         keys = np.concatenate([rng.random(5000), cdf, [cdf[-1], 0.0, 1.0]])
-        assert np.array_equal(thermo._search(cdf, keys, side), np.searchsorted(cdf, keys, side))
+        got = thermo._search(cdf, keys, side, thermo._guide(cdf, side))
+        assert np.array_equal(got, np.searchsorted(cdf, keys, side))
 
 
 def _reference_mc(n, window, theta, grid, gamma, samples, seed):
@@ -1283,7 +1284,8 @@ class TestMonteCarloStream:
             want = np.random.default_rng(seed).choice(len(q), size=(3, 4000), p=q)
             cdf = np.cumsum(q)
             keys = np.random.default_rng(seed).random((3, 4000))
-            assert np.array_equal(thermo._search(cdf / cdf[-1], keys, "right"), want)
+            cdf /= cdf[-1]
+            assert np.array_equal(thermo._search(cdf, keys, "right", thermo._guide(cdf, "right")), want)
 
     @pytest.mark.parametrize("seed", [3, 5, 7])
     def test_matches_the_choice_and_lapack_sampler(self, gamma, coarse_grid, seed):
@@ -1294,6 +1296,43 @@ class TestMonteCarloStream:
         value, stderr = _reference_mc(4, window, theta, coarse_grid, gamma, 20000, seed)
         assert res.value == pytest.approx(value.real, rel=1e-12, abs=0)
         assert res.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("chunk", [1000, 8192, 10**6])
+    def test_chunk_sizes_give_one_estimate(self, gamma, coarse_grid, monkeypatch, chunk):
+        # 19999 samples keep 19968, which no chunk but the largest divides
+        window = TestNodeSumOracle.WINDOW
+        theta = thermo.ground_state_theta(coarse_grid)
+        whole = thermo.efp_thermo(4, window, theta, coarse_grid, gamma, mc_samples=19999, seed=11)
+        monkeypatch.setattr(determinant, "_CHUNK", chunk)
+        res = thermo.efp_thermo(4, window, theta, coarse_grid, gamma, mc_samples=19999, seed=11)
+        assert res.samples == whole.samples == 19968
+        assert res.value == pytest.approx(whole.value, rel=1e-14, abs=0)
+        assert res.stderr == pytest.approx(whole.stderr, rel=1e-14, abs=0)
+
+    def test_draws_are_the_one_shot_draws(self, gamma, coarse_grid, monkeypatch):
+        # the indices that reach the integrand, chunk by chunk, are those of
+        # rng.random((32, per)) for slot 0 and Generator.choice for the rest
+        window, samples, seed = TestNodeSumOracle.WINDOW, 19968, 13
+        theta = thermo.ground_state_theta(coarse_grid)
+        seen, h_tuples = [], determinant._h_tuples
+        monkeypatch.setattr(determinant, "_CHUNK", 1000)
+        monkeypatch.setattr(determinant, "_h_tuples",
+                            lambda idx, *a: seen.append(idx.copy()) or h_tuples(idx, *a))
+        thermo.efp_thermo(4, window, theta, coarse_grid, gamma, mc_samples=samples, seed=seed)
+        got = np.hstack(seen)
+        w = np.asarray(window, dtype=float)
+        rho, _, _ = thermo._dd_densities(w, theta, coarse_grid, gamma)
+        active = np.abs(theta * coarse_grid.w) > 0
+        c, R = (theta * coarse_grid.w)[active], rho[:, active]
+        uw = np.exp(2 * (w - w.mean()))
+        L = np.cumprod(np.hstack([np.ones((4, 1)), uw[:, None] - uw[None, :-1]]), axis=1)
+        q = np.abs(c * (L.mean(axis=0) @ R))
+        q = q / q.sum()
+        rng = np.random.default_rng(seed)
+        u = (np.arange(32)[:, None] + rng.random((32, samples // 32))) / 32
+        idx0 = np.minimum(np.searchsorted(np.cumsum(q), u.ravel()), len(q) - 1)
+        want = np.vstack([idx0, rng.choice(len(q), size=(3, samples), p=q)])
+        assert np.array_equal(got, want)
 
 
 class TestPairTable:

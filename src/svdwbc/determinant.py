@@ -546,43 +546,60 @@ def _cauchy_rows(g, v, u, r0, U, L, Q):
     return U, Q
 
 
-def _batched_det(cols):
-    """det A for a stack of n x n matrices given column by column: cols[j] is
-    the (n, B) stack of column j.  Up to n = 6 a Laplace expansion over row
-    subsets, last column first: the minors on the last k columns, one per
-    k-subset of the rows, take n 2^(n-1) vector products in all and no LAPACK
-    call per matrix.  Above n = 6 that count outgrows one LU per matrix, and
-    np.linalg.det takes over."""
-    n = len(cols)
+def _batched_det(column, n, minors=None):
+    """det A for a stack of n x n matrices given column by column: column(j)
+    is the (n, B) stack of column j, asked for once, and may reuse one buffer.
+    Up to n = 6 a Laplace expansion over row subsets, last column first: the
+    minors on the last k columns, one per k-subset of the rows, take
+    n 2^(n-1) vector products in all and no LAPACK call per matrix, each
+    minor formed in place in row r of `minors` (2^n + 1 rows, the last for
+    the products; made here if None), r the bit set of its rows.  Above
+    n = 6 that count outgrows one LU per matrix, and np.linalg.det takes
+    over."""
     if n > 6:
-        return np.linalg.det(np.stack(cols, axis=-1).swapaxes(0, 1))
-    minors = {(): 1.0}  # row subset -> its minor on the columns done so far
+        return np.linalg.det(np.stack([column(j).copy() for j in range(n)], axis=-1).swapaxes(0, 1))
     for j in range(n - 1, -1, -1):
-        new = {}
+        col = column(j)
+        if j == n - 1:  # the empty minor, 1
+            minors = np.empty((2**n + 1,) + col.shape[1:], col.dtype) if minors is None else minors
+            minors[0] = 1.0
         for rows in itertools.combinations(range(n), n - j):
             # expand along column j, the first column of the minor
-            acc = cols[j][rows[0]] * minors[rows[1:]]
-            for t in range(1, len(rows)):
-                term = cols[j][rows[t]] * minors[rows[:t] + rows[t + 1:]]
-                acc = acc - term if t % 2 else acc + term
-            new[rows] = acc
-        minors = new
-    return minors[tuple(range(n))]
+            key = sum(1 << r for r in rows)
+            acc = minors[key]
+            for t, r in enumerate(rows):
+                term = np.multiply(col[r], minors[key ^ (1 << r)], out=minors[-1] if t else acc)
+                if t:
+                    (np.subtract if t % 2 else np.add)(acc, term, out=acc)
+    return minors[2**n - 1]
 
 
-def _h_tuples(idx, RW, F, E):
+def _tuple_work(n, size, dtype=float):
+    """The buffers of _h_tuples for `size` tuples of n slots: a flat index, the
+    product and gather rows, and the columns and minors (none above n = 6)."""
+    return (np.empty(size, np.intp), np.empty((2, size), complex), np.empty((n, size), dtype),
+            np.empty((2**n + 1 if n <= 6 else 0, size), dtype))
+
+
+def _h_tuples(idx, RW, F, E, work=None):
     """prod_l weight[a_l] * H at each node tuple a = idx[:, b] of an (n, B) index
     stack, with the rows folded with the weights, RW[i, p] = R_i(z_p) weight[p]
     (det is linear in each column), the slot table F of _slot_table and the
     inverse pair table E of _inverse_pairs.
-    A tuple with a repeated index is exactly 0, since diag(E) = 0."""
+    A tuple with a repeated index is exactly 0, since diag(E) = 0.  Gathers and
+    products go into `work` (_tuple_work; made if None), a view of which is returned."""
     n, P = F.shape
-    r = np.arange(n)
-    l, m = np.nonzero(r[:, None] < r)  # np.triu_indices(n, 1) at 1/7 of its call overhead
-    pair = np.prod(E.take(idx[l] * P + idx[m]), axis=0)
-    det = _batched_det([RW.take(a, axis=1) for a in idx])
-    slots = np.prod(F.take(r[:, None] * P + idx), axis=0)
-    return det * slots * pair
+    b = idx.shape[1]
+    flat, (h, buf), col, minors = (a[..., :b] for a in work or _tuple_work(n, b, RW.dtype))
+    h[...] = _batched_det(lambda j: RW.take(idx[j], axis=1, mode="clip", out=col), n, minors)
+    # times F[l, a_l] and E[a_l, a_m], l < m, each gathered at base * P + offset
+    factors = [(F, l, a) for l, a in enumerate(idx)]
+    factors += [(E, idx[l], idx[m]) for l, m in itertools.combinations(range(n), 2)]
+    for T, base, offset in factors:
+        np.multiply(base, P, out=flat)
+        np.add(flat, offset, out=flat)
+        h *= T.take(flat, mode="clip", out=buf)
+    return h
 
 
 def _node_sum(weight, R, F, tables):

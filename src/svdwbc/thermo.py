@@ -12,6 +12,7 @@ finite sum over roots.
 
 import copy
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -153,34 +154,18 @@ def ground_state_theta(grid) -> np.ndarray:
     return np.where(grid.shifted, 0.0, 1.0)
 
 
-def _mirror_pairs(grid, c):
-    """(pos, neg) as (2, h) node-index arrays, one row per branch (real,
-    shifted): the nodes with x > 0 in ascending order and, index for index,
-    their mirror images x -> -x.  None unless both branches carry the same
-    abscissae, bitwise mirror images of each other with no node at x = 0,
-    and c = theta w is bitwise reflection-symmetric too."""
-    x = grid.x
-    real, shifted = (np.flatnonzero(grid.shifted == b) for b in (False, True))
-    if len(real) != len(shifted) or len(real) % 2:
-        return None
-    idx = np.stack([i[np.argsort(x[i], kind="stable")] for i in (real, shifted)])
-    h = idx.shape[1] // 2
-    pos, neg = idx[:, h:], idx[:, :h][:, ::-1]
-    if (
-        np.array_equal(x[idx[0]], x[idx[1]])
-        and np.all(x[pos] > 0)
-        and np.array_equal(x[pos], -x[neg])
-        and np.array_equal(c[pos], c[neg])
-    ):
-        return pos, neg
-    return None
-
-
-def _occupied_solve(K, act, rhs):
-    """Solve (I + K) rho = rhs where K holds only the columns of the nodes
-    marked in act (so K[act] is square): factorize that block, then fill in
-    the other rows with one matrix product.  A singular block is a
-    ConvergenceError."""
+def _nystrom_solve(theta, grid, g, rhs):
+    """Solve (I + K_2 diag(theta w)) rho = rhs for one or more right-hand
+    sides (columns of rhs).  A node with theta w = 0 has an identity column,
+    so only the occupied columns are built and their block factorized (a
+    singular one is a ConvergenceError); the other nodes take rhs minus
+    those columns applied to the block's solution."""
+    if g == 0:
+        raise ValueError("the density equation degenerates at gamma = 0")
+    c = theta * grid.w
+    x, sh = grid.x, grid.shifted
+    act = c != 0
+    K = _kernel_branch(x[:, None] - x[act], sh[:, None] ^ sh[act], 2, g, c[act])
     A = K[act]
     A[np.diag_indices_from(A)] += 1.0
     rho = np.empty_like(rhs)
@@ -189,53 +174,6 @@ def _occupied_solve(K, act, rhs):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular density system: {exc}") from exc
     rho[~act] = rhs[~act] - K[~act] @ rho[act]
-    return rho
-
-
-def _nystrom_solve(theta, grid, g, rhs):
-    """Solve (I + K_2 diag(theta w)) rho = rhs for one or more right-hand
-    sides (columns of rhs).  A node with theta w = 0 has an identity column,
-    so only the block of occupied nodes is factorized; rho at the other
-    nodes is rhs minus the occupied columns applied to that block's
-    solution.  Only the occupied kernel columns are built.
-
-    K_2 is even, so when the grid and theta w are mirror images under
-    x -> -x the system commutes with that reflection and splits into an
-    even and an odd half (Atkinson, The Numerical Solution of Integral
-    Equations of the Second Kind, ch. 4).  Over the nodes x_i > 0 and the
-    occupied x_j > 0 the halves are I + (K(x_i - x_j) +- K(x_i + x_j)) c_j,
-    each half the size: two factorizations of a quarter of the cost and
-    half the kernel table.  Any other theta or grid solves the full
-    occupied block."""
-    if g == 0:
-        raise ValueError("the density equation degenerates at gamma = 0")
-    c = theta * grid.w
-    x, sh = grid.x, grid.shifted
-    pairs = _mirror_pairs(grid, c)
-    if pairs is None:
-        act = c != 0
-        K = _kernel_branch(x[:, None] - x[act], sh[:, None] ^ sh[act], 2, g, c[act])
-        return _occupied_solve(K, act, rhs)
-    pos, neg = pairs
-    act = c[pos] != 0
-    cols = pos[act]
-    # both branches share the abscissae x[pos[0]]: one sinh table per sign,
-    # broadcast over the two row branches
-    xp, xa = x[pos[0]][:, None], x[cols]
-    crossed = (np.array([[False], [True]]) ^ sh[cols])[:, None, :]
-    # one difference table at a time, xp - xa and then xp + xa
-    direct, mirror = (
-        _kernel_branch(op(xp, xa), crossed, 2, g, c[cols]).reshape(pos.size, len(cols))
-        for op in (np.subtract, np.add)
-    )
-    even = direct + mirror
-    odd = np.subtract(direct, mirror, out=direct)
-    pos, neg, act = pos.ravel(), neg.ravel(), act.ravel()
-    e = _occupied_solve(even, act, 0.5 * (rhs[pos] + rhs[neg]))
-    o = _occupied_solve(odd, act, 0.5 * (rhs[pos] - rhs[neg]))
-    rho = np.empty_like(rhs)
-    rho[pos] = e + o
-    rho[neg] = e - o
     return rho
 
 
@@ -332,7 +270,8 @@ def _packed_rho(shifted, x, g, centres, n=1):
     determinant.window_dd_rows.  With y = pi (x - mu_k) / d and s = pi / 2d,
     sech(y - s log(1 + t)) = 2 e^-|y| / D(t), where D(t) is
     (1 + t)^-s + e^-2|y| (1 + t)^s for y >= 0 and the two powers swapped for
-    y < 0; 1/D is the series inverse of D, so no cosh overflows."""
+    y < 0; 1/D is the series inverse of D, so no cosh overflows.  (K, 1)
+    centres give (n, len(x), K) rows, one set per centre."""
     if g == 0:
         raise ValueError("the density equation degenerates at gamma = 0")
     d = np.pi - g if shifted else g
@@ -343,14 +282,65 @@ def _packed_rho(shifted, x, g, centres, n=1):
     rows = np.empty((n,) + e.shape)
     rows[0] = e / D0
     # binomial coefficients of (1 + t)^-s and (1 + t)^s, from t^1 on
-    k = np.arange(1, n)
+    k = np.arange(1, n).reshape((-1,) + (1,) * e.ndim)
     s = np.pi / (2 * d)
-    lo, hi = np.cumprod((-s - k + 1) / k), np.cumprod((s - k + 1) / k)
-    up = diff >= 0
-    Dk = [np.where(up, a + ee * b, b + ee * a) for a, b in zip(lo, hi)]
+    lo, hi = np.cumprod((-s - k + 1) / k, axis=0), np.cumprod((s - k + 1) / k, axis=0)
+    Dk = np.where(diff >= 0, lo + ee * hi, hi + ee * lo)
     for j in range(1, n):
-        rows[j] = -sum(Dk[i - 1] * rows[j - i] for i in range(1, j + 1)) / D0
+        rows[j] = -(Dk[:j] * rows[j - 1 :: -1]).sum(axis=0) / D0
     return rows.mean(axis=-1) / (-d if shifted else d)
+
+
+def _packed_dd_rows(shifted, x, g, w):
+    """Newton divided differences f[u_1..u_{i+1}], i < n, over
+    u_m = e^{2(w_m - wbar)} of f(u) = _packed_rho(shifted, x, g,
+    (wbar + log(u)/2,)): the first row of f(J), J the bidiagonal of the u_m
+    (Opitz, ZAMM 44 (1964) T52), as an (n, len(x)) array.  As in
+    Schur-Parlett (Davies and Higham, SIAM J. Matrix Anal. Appl. 25 (2003)
+    464), the columns form clusters, split at the widest gap while it or a
+    column's distance from the midrange c exceeds half the radius
+    sin(min(d, pi/2)) of f's Taylor series in t = u / u_c - 1.  A cluster
+    takes that series to a remainder below 1e-17, and the clusters join by
+    residues: with N the bidiagonal of its T_m = u_m / u_c - 1, t^j adds
+    u_c^-i [N^j prod (N - T_m)^-1]_{0, d-1} to row i, the product over the
+    columns m <= i outside it and d the number inside.  A homogeneous window
+    is one cluster, its rows the Taylor coefficients bit for bit."""
+    n, w = len(w), [float(a) for a in w]
+    rho = math.sin(min(np.pi - g if shifted else g, np.pi / 2))
+    shift = sum(a - w[0] for a in w) / n  # wbar - w_1, exactly 0 for a homogeneous window
+    groups, clusters = [sorted(range(n), key=w.__getitem__)], []
+    while groups:
+        mem = groups.pop()  # ascending in w
+        c = (w[mem[0]] + w[mem[-1]]) / 2
+        gaps = [math.expm1(2 * (w[b] - w[a])) for a, b in zip(mem, mem[1:])]
+        t = max(abs(math.expm1(2 * (w[k] - c))) for k in mem)
+        if max(gaps, default=0.0) > rho / 2 or t > rho / 2:
+            cut = 1 + gaps.index(max(gaps))
+            groups += [mem[:cut], mem[cut:]]
+        else:
+            tail = math.ceil(math.log(1e-17) / math.log(t / rho)) if t else 0
+            clusters.append((sorted(mem), c, len(mem) - 1 + tail))
+    W = []
+    for mem, c, J in clusters:
+        T = [math.expm1(2 * (a - c)) for a in w]
+        Tm = [T[k] for k in mem]
+        powers, N = [np.eye(1, len(mem))[0]], np.diag(Tm) + np.eye(len(mem), k=1)
+        for _ in range(J):
+            powers.append(powers[-1] @ N)  # row 0 of N^j
+        powers, scale = np.array(powers), math.exp(-2 * (c - w[0] - shift))  # 1 / u_c
+        W.append(np.zeros((n, J + 1)))
+        for i in range(mem[0], n):
+            inside = sum(k <= i for k in mem)
+            y = [0.0] * (inside - 1) + [1.0, 0.0]
+            for a in (T[k] for k in range(i + 1) if k not in mem):
+                for l in reversed(range(inside)):  # y <- (N - a)^-1 y
+                    y[l] = (y[l] - y[l + 1]) / (Tm[l] - a)
+            W[-1][i] = powers[:, :inside] @ y[:inside] * scale**i
+    orders = sorted({J for *_, J in clusters})  # one _packed_rho call per order
+    coeffs = [_packed_rho(shifted, x, g, [[c] for _, c, J in clusters if J == K], K + 1)
+              for K in orders]
+    W = np.hstack([W[q] for K in orders for q, (*_, J) in enumerate(clusters) if J == K])
+    return W @ np.vstack([np.moveaxis(a, -1, 0).reshape(-1, len(x)) for a in coeffs])
 
 
 def _packed_split(shifted, z):
@@ -483,17 +473,16 @@ def efp_thermo(
     linear in its driving K_1(lam - w_i) = R(lam; w_i) / 2 pi i.  So the
     densities are those driven by the divided-difference window rows of
     `determinant.window_dd_rows`, and the prefactor is taken in that basis,
-    finite at coincident columns.  A packed theta with a homogeneous window
-    takes them in closed form (the Taylor coefficients of the packed
-    density in the column variable), with no factorization; any other theta
-    or window drives one Nystrom solve with the rows.  For n <= 3 the
-    quadrature node sum is exact, O(P^2) work and O(P) memory for P nodes
-    with theta != 0 (determinant._node_sum).  Above n = 3 it is a
-    stratified Monte Carlo estimate of mc_samples >= 32 draws, at least one
-    per stratum, drawn and evaluated chunk by chunk.
-    A grid whose sinh tables would overflow,
-    max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700, is a ValueError, and so
-    is a window length n < 0.
+    finite at coincident columns.  A packed theta takes them in closed form
+    for any window (_packed_dd_rows), with no factorization, and the window
+    moved to mean 0, where contour_grid is graded: the packed state is
+    translation invariant.  Any other theta drives one Nystrom solve with
+    the rows.  For n <= 3 the node sum is exact, O(P^2) work and O(P)
+    memory for P nodes with theta != 0 (determinant._node_sum); above it is
+    a stratified Monte Carlo estimate of mc_samples >= 32 draws, at least
+    one per stratum, drawn and evaluated chunk by chunk.  A grid whose sinh
+    tables would overflow, max(2 cutoff, (n - 1)(cutoff + max|w|)) > 700,
+    is a ValueError, and so is a window length n < 0.
     """
     if n < 0:
         raise ValueError(f"window length must be >= 0, got n = {n}")
@@ -509,19 +498,11 @@ def efp_thermo(
             f"cutoff {grid.cutoff:g} is too large for n = {n}: the sinh tables reach "
             f"{reach:.0f} > {_SINH_REACH:.0f} and overflow"
         )
-    val, stderr, samples = _efp_integral(
-        n, np.asarray(mu_window), theta, grid, gamma, mc_samples, seed
-    )
-    res = EfpResult(
-        float(np.real(val)),
-        float(abs(np.imag(val))),
-        n,
-        tuple(mu_window),
-        grid.cutoff,
-        grid.points_per_branch,
-        stderr=stderr,
-        samples=samples,
-    )
+    w = np.asarray(mu_window)
+    w = w - w.mean() if _packed_branch(theta, grid) is not None else w
+    val, stderr, samples = _efp_integral(n, w, theta, grid, gamma, mc_samples, seed)
+    res = EfpResult(float(np.real(val)), float(abs(np.imag(val))), n, tuple(mu_window),
+                    grid.cutoff, grid.points_per_branch, stderr=stderr, samples=samples)
     imag_floor = 1e-6 * (1 + abs(res.value))
     if res.stderr is not None:
         imag_floor = max(imag_floor, 3 * res.stderr)
@@ -541,21 +522,17 @@ def efp_thermo(
 
 def _dd_densities(w, theta, grid, gamma, points=()):
     """The densities driven by the divided-difference window rows divided by
-    2 pi i, as an (n, nodes) array, the same densities at the extra `points`
-    as an (n, points) array, and the window prefactor.
-
-    A packed theta with a homogeneous window (every column equal to the
-    first) takes the rows in closed form, the Taylor coefficients of
-    _packed_rho, with no factorization: at the nodes and points that
-    _packed_split puts on the filled branch, 0 at the ground state's nodes
-    and points on Im = pi/2, and the Nystrom interpolation of the closed
-    form at the rest.  Any other theta or window takes one Nystrom solve,
-    interpolated at the points."""
+    2 pi i at the nodes, (n, nodes), and at the extra `points`, (n, points),
+    and the window prefactor.  A packed theta takes them in closed form for
+    any window, with no factorization: _packed_dd_rows where _packed_split
+    puts a node or point on the filled branch, 0 on the ground state's
+    Im = pi/2, and the Nystrom interpolation of the closed form at the rest.
+    Any other theta takes one Nystrom solve, interpolated at the points."""
     g = gamma.gamma
     points = np.asarray(points, dtype=complex)
     z = np.concatenate([grid.values, points])
     packed = _packed_branch(theta, grid)
-    if packed is None or np.any(w != w[0]):
+    if packed is None:
         dd, pref = determinant.window_dd_rows(z, w, gamma.eta)
         drive = dd / (2j * np.pi)
         rho = _nystrom_solve(theta, grid, g, np.real(drive[:, : grid.n_nodes]).T)
@@ -564,7 +541,7 @@ def _dd_densities(w, theta, grid, gamma, points=()):
         return rho.T, at, pref
     fill, rest = _packed_split(packed, z)
     rows = np.zeros((len(w), len(z)), dtype=complex)
-    rows[:, fill] = _packed_rho(packed, z.real[fill], g, w[:1], len(w))
+    rows[:, fill] = _packed_dd_rows(packed, z.real[fill], g, w)
     dd, pref = determinant.window_dd_rows(z[rest], w, gamma.eta)
     if dd.size:
         coeff = (theta * grid.w)[:, None] * rows[:, : grid.n_nodes].T
@@ -590,7 +567,9 @@ def _search(cdf, u, side, guide, out=None):
     that no cdf entry splits find their index by one gather; only the keys
     in the at most len(cdf) buckets that hold an entry take a binary
     search.  out, if given, receives the indices."""
-    out = np.take(guide, (u * _GUIDE).astype(np.intp), out=out)
+    out = np.empty(np.shape(u), np.intp) if out is None else out
+    np.multiply(u, _GUIDE, out=out, casting="unsafe")  # the keys' buckets
+    np.take(guide, out, mode="clip", out=out)  # reads each entry before writing it
     split = out < 0
     out[split] = np.searchsorted(cdf, u[split], side)
     return out
@@ -643,22 +622,25 @@ def _efp_integral(n, w, theta, grid, gamma, mc_samples, seed):
     # closed-form rows underflow, and a node with q = 0, never drawn, gets 0
     RW = R * np.divide(c, q, out=np.zeros_like(q), where=q > 0)
     chunk = determinant._CHUNK
-    idx = np.empty((n, min(chunk, samples)), dtype=np.intp)
+    size = min(chunk, samples)
+    idx = np.empty((n, size), dtype=np.intp)
+    uniform, work = np.empty(size), determinant._tuple_work(n, size)
     mean, m2 = 0.0, 0.0
     for s in range(0, samples, chunk):
         b = min(chunk, samples - s)
         keys = (np.arange(s, s + b) // per + streams[0].random(b)) / n_strata
         np.minimum(_search(left, keys, "left", guides[0], idx[0, :b]), len(z) - 1, out=idx[0, :b])
         for l in range(1, n):
-            _search(right, streams[l].random(b), "right", guides[1], idx[l, :b])
-        vals = determinant._h_tuples(idx[:, :b], RW, F, E)
-        # the chunk's mean and sum of squared deviations, merged into the
-        # running pair (Chan, Golub and LeVeque, Am. Stat. 37 (1983) 242)
+            _search(right, streams[l].random(out=uniform[:b]), "right", guides[1], idx[l, :b])
+        vals = determinant._h_tuples(idx[:, :b], RW, F, E, work)
+        # the chunk's mean and pairwise-summed squared deviations, merged into
+        # the running pair (Chan, Golub and LeVeque, Am. Stat. 37 (1983) 242)
         m = vals.mean()
         vals -= m
         d = m - mean
         mean += d * (b / (s + b))
-        m2 += np.vdot(vals, vals).real + abs(d) ** 2 * (s * b / (s + b))
+        m2 += np.square(vals.view(float), out=vals.view(float)).sum()
+        m2 += abs(d) ** 2 * (s * b / (s + b))
     err = float(np.sqrt(m2 / (samples - 1) / samples))
     return pref * mean, abs(pref) * err, samples
 
@@ -670,8 +652,8 @@ def efp_sum_finite(roots, mu_window, profile):
         H({lam_i}, {w}) prod_l 1/rho_tot(lam_i_l)
 
     with the densities taken from the integral equation of `profile`: the
-    divided-difference solution of `efp_thermo`, Nystrom-interpolated at the
-    roots, and the prefactor in that basis.
+    divided-difference densities of `efp_thermo` at the roots
+    (_dd_densities), and the prefactor in that basis.
     """
     w = _real_points(mu_window, "window columns")
     n = len(w)

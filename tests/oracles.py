@@ -16,7 +16,10 @@ complex kernel K_2 and solves it densely, where the package factorizes only
 the occupied block of a real-valued branch kernel.  The divided-difference
 oracle runs the recursive definition on the sinh form of the window rows
 in 60-digit arithmetic, where the package uses a closed form in
-u = e^{2w}.  The phi' and t' oracles evaluate each entry's coth formula in
+u = e^{2w}; the packed-row oracle runs it on the cosh form of the packed
+density, where the package sums Taylor coefficients over column clusters.
+The tuple-kernel reference gathers and multiplies into fresh arrays, where
+the package writes into one workspace.  The phi' and t' oracles evaluate each entry's coth formula in
 40-digit arithmetic, where the package reads all entries from one table of
 e^{2z}.  The kernel oracle evaluates K_n from its complex sinh product,
 with the pi/2 offset of a crossing difference exact, in 30-digit
@@ -491,6 +494,44 @@ def window_dd_rows_mp(lam, window, eta, dps=60):
             for m in range(l + 1, len(w)):
                 pref *= (u[m] - u[l]) / mpmath.sinh(w[l] - w[m])
         return np.array([complex(r) for r in rows]), complex(pref)
+
+
+def packed_dd_rows_mp(x, window, gamma, shifted=False, dps=60):
+    """Newton divided differences f[u_1..u_i](x), i = 1..n, over
+    u = e^{2(w - wbar)} of the one-column packed density
+    f(u) = +-1 / (2 d cosh(pi (x - wbar - log(u)/2) / d)) (d = gamma, or
+    pi - gamma with the minus sign on Im = pi/2), by the recursive
+    definition on pairwise distinct columns in `dps`-digit arithmetic, as
+    an (n, len(x)) array."""
+    g = float(gamma.gamma) if hasattr(gamma, "gamma") else float(gamma)
+    with mpmath.workdps(dps):
+        d = mpmath.pi - g if shifted else mpmath.mpf(g)
+        w = [mpmath.mpf(float(a)) for a in window]
+        wbar = sum(w) / len(w)
+        u = [mpmath.exp(2 * (a - wbar)) for a in w]
+        rows = np.empty((len(w), len(x)))
+        for p, xp in enumerate(np.asarray(x, dtype=float)):
+            y = [mpmath.pi * (mpmath.mpf(xp) - wbar - mpmath.log(a) / 2) / d for a in u]
+            table = [(-1 if shifted else 1) / (2 * d * mpmath.cosh(t)) for t in y]
+            rows[0, p] = float(table[0])
+            for level in range(1, len(w)):
+                table = [(table[i + 1] - table[i]) / (u[i + level] - u[i])
+                         for i in range(len(table) - 1)]
+                rows[level, p] = float(table[0])
+    return rows
+
+
+def h_tuples_reference(idx, RW, F, E):
+    """determinant._h_tuples as one expression per factor, with fresh gathers:
+    np.prod over the gathered pair and slot entries and the Laplace
+    determinant of freshly gathered columns, the kernel the workspace
+    version must reproduce."""
+    n, P = F.shape
+    l, m = np.triu_indices(n, 1)
+    pair = np.prod(E.take(idx[l] * P + idx[m]), axis=0)
+    det = determinant._batched_det(lambda j: RW.take(idx[j], axis=1), n)
+    slots = np.prod(F.take(np.arange(n)[:, None] * P + idx), axis=0)
+    return det * slots * pair
 
 
 def product_state_columns(lams, spec, gamma, dual):

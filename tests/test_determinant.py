@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import (efp_tuple_sum, gaudin_norm_mp, node_sum_n3_direct, node_sum_n3_moduli,
-                     node_sum_n3_partial_fractions, node_sum_n4_closed_form, t_prime_mp,
+from oracles import (efp_tuple_sum, gaudin_norm_mp, h_tuples_reference, node_sum_n3_direct,
+                     node_sum_n3_moduli, node_sum_n3_partial_fractions, node_sum_n4_closed_form, t_prime_mp,
                      varphi_prime_fd, varphi_prime_mp, window_dd_rows_mp)
 from svdwbc import algebra, bethe, determinant
 from svdwbc.algebra import LatticeSpec, homogeneous_spec
@@ -1002,7 +1002,7 @@ class TestTupleKernels:
         # Laplace minors up to n = 6, np.linalg.det above: both sides of the switch
         for A in (rng.normal(size=(300, n, n)),
                   rng.normal(size=(300, n, n)) + 1j * rng.normal(size=(300, n, n))):
-            got = determinant._batched_det([A[:, :, j].T for j in range(n)])
+            got = determinant._batched_det(lambda j: A[:, :, j].T, n)
             want = np.linalg.det(A)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -1053,3 +1053,21 @@ class TestTupleKernels:
         tuples = [(2, 5, 2, 7), (9, 9, 1, 0), (4, 3, 8, 4), (1, 4, 8, 6)]
         vals = determinant._h_tuples(np.array(tuples).T, R, F, E)
         assert np.all(vals[:3] == 0.0) and vals[3] != 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_workspace_kernel_matches_fresh_gathers(self, n, gamma, rng):
+        # one workspace, filled with NaN and then reused for a shorter,
+        # partial chunk, against the kernel that gathers into fresh arrays
+        z = np.concatenate([rng.normal(size=14), rng.normal(size=6) + 0.5j * np.pi])
+        w = 0.4 * rng.normal(size=n)
+        F = determinant._slot_table(z, w, gamma.gamma)
+        E = determinant._inverse_pairs(determinant._pair_table(z, gamma.gamma))
+        R = rng.normal(size=(n, len(z)))
+        work = determinant._tuple_work(n, 500)
+        for part in work:
+            part.fill(-1 if part.dtype == np.intp else np.nan)
+        for size in (500, 137):
+            idx = rng.integers(len(z), size=(n, size))
+            got = determinant._h_tuples(idx, R, F, E, work)
+            want = h_tuples_reference(idx, R, F, E)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

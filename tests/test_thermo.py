@@ -17,6 +17,7 @@ from oracles import (
     node_sum_n3_direct,
     nystrom_dense,
     nystrom_profile,
+    packed_dd_rows_mp,
     packed_density_closed_form,
     transfer_theta_argmin,
 )
@@ -349,7 +350,6 @@ def _thetas(grid):
 
 
 KINDS = ["ground", "shifted", "mirrored", "mixed", "nonzero"]
-SYMMETRIC = {"ground", "shifted", "mirrored"}
 PACKED = {"ground", "shifted"}
 
 
@@ -412,18 +412,18 @@ class TestNystromOracle:
             assert self._close(loc.rho_tot, ref)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_symmetric_weights_factor_two_half_blocks(self, gamma, grid32, kind, factored):
+    def test_weights_factor_the_occupied_block(self, gamma, grid32, kind, factored):
         theta = _thetas(grid32)[kind]
         P = np.count_nonzero(theta * grid32.w)
         thermo.solve_density(theta, grid32, gamma)
         thermo.local_densities([-0.4, 0.1, 0.75], theta, grid32, gamma)
-        block = [(P // 2, P // 2)] * 2 if kind in SYMMETRIC else [(P, P)]
         if kind in PACKED:
-            # the closed form factorizes nothing; the solve itself splits
+            # the closed form factorizes nothing; the solve itself takes the
+            # occupied block
             assert factored == []
             thermo._nystrom_solve(theta, grid32, gamma.gamma, np.ones(grid32.n_nodes))
             thermo._nystrom_solve(theta, grid32, gamma.gamma, np.ones((grid32.n_nodes, 3)))
-        assert factored == block * 2
+        assert factored == [(P, P)] * 2
 
     def test_custom_grid_off_the_mirror_takes_the_full_block(self, gamma, grid32, factored):
         # the same nodes with the shifted branch moved by half a spacing
@@ -446,8 +446,9 @@ class TestNystromOracle:
 
 
 class TestMirrorSplit:
-    """The even/odd split needs both branches on the same abscissae, each the
-    mirror image of itself with no node at 0; contour_grid must keep it."""
+    """contour_grid puts both branches on the same abscissae, each the mirror
+    image of itself with no node at 0, graded about x = 0, where efp_thermo
+    centres a window on a packed weight."""
 
     @pytest.mark.parametrize("cutoff", [None, 7.5])
     @pytest.mark.parametrize("points", [8, 33, 256, 1024])
@@ -461,17 +462,6 @@ class TestMirrorSplit:
             assert np.all(np.diff(x) > 0)
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
             assert np.all(x != 0)
-        assert thermo._mirror_pairs(grid, grid.w * thermo.ground_state_theta(grid)) is not None
-
-    def test_resolution_check_splits_both_grids(self, gamma, factored):
-        # a mirror-symmetric weight that is not packed: the check's reference
-        # is the solve on the doubled grid, which splits too
-        grid = thermo.contour_grid(gamma, points_per_branch=64)
-        theta = _thetas(grid)["mirrored"]
-        fine_theta, fine = thermo._doubled(theta, grid, gamma)
-        thermo.solve_density(theta, grid, gamma, check_resolution=True)
-        P, P_fine = np.count_nonzero(theta * grid.w), np.count_nonzero(fine_theta * fine.w)
-        assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)] * 2
 
 
 class TestRhoTotZero:
@@ -504,7 +494,7 @@ class TestRhoTotZero:
         else:
             fine_theta, fine = thermo._doubled(theta, grid, gamma)
             P, P_fine = np.count_nonzero(theta * grid.w), np.count_nonzero(fine_theta * fine.w)
-            assert factored == [(P // 2, P // 2)] * 2 + [(P_fine // 2, P_fine // 2)] * 2
+            assert factored == [(P, P), (P_fine, P_fine)]
 
     def test_off_the_mirror_takes_the_full_solve(self, gamma, factored):
         base = thermo.contour_grid(gamma, points_per_branch=32)
@@ -520,21 +510,21 @@ class TestRhoTotZero:
                              check_resolution=True)
         assert len(factored) == 2
 
-    def test_singular_even_block_is_a_convergence_error(self, gamma, monkeypatch):
-        # the coarse solve factorizes both halves; the doubled grid's even
-        # half is the third factorization
+    def test_singular_doubled_block_is_a_convergence_error(self, gamma, monkeypatch):
+        # the coarse solve factorizes once; the doubled grid's block is the
+        # second factorization
         grid = thermo.contour_grid(gamma, points_per_branch=32)
         calls, solve = [], np.linalg.solve
 
-        def singular_third(a, b):
+        def singular_second(a, b):
             calls.append(a.shape)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
-        monkeypatch.setattr(np.linalg, "solve", singular_third)
+        monkeypatch.setattr(np.linalg, "solve", singular_second)
         with pytest.raises(ConvergenceError, match="singular density system"):
             thermo.solve_density(_thetas(grid)["mirrored"], grid, gamma, check_resolution=True)
-        assert len(calls) == 3 and calls[2][0] > calls[0][0]
+        assert len(calls) == 2 and calls[1][0] > calls[0][0]
 
 
 class TestPackedDensity:
@@ -836,19 +826,21 @@ class TestWindowColumns:
 
 
 class TestClosedFormRows:
-    """_dd_densities on a packed weight with a homogeneous window: the Taylor
-    coefficients of the closed form, with no factorization."""
+    """_dd_densities on a packed weight: the divided differences of the
+    closed form, for any window, with no factorization; for a homogeneous
+    window they are its Taylor coefficients."""
 
     # (points per branch, tolerance) at the grids of TestPackedDensity;
     # measured max |closed form - Nystrom| / max |row| over both branches,
     # n = 1..4 and wbar in {0, 0.3}: ground <= 1.9e-15 at 1024 points;
     # shifted 2.3e-11 at 0.3 (1536 points), 2.2e-12 at 0.6 (1024), 2.9e-15
-    # at pi/3 and 3.6e-16 at 1.2 (512)
+    # at pi/3 and 3.6e-16 at 1.2 (512); the distinct window below: ground
+    # <= 6.8e-15, shifted 2.5e-11, 2.4e-12, 2.7e-15 and 3.5e-15
     RESOLVED = TestPackedDensity.RESOLVED
 
     @staticmethod
     def _nystrom_rows(w, theta, grid, gamma):
-        """The Nystrom rows that _dd_densities takes for any other window."""
+        """The Nystrom rows that _dd_densities takes for a theta that is not packed."""
         dd, pref = determinant.window_dd_rows(grid.values, w, gamma.eta)
         rho = thermo._nystrom_solve(theta, grid, gamma.gamma, np.real(dd / (2j * np.pi)).T)
         return rho.T, pref
@@ -872,6 +864,45 @@ class TestClosedFormRows:
                 head, _, _ = thermo._dd_densities(np.full(n, wbar), theta, grid, gamma)
                 assert np.array_equal(head[:, occ], rows[:n, occ])
                 assert np.max(np.abs(head - rows[:n]) / scale[:n]) <= 1e-14
+        w = np.array([-0.35, -0.1, 0.05, 0.4])
+        rows, _, pref = thermo._dd_densities(w, theta, grid, gamma)
+        ref, ref_pref = self._nystrom_rows(w, theta, grid, gamma)
+        assert pref == ref_pref
+        assert np.max(np.abs(rows - ref) / np.max(np.abs(ref), axis=1, keepdims=True)) <= tol
+
+    @staticmethod
+    def _oracle_windows(g):
+        """Seeded spread windows of 1 to 4 columns, windows with columns
+        1e-9 and 1e-4 apart (next to each other and not), and at the
+        smallest gamma one whose u_m straddle the node nearest 0.3."""
+        rng = np.random.default_rng(2024)
+        windows = [0.3 * rng.standard_normal(n) for n in (1, 2, 3, 4) for _ in range(2)]
+        windows += [np.array(w) for w in ([0.1, 0.1 + 1e-9, -0.2, 0.4], [0.1, 0.4, 0.1 + 1e-4, -0.2],
+                                          [0.2, -0.1, 0.2 + 1e-9], [0.3, 0.3 + 1e-4])]
+        if g == 0.05:
+            grid = thermo.contour_grid(AnisotropyParam(g), points_per_branch=128)
+            node = grid.x[np.argmin(np.abs(grid.x - 0.3))]
+            windows.append(node + np.array([-0.02, 0.015, 0.04]))
+        return windows
+
+    @pytest.mark.parametrize("kind", sorted(PACKED))
+    @pytest.mark.parametrize("g", [0.05, 0.3, 0.6, np.pi / 3, 1.2])
+    def test_distinct_rows_match_mp_oracle(self, g, kind):
+        # measured max |rows - oracle| / max |row| over these windows: ground
+        # <= 3.9e-15, shifted <= 2.3e-14 (the gamma = 0.05 spread windows);
+        # the close pairs read at most 1.3e-14 (40 seeds of spread windows:
+        # ground <= 1.4e-14, shifted <= 5.6e-14)
+        gamma = AnisotropyParam(g)
+        grid = thermo.contour_grid(gamma, points_per_branch=128)
+        theta = _thetas(grid)[kind]
+        occ = theta == 1
+        for w in self._oracle_windows(g):
+            rows, _, _ = thermo._dd_densities(w, theta, grid, gamma)
+            want = packed_dd_rows_mp(grid.x[occ], w, g, kind == "shifted")
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.max(np.abs(rows[:, occ] - want) / scale) <= 1e-13
+            if kind == "ground":
+                assert np.all(rows[:, ~occ] == 0.0)
 
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("g", [0.3, 1.2])
@@ -906,8 +937,23 @@ class TestClosedFormRows:
         assert np.isfinite(res.value)
         if kind == "ground":
             assert np.isfinite(thermo.efp_sum_finite(roots, [0.1, 0.1], prof))
-        with pytest.raises(AssertionError, match="np.linalg.solve called"):
-            thermo.efp_thermo(2, [-0.1, 0.2], theta, grid06, gamma)
+
+    @pytest.mark.parametrize("kind", sorted(PACKED))
+    def test_distinct_windows_make_no_lu_call(self, gamma, grid06, kind, monkeypatch):
+        theta = _thetas(grid06)[kind]
+        roots = bethe.solve_ground_state(8, gamma)
+        prof = thermo.solve_density(theta, grid06, gamma)
+
+        def no_solve(a, b):
+            raise AssertionError("np.linalg.solve called")
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        window = [-0.1, 0.2, 0.2 + 1e-9, 0.45]
+        for n in (1, 2, 3):
+            assert np.isfinite(thermo.efp_thermo(n, window[:n], theta, grid06, gamma).value)
+        res = thermo.efp_thermo(4, window, theta, grid06, gamma, mc_samples=2000)
+        assert np.isfinite(res.value)
+        for n in (2, 3):
+            assert np.isfinite(thermo.efp_sum_finite(roots, window[-n:], prof))
 
     @pytest.mark.parametrize("kind", sorted(PACKED))
     def test_points_follow_rho_tot_at(self, gamma, grid06, kind):
@@ -1041,6 +1087,20 @@ class TestEfpThermo:
         res = thermo.efp_thermo(0, [], thermo.ground_state_theta(grid06), grid06, gamma)
         assert res.value == 1.0
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_packed_window_is_translated(self, n):
+        # the packed state is translation invariant, and the grid resolves a
+        # window centred at 0: at gamma = 0.05 a window at wbar = 0.3 read
+        # 0.01104 at n = 3 where wbar = 0 reads 0.007636
+        gamma = AnisotropyParam(0.05)
+        grid = thermo.contour_grid(gamma)
+        theta = thermo.ground_state_theta(grid)
+        for w in (np.zeros(n), np.array([-0.05, 0.02, 0.04])[:n]):
+            at_0 = thermo.efp_thermo(n, w, theta, grid, gamma).value
+            moved = thermo.efp_thermo(n, w + 0.3, theta, grid, gamma)
+            assert abs(moved.value - at_0) <= 1e-10
+            assert moved.mu_window == tuple(w + 0.3)
+
     def test_negative_window_length_rejected(self, gamma, grid06):
         theta = thermo.ground_state_theta(grid06)
         with pytest.raises(ValueError, match="^window length must be >= 0, got n = -1$"):
@@ -1090,9 +1150,15 @@ def _node_sum_at(z, weight, rows, w, g):
     return determinant._node_sum(weight, rows, determinant._slot_table(z, w, g), tables)
 
 
+def _centred(window, theta, grid):
+    """The window efp_thermo evaluates: moved to mean 0 on a packed weight."""
+    w = np.asarray(window, dtype=float)
+    return w - w.mean() if thermo._packed_branch(theta, grid) is not None else w
+
+
 def _exact_efp(window, theta, grid, gamma):
     """The exact node sum that efp_thermo takes for n <= 3, at any n."""
-    w = np.asarray(window, dtype=float)
+    w = _centred(window, theta, grid)
     rho, _, pref = thermo._dd_densities(w, theta, grid, gamma)
     active = np.abs(theta * grid.w) > 0
     return pref * _node_sum_at(
@@ -1245,7 +1311,7 @@ def _reference_mc(n, window, theta, grid, gamma, samples, seed):
     """efp_thermo's stratified sampler written with Generator.choice, the pair
     table from np.sinh and one LAPACK determinant per tuple: the draws and
     values the guide-table search and the Laplace minors must reproduce."""
-    w = np.asarray(window, dtype=float)
+    w = _centred(window, theta, grid)
     g = gamma.gamma
     rho, _, pref = thermo._dd_densities(w, theta, grid, gamma)
     active = np.abs(theta * grid.w) > 0
@@ -1320,7 +1386,7 @@ class TestMonteCarloStream:
                             lambda idx, *a: seen.append(idx.copy()) or h_tuples(idx, *a))
         thermo.efp_thermo(4, window, theta, coarse_grid, gamma, mc_samples=samples, seed=seed)
         got = np.hstack(seen)
-        w = np.asarray(window, dtype=float)
+        w = _centred(window, theta, coarse_grid)
         rho, _, _ = thermo._dd_densities(w, theta, coarse_grid, gamma)
         active = np.abs(theta * coarse_grid.w) > 0
         c, R = (theta * coarse_grid.w)[active], rho[:, active]
